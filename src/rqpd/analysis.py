@@ -42,7 +42,7 @@ from .game_core import (
     k_coefficients,
     payoff_from_probabilities,
 )
-from .relativity import Backend, GameInstance, check_omega, coefficient_map
+from .relativity import Backend, GameInstance, check_omega, coefficient_map, evaluate_batch
 
 _HALF_PI = 0.5 * math.pi
 
@@ -55,6 +55,11 @@ DEFAULT_TIE_TOL = 1e-9
 #: Bisection stops once the bracketing interval is narrower than this.
 BISECTION_TOL = 1e-11
 BISECTION_MAX_ITER = 200
+
+#: Grid points per kernel call in the grid paths (omega points of a
+#: region map, gammas of a sweep).  Fixed so a grid's working set stays
+#: bounded whatever its size.
+GRID_CHUNK = 256
 
 # cos^2 - sin^2 cancellation leaves O(1e-16) dust in the threshold
 # ratios at the omega = pi/2 endpoint; ratios this close to 0 or 1 are
@@ -190,15 +195,20 @@ def sds_of(table: ProfileTable, tie_tol: float = DEFAULT_TIE_TOL) -> SdsReport:
     A move dominates only if it is strictly better against both of the
     opponent's moves, beyond the tie tolerance.
     """
-    margins = SdsMargins(
-        a12=table.alice("DD") - table.alice("QD"),
-        a34=table.alice("DQ") - table.alice("QQ"),
-        b13=table.bob("DD") - table.bob("DQ"),
-        b24=table.bob("QD") - table.bob("QQ"),
-    )
+    margins = _margins(table)
     alice = _dominant(margins.a12, margins.a34, tie_tol)
     bob = _dominant(margins.b13, margins.b24, tie_tol)
     return SdsReport(alice=alice, bob=bob, margins=margins)
+
+
+def _margins(table: ProfileTable) -> SdsMargins:
+    """The four dominance margins; elementwise when the table holds arrays."""
+    return SdsMargins(
+        a12=table.dd.alice - table.qd.alice,
+        a34=table.dq.alice - table.qq.alice,
+        b13=table.dd.bob - table.dq.bob,
+        b24=table.qd.bob - table.qq.bob,
+    )
 
 
 def _dominant(vs_d: float, vs_q: float, tie_tol: float) -> str | None:
@@ -273,14 +283,6 @@ def thresholds_closed_form(omega_a: float, omega_b: float) -> ThresholdSet:
     )
 
 
-_PAIR_DIFFS = {
-    "a12": lambda t: t.alice("DD") - t.alice("QD"),
-    "a34": lambda t: t.alice("DQ") - t.alice("QQ"),
-    "b13": lambda t: t.bob("DD") - t.bob("DQ"),
-    "b24": lambda t: t.bob("QD") - t.bob("QQ"),
-}
-
-
 def thresholds_numeric(
     omega_a: float,
     omega_b: float,
@@ -298,14 +300,12 @@ def thresholds_numeric(
     """
     pay = pay if pay is not None else PayoffParams()
 
-    def diff(key: str, gamma: float) -> float:
+    def margin(key: str, gamma: float) -> float:
         table = profile_table(GameInstance(gamma, omega_a, omega_b, pay, backend))
-        return _PAIR_DIFFS[key](table)
+        return getattr(_margins(table), key)
 
-    found = {key: _bisect_crossing(lambda x, k=key: diff(k, x)) for key in _PAIR_DIFFS}
-    return ThresholdSet(
-        g_a12=found["a12"], g_a34=found["a34"], g_b13=found["b13"], g_b24=found["b24"]
-    )
+    found = [_bisect_crossing(lambda x, k=key: margin(k, x)) for key in SdsMargins._fields]
+    return ThresholdSet(*found)
 
 
 def _bisect_crossing(f) -> float | None:
@@ -351,6 +351,41 @@ def region_classify(g: GameInstance, tie_tol: float = DEFAULT_TIE_TOL) -> Region
     )
 
 
+# Strategy angles (theta_a, phi_a, theta_b, phi_b) of the profiles, in PROFILES order.
+_PROFILE_ANGLES = tuple(
+    np.array([getattr(NamedStrategy[p[player]].params, angle) for p in PROFILES])
+    for player in (0, 1)
+    for angle in ("theta", "phi")
+)
+
+# Both ends of the gamma range; affinity in sin^2(gamma) makes them decisive.
+_GAMMA_ENDPOINTS = np.array([0.0, _HALF_PI])
+
+
+def _profile_payoffs(gamma, omega_a, omega_b, backend: Backend, pay: PayoffParams) -> ProfileTable:
+    """Profile table over broadcast angle arrays; entries are payoff arrays.
+
+    The grid form of :func:`profile_table`: the profiles become the last
+    axis of the kernel call, so the iteration order, and with it the
+    first error raised, is (point, profile) as in a loop over points.
+    """
+    ev = evaluate_batch(
+        np.asarray(gamma)[..., None],
+        np.asarray(omega_a)[..., None],
+        np.asarray(omega_b)[..., None],
+        *_PROFILE_ANGLES,
+        backend=backend,
+        pay=pay,
+    )
+    return ProfileTable(*(PayoffPair(ev.alice[..., i], ev.bob[..., i]) for i in range(4)))
+
+
+def _chunks(total: int):
+    """Consecutive index ranges of at most GRID_CHUNK points."""
+    for start in range(0, total, GRID_CHUNK):
+        yield np.arange(start, min(start + GRID_CHUNK, total))
+
+
 def always_classical_scan(
     grid_n: int,
     backend: Backend,
@@ -370,26 +405,27 @@ def always_classical_scan(
     pay = pay if pay is not None else PayoffParams()
     axis = np.linspace(0.0, _HALF_PI, grid_n)
     rows = []
-    for omega_a in axis:
-        for omega_b in axis:
-            t0 = profile_table(GameInstance(0.0, omega_a, omega_b, pay, backend))
-            t1 = profile_table(GameInstance(_HALF_PI, omega_a, omega_b, pay, backend))
-            m0, m1 = sds_of(t0, tie_tol).margins, sds_of(t1, tie_tol).margins
-            bob_always_d = all(m > tie_tol for m in (m0.b13, m0.b24, m1.b13, m1.b24))
-            alice_always_q = (
-                m0.a12 <= tie_tol
-                and m0.a34 <= tie_tol
-                and m1.a12 < -tie_tol
-                and m1.a34 < -tie_tol
+    for index in _chunks(grid_n * grid_n):
+        omega_a, omega_b = axis[index // grid_n], axis[index % grid_n]
+        m = _margins(
+            _profile_payoffs(_GAMMA_ENDPOINTS, omega_a[:, None], omega_b[:, None], backend, pay)
+        )
+        bob_always_d = ((m.b13 > tie_tol) & (m.b24 > tie_tol)).all(axis=1)
+        alice_always_q = (
+            (m.a12[:, 0] <= tie_tol)
+            & (m.a34[:, 0] <= tie_tol)
+            & (m.a12[:, 1] < -tie_tol)
+            & (m.a34[:, 1] < -tie_tol)
+        )
+        rows.extend(
+            map(
+                RegionMapRow,
+                omega_a.tolist(),
+                omega_b.tolist(),
+                bob_always_d.tolist(),
+                alice_always_q.tolist(),
             )
-            rows.append(
-                RegionMapRow(
-                    omega_a=float(omega_a),
-                    omega_b=float(omega_b),
-                    bob_always_d=bob_always_d,
-                    alice_always_q=alice_always_q,
-                )
-            )
+        )
     return tuple(rows)
 
 
@@ -404,22 +440,13 @@ def sweep_gamma(
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     pay = pay if pay is not None else PayoffParams()
+    gammas = np.linspace(0.0, _HALF_PI, n)
     rows = []
-    for gamma in np.linspace(0.0, _HALF_PI, n):
-        t = profile_table(GameInstance(float(gamma), omega_a, omega_b, pay, backend))
-        rows.append(
-            SweepRow(
-                gamma=float(gamma),
-                a_dd=t.dd.alice,
-                a_qd=t.qd.alice,
-                a_dq=t.dq.alice,
-                a_qq=t.qq.alice,
-                b_dd=t.dd.bob,
-                b_qd=t.qd.bob,
-                b_dq=t.dq.bob,
-                b_qq=t.qq.bob,
-            )
-        )
+    for index in _chunks(n):
+        t = _profile_payoffs(gammas[index], omega_a, omega_b, backend, pay)
+        columns = (t.dd.alice, t.qd.alice, t.dq.alice, t.qq.alice,
+                   t.dd.bob, t.qd.bob, t.dq.bob, t.qq.bob)
+        rows.extend(map(SweepRow, gammas[index].tolist(), *(c.tolist() for c in columns)))
     return tuple(rows)
 
 

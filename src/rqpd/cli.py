@@ -207,6 +207,8 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
         return thresholds_closed_form(omega_a, omega_b)
 
     if args.grid_n is not None:
+        if args.grid_n < 2:
+            raise ValueError(f"grid_n must be >= 2, got {args.grid_n}")
         axis = np.linspace(0.0, 0.5 * math.pi, args.grid_n)
         lines = []
         for omega_a in axis:
@@ -375,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NumericIntegrityError, ConvergenceError) as exc:
+    except (NumericIntegrityError, ConvergenceError, OverflowError) as exc:
         print(f"rqpd: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, KeyError) as exc:

@@ -34,14 +34,18 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import qmat
 from .game_core import (
+    _DXD,
     DEFAULT_MAX_NORM_DEFECT,
+    PROBABILITY_DUST,
     JointProbabilities,
     NamedStrategy,
+    NumericIntegrityError,
     PayoffPair,
     PayoffParams,
     StrategyParams,
@@ -189,6 +193,238 @@ def coefficient_map(g: GameInstance) -> CoefficientMap:
         omega_b=g.omega_b,
         gamma=g.gamma,
     )
+
+
+# ------------------------------------------------------------ batched kernel
+#
+# The grid paths evaluate the pipeline over whole arrays of points.  Every
+# float operation below repeats, in the same order, the one the scalar
+# path performs at a single point, so a batch is bit-for-bit the scalar
+# result:
+#
+# * complex products that Python evaluates on scalars are spelled out as
+#   real/imaginary float arithmetic in Python's evaluation order (numpy's
+#   vectorised complex multiply rounds differently);
+# * |a|^2 is pow(hypot(re, im), 2), as the scalar ``abs(a) ** 2`` computes
+#   it (``np.abs`` on complex arrays and ``x * x`` each differ from it in
+#   the last ulp on some inputs; ``np.float_power`` calls pow);
+# * a map is applied as ``M @ k[..., None]``, the same BLAS matrix-vector
+#   product as the scalar ``M @ k`` (``k @ M.T`` is not);
+# * the UNITARY map reuses ``game_core._DXD`` with its cos(pi/2) dust.
+
+_EYE4 = np.eye(4, dtype=complex)
+
+# PAPER map entry (i, j) is w, conj(w), -conj(w) or -w for
+# w = (w1, w2, w3, w4)[_PAPER_W[i, j]], as in paper_coefficient_matrix.
+_PAPER_W = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_PAPER_SIGN_RE = np.array(
+    [[1, 1, -1, -1], [-1, 1, 1, -1], [1, 1, 1, -1], [-1, 1, -1, 1]], dtype=float
+)
+_PAPER_SIGN_IM = np.array(
+    [[1, -1, 1, -1], [1, 1, 1, -1], [-1, 1, 1, -1], [-1, -1, 1, 1]], dtype=float
+)
+
+
+class BatchPayoffs(NamedTuple):
+    """Kernel results; every array has the broadcast shape of the inputs."""
+
+    alice: np.ndarray
+    bob: np.ndarray
+    probabilities: np.ndarray  # (..., 4) over (CC, CD, DC, DD), dust-clamped
+    norm_defect: np.ndarray
+
+
+def evaluate_batch(
+    gamma,
+    omega_a,
+    omega_b,
+    theta_a,
+    phi_a,
+    theta_b,
+    phi_b,
+    backend: Backend,
+    pay: PayoffParams,
+) -> BatchPayoffs:
+    """Payoffs of Alice's (theta_a, phi_a) against Bob's (theta_b, phi_b).
+
+    The batch form of :func:`payoffs` over array arguments that
+    broadcast against each other.  Coefficient maps are built over the
+    broadcast of ``(gamma, omega_a, omega_b)`` only and k-coefficients
+    over that of gamma and the strategy angles: points that differ only
+    in their strategies share one map, and points that differ only in
+    their omegas share one set of k-coefficients.  Results are
+    bit-for-bit the scalar ones.
+
+    Every check of the scalar path runs once per batch.  When points
+    fail, the error raised is the one that
+    ``payoffs(GameInstance(gamma, omega_a, omega_b, pay, backend),
+    StrategyParams(theta_a, phi_a), StrategyParams(theta_b, phi_b))``,
+    called point by point, raises at the first failing point in C order
+    of the broadcast shape, with the same message.
+    """
+    angles = (gamma, omega_a, omega_b, theta_a, phi_a, theta_b, phi_b)
+    gamma, omega_a, omega_b, theta_a, phi_a, theta_b, phi_b = (
+        np.asarray(x, dtype=float) for x in angles
+    )
+    # Out-of-domain points are reported below, in point order, so the
+    # arithmetic runs on them too; NaN and inf inputs must not warn.
+    with np.errstate(invalid="ignore"):
+        maps = _coefficient_maps(gamma, omega_a, omega_b, backend)
+        k = _k_coefficient_array(gamma, theta_a, phi_a, theta_b, phi_b)
+        k_norm2 = _sum4(_abs2(k))
+        amplitudes = (maps @ k[..., None])[..., 0]
+        raw = _abs2(amplitudes)
+        defect = np.abs(_sum4(raw) - 1.0)
+    beyond_dust = ~((raw >= -PROBABILITY_DUST) & (raw <= 1.0 + PROBABILITY_DUST))
+
+    shape = defect.shape
+
+    def at(values: np.ndarray, i: int) -> float:
+        return float(np.broadcast_to(values, shape).flat[i])
+
+    def finite(values: np.ndarray, name: str):
+        return (
+            ~np.isfinite(values),
+            lambda i: ValueError(f"{name} must be finite, got {at(values, i)!r}"),
+        )
+
+    def within(values: np.ndarray, name: str, upper: float, upper_text: str):
+        return (
+            ~((values >= 0.0) & (values <= upper)),
+            lambda i: ValueError(f"{name} must be in [0, {upper_text}], got {at(values, i)}"),
+        )
+
+    def strategy(theta: np.ndarray, phi: np.ndarray):
+        # StrategyParams checks both angles are finite before their ranges
+        return (
+            finite(theta, "theta"),
+            finite(phi, "phi"),
+            within(theta, "theta", math.pi, "pi"),
+            within(phi, "phi", _HALF_PI, "pi/2"),
+        )
+
+    def beyond_dust_error(i: int) -> ValueError:
+        value = float(raw.reshape(-1, 4)[i][beyond_dust.reshape(-1, 4)[i]][0])
+        return ValueError(f"probability {value!r} outside [0, 1] beyond dust tolerance")
+
+    _raise_first_failure(
+        shape,
+        (
+            finite(gamma, "gamma"),
+            within(gamma, "gamma", _HALF_PI, "pi/2"),
+            finite(omega_a, "omega_a"),
+            within(omega_a, "omega_a", _HALF_PI, "pi/2"),
+            finite(omega_b, "omega_b"),
+            within(omega_b, "omega_b", _HALF_PI, "pi/2"),
+            (
+                np.array(not isinstance(backend, Backend)),
+                lambda i: ValueError(f"backend must be a Backend, got {backend!r}"),
+            ),
+            *strategy(theta_a, phi_a),
+            *strategy(theta_b, phi_b),
+            (
+                ~np.isfinite(maps).all((-2, -1)),
+                lambda i: ValueError("mat4 contains non-finite entries"),
+            ),
+            (~np.isfinite(k).all(-1), lambda i: ValueError("KVector amplitudes must be finite")),
+            (
+                np.abs(k_norm2 - 1.0) > qmat.ATOL,
+                lambda i: ValueError(
+                    f"KVector norm^2 = {at(k_norm2, i)!r}, expected 1 within {qmat.ATOL}"
+                ),
+            ),
+            (beyond_dust.any(-1), beyond_dust_error),
+            (
+                defect > DEFAULT_MAX_NORM_DEFECT,
+                lambda i: NumericIntegrityError(at(defect, i), DEFAULT_MAX_NORM_DEFECT),
+            ),
+        ),
+    )
+
+    probabilities = np.clip(raw, 0.0, 1.0)
+    p_cc, p_cd, p_dc, p_dd = np.moveaxis(probabilities, -1, 0)
+    alice = pay.r * p_cc + pay.p * p_dd + pay.t * p_dc + pay.s * p_cd
+    bob = pay.r * p_cc + pay.p * p_dd + pay.s * p_dc + pay.t * p_cd
+    return BatchPayoffs(alice, bob, probabilities, defect)
+
+
+def _half_cos_sin(angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    half = 0.5 * angle
+    return np.cos(half), np.sin(half)
+
+
+def _coefficient_maps(gamma, omega_a, omega_b, backend: Backend) -> np.ndarray:
+    """(..., 4, 4) stack of the maps :func:`coefficient_map` builds one at a time."""
+    cg, sg = _half_cos_sin(gamma)
+    ca, sa = _half_cos_sin(omega_a)
+    cb, sb = _half_cos_sin(omega_b)
+    if backend is Backend.UNITARY:
+        j = np.multiply.outer(cg, _EYE4) + np.multiply.outer(1j * sg, _DXD)
+        r_a = np.stack([ca, -sa, sa, ca], -1).reshape(ca.shape + (2, 2))
+        r_b = np.stack([cb, sb, -sb, cb], -1).reshape(cb.shape + (2, 2))
+        kron = r_a[..., :, None, :, None] * r_b[..., None, :, None, :]
+        kron = kron.reshape(kron.shape[:-4] + (4, 4)).astype(complex)
+        return j.conj().swapaxes(-1, -2) @ kron
+    # w1..w4 of paper_coefficient_matrix, real and imaginary parts
+    w_re = np.stack([cg * ca * cb, cg * ca * sb, cg * sa * cb, cg * sa * sb], -1)
+    w_im = np.stack([sg * sa * sb, sg * sa * cb, sg * ca * sb, sg * ca * cb], -1)
+    maps = np.empty(w_re.shape[:-1] + (4, 4), dtype=complex)
+    maps.real = w_re[..., _PAPER_W] * _PAPER_SIGN_RE
+    maps.imag = w_im[..., _PAPER_W] * _PAPER_SIGN_IM
+    return maps
+
+
+def _k_coefficient_array(gamma, theta_a, phi_a, theta_b, phi_b) -> np.ndarray:
+    """(..., 4) k-coefficients, the batch form of :func:`game_core.k_coefficients`."""
+    ca, sa = _half_cos_sin(theta_a)
+    cb, sb = _half_cos_sin(theta_b)
+    cg, sg = _half_cos_sin(gamma)
+    ear, eai = np.cos(phi_a), np.sin(phi_a)  # cmath.exp(1j * phi) is (cos, sin)
+    ebr, ebi = np.cos(phi_b), np.sin(phi_b)
+    tr, ti = ear * ebr - eai * ebi, ear * ebi + eai * ebr  # ea * eb
+    parts = (
+        # ea * eb * ca * cb * cg + 1j * sa * sb * sg
+        (tr * ca * cb * cg, ti * ca * cb * cg + sa * sb * sg),
+        # -ea * ca * sb * cg + 1j * eb.conjugate() * sa * cb * sg
+        (-ear * ca * sb * cg + ebi * sa * cb * sg, -eai * ca * sb * cg + ebr * sa * cb * sg),
+        # -eb * sa * cb * cg + 1j * ea.conjugate() * ca * sb * sg
+        (-ebr * sa * cb * cg + eai * ca * sb * sg, -ebi * sa * cb * cg + ear * ca * sb * sg),
+        # sa * sb * cg + 1j * (ea * eb).conjugate() * ca * cb * sg
+        (sa * sb * cg + ti * ca * cb * sg, tr * ca * cb * sg),
+    )
+    shape = np.broadcast_shapes(*(np.shape(x) for part in parts for x in part))
+    k = np.empty(shape + (4,), dtype=complex)
+    for i, (re, im) in enumerate(parts):
+        k.real[..., i] = re
+        k.imag[..., i] = im
+    return k
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+
+
+def _sum4(x: np.ndarray) -> np.ndarray:
+    """Left-to-right sum over the last axis of length 4, as Python's ``sum``."""
+    return ((x[..., 0] + x[..., 1]) + x[..., 2]) + x[..., 3]
+
+
+def _raise_first_failure(shape: tuple[int, ...], checks) -> None:
+    """Raise the error of the first failing point in C order.
+
+    ``checks`` lists ``(flags, error)`` in the order one point meets them;
+    ``flags`` broadcast to ``shape`` and ``error`` maps a flat point index
+    to the exception.  At a point that fails several checks the earliest
+    check wins, as in the scalar pipeline.
+    """
+    first = None
+    for flags, error in checks:
+        if flags.any():
+            index = int(np.argmax(np.broadcast_to(flags, shape)))
+            if first is None or index < first[0]:
+                first = (index, error)
+    if first is not None:
+        raise first[1](first[0])
 
 
 def joint_probabilities(

@@ -247,6 +247,8 @@ def test_io_error_exit_code(tmp_path, capsys):
         ["thresholds", "--omega-a", "-1", "--omega-b", "0"],
         ["wigner", "--alpha", "1"],
         ["wigner", "--alpha-speed", "1.5", "--delta-speed", "0.5"],
+        ["thresholds", "--grid-n", "0"],
+        ["thresholds", "--grid-n", "1"],
     ],
 )
 def test_invalid_arguments_exit_2(capsys, argv):
@@ -271,3 +273,11 @@ def test_numeric_failure_exit_3(capsys):
     )
     assert code == 3
     assert "numeric failure" in err
+
+
+def test_wigner_overflow_exits_3(capsys):
+    # sinh overflows for rapidities above about 710
+    code, out, err = run(capsys, ["wigner", "--alpha", "800", "--delta", "800"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("rqpd: numeric failure:")

@@ -1,0 +1,252 @@
+"""The batched evaluation kernel against the scalar pipeline, bit for bit.
+
+The grid paths (region maps and gamma sweeps) run on
+``relativity.evaluate_batch``; the scalar path (``profile_table``,
+``payoffs``) stays the reference.  Results must be equal, not close:
+speed must never change output bytes.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rqpd import cli
+from rqpd.analysis import (
+    GRID_CHUNK,
+    always_classical_scan,
+    best_response_scan,
+    profile_table,
+    sds_of,
+    sweep_gamma,
+)
+from rqpd.game_core import NumericIntegrityError, PayoffParams, StrategyParams
+from rqpd.relativity import Backend, GameInstance, evaluate_batch, joint_probabilities, payoffs
+
+HALF_PI = 0.5 * math.pi
+
+angles = st.floats(0.0, HALF_PI) | st.sampled_from([0.0, HALF_PI])
+thetas = st.floats(0.0, math.pi) | st.sampled_from([0.0, math.pi])
+backends = st.sampled_from(list(Backend))
+
+
+# ----------------------------------------------------- scalar reference loops
+
+
+def scalar_region_map(grid_n, backend, tie_tol=1e-9):
+    rows = []
+    for omega_a in np.linspace(0.0, HALF_PI, grid_n):
+        for omega_b in np.linspace(0.0, HALF_PI, grid_n):
+            t0 = profile_table(GameInstance(0.0, omega_a, omega_b, backend=backend))
+            t1 = profile_table(GameInstance(HALF_PI, omega_a, omega_b, backend=backend))
+            m0, m1 = sds_of(t0).margins, sds_of(t1).margins
+            bob_always_d = all(m > tie_tol for m in (m0.b13, m0.b24, m1.b13, m1.b24))
+            alice_always_q = (
+                m0.a12 <= tie_tol and m0.a34 <= tie_tol
+                and m1.a12 < -tie_tol and m1.a34 < -tie_tol
+            )
+            rows.append((float(omega_a), float(omega_b), bob_always_d, bool(alice_always_q)))
+    return rows
+
+
+def scalar_sweep(omega_a, omega_b, n, backend):
+    rows = []
+    for gamma in np.linspace(0.0, HALF_PI, n):
+        t = profile_table(GameInstance(float(gamma), omega_a, omega_b, backend=backend))
+        rows.append((float(gamma), t.dd.alice, t.qd.alice, t.dq.alice, t.qq.alice,
+                     t.dd.bob, t.qd.bob, t.dq.bob, t.qq.bob))
+    return rows
+
+
+def region_rows(grid_n, backend):
+    return [(r.omega_a, r.omega_b, r.bob_always_d, r.alice_always_q)
+            for r in always_classical_scan(grid_n, backend)]
+
+
+def sweep_rows(omega_a, omega_b, n, backend):
+    return [(r.gamma, r.a_dd, r.a_qd, r.a_dq, r.a_qq, r.b_dd, r.b_qd, r.b_dq, r.b_qq)
+            for r in sweep_gamma(omega_a, omega_b, n, backend)]
+
+
+# ------------------------------------------------------------ bitwise oracle
+
+
+@settings(max_examples=25, deadline=None)
+@given(angles, angles, angles, thetas, angles, thetas, angles)
+def test_kernel_point_equals_scalar_pipeline(gamma, omega_a, omega_b, ta, pa, tb, pb):
+    g = GameInstance(gamma, omega_a, omega_b, backend=Backend.UNITARY)
+    a, b = StrategyParams(ta, pa), StrategyParams(tb, pb)
+    got = evaluate_batch(gamma, omega_a, omega_b, ta, pa, tb, pb, Backend.UNITARY, g.pay)
+    pr = joint_probabilities(g, a, b)
+    assert tuple(got.probabilities.tolist()) == pr.as_tuple()
+    assert float(got.norm_defect) == pr.norm_defect
+    assert (float(got.alice), float(got.bob)) == payoffs(g, a, b)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 6), backends)
+def test_region_map_equals_scalar_loop(grid_n, backend):
+    assert region_rows(grid_n, backend) == scalar_region_map(grid_n, backend)
+
+
+@settings(max_examples=25, deadline=None)
+@given(angles, angles, st.integers(2, 40), backends)
+def test_sweep_equals_scalar_loop(omega_a, omega_b, n, backend):
+    assert sweep_rows(omega_a, omega_b, n, backend) == scalar_sweep(omega_a, omega_b, n, backend)
+
+
+# ----------------------------------------------------------------- chunk edges
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("n", [2, 3, GRID_CHUNK, GRID_CHUNK + 1])
+def test_sweep_chunk_edges(n, backend):
+    assert sweep_rows(0.3, 1.2, n, backend) == scalar_sweep(0.3, 1.2, n, backend)
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("grid_n", [2, 3, math.isqrt(GRID_CHUNK), math.isqrt(GRID_CHUNK) + 1])
+def test_region_map_chunk_edges(grid_n, backend):
+    assert region_rows(grid_n, backend) == scalar_region_map(grid_n, backend)
+
+
+# -------------------------------------------------------------- error parity
+
+
+def test_kernel_raises_at_first_offending_point():
+    # PAPER leaks norm off {D, Q}; over a (theta, phi) candidate grid in C
+    # order the kernel must report the defect the point-by-point scan meets first
+    g = GameInstance(0.7, 0.4, 1.1, backend=Backend.PAPER)
+    opponent = StrategyParams(1.0, 0.3)
+    theta = np.linspace(0.0, math.pi, 19)[:, None]
+    phi = np.linspace(0.0, HALF_PI, 10)
+    with pytest.raises(NumericIntegrityError) as batched:
+        evaluate_batch(0.7, 0.4, 1.1, theta, phi, 1.0, 0.3, Backend.PAPER, g.pay)
+    with pytest.raises(NumericIntegrityError) as scalar:
+        best_response_scan(g, opponent, grid=(19, 10))
+    assert batched.value.defect == 0.12100302935704244
+    assert batched.value.defect == scalar.value.defect
+    assert str(batched.value) == str(scalar.value)
+
+
+def test_kernel_clamps_dust_and_rejects_beyond_it(monkeypatch):
+    # No game in the domain puts a probability above 1, so scale the
+    # maps: the rest-frame DD outcome then has probability 1 * factor^2.
+    from rqpd import relativity
+    from rqpd.game_core import JointProbabilities
+
+    build = relativity._coefficient_maps
+    args = (0.0, 0.0, 0.0, math.pi, 0.0, math.pi, 0.0, Backend.UNITARY, PayoffParams())
+
+    monkeypatch.setattr(relativity, "_coefficient_maps", lambda *a: build(*a) * (1 + 1e-13))
+    got = evaluate_batch(*args)
+    assert float(got.probabilities[3]) == 1.0
+    assert 0.0 < float(got.norm_defect) < 1e-12
+
+    monkeypatch.setattr(relativity, "_coefficient_maps", lambda *a: build(*a) * 1.1)
+    with pytest.raises(ValueError) as batched:
+        evaluate_batch(*args)
+    raw = float(np.float_power(np.hypot(1.1, 0.0), 2.0))
+    with pytest.raises(ValueError) as scalar:
+        JointProbabilities(0.0, 0.0, 0.0, raw, norm_defect=raw - 1.0)
+    assert str(batched.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sweep_gamma(9.0, 0.0, 5, Backend.PAPER),
+        lambda: sweep_gamma(0.0, -0.1, 5, Backend.UNITARY),
+        lambda: sweep_gamma(float("nan"), 0.0, 5, Backend.PAPER),
+        lambda: sweep_gamma(0.0, 0.0, 0, Backend.PAPER),
+        lambda: always_classical_scan(0, Backend.UNITARY),
+        lambda: always_classical_scan(3, "unitary"),
+        lambda: sweep_gamma(0.0, 0.0, 5, "paper"),
+        lambda: evaluate_batch(0.1, [0.0, 2.0], 0.0, 0.0, 0.0, 0.0, 0.0,
+                               Backend.UNITARY, PayoffParams()),
+        lambda: evaluate_batch(0.1, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0,
+                               Backend.UNITARY, PayoffParams()),
+    ],
+)
+def test_grid_paths_reject_bad_input(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def scalar_first_error(gamma, omega_a, omega_b, ta, pa, tb, pb, backend):
+    """The error a point-by-point payoffs loop raises first, in C order."""
+    points = np.broadcast_arrays(gamma, omega_a, omega_b, ta, pa, tb, pb)
+    for point in zip(*(p.ravel().tolist() for p in points)):
+        try:
+            g = GameInstance(*point[:3], backend=backend)
+            payoffs(g, StrategyParams(*point[3:5]), StrategyParams(*point[5:]))
+        except (ValueError, NumericIntegrityError) as exc:
+            return exc
+    raise AssertionError("no point fails")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # bad omega_a at point 0 beats a bad gamma at point 1
+        ([0.1, 9.0], [2.0, 0.1], 0.0, 0.0, 0.0, 0.0, 0.0, Backend.PAPER),
+        # at one point: gamma before omega_a, a non-finite phi before theta's range
+        (2.0, [0.1, 3.0], 0.0, 0.0, 0.0, 0.0, 0.0, Backend.UNITARY),
+        (0.1, 0.0, 0.0, [0.0, 4.0], [0.0, float("nan")], 0.0, 0.0, Backend.UNITARY),
+        # Alice's strategy before Bob's; the omegas and the backend before both
+        (0.1, 0.0, 0.0, [[0.0], [4.0]], 0.0, [5.0, 0.0], 0.0, Backend.PAPER),
+        (0.1, [0.0, 2.0], 0.0, 0.0, 0.0, 5.0, 0.0, "paper"),
+        (0.1, 0.0, 0.0, float("inf"), 0.0, 5.0, 0.0, "paper"),
+        # the norm defect at point 0 beats an out-of-domain angle at point 1
+        (0.7, 0.4, 1.1, [1.0, 9.0], 0.3, 1.0, 0.3, Backend.PAPER),
+    ],
+)
+def test_kernel_first_error_matches_point_by_point_loop(args):
+    expected = scalar_first_error(*args)
+    with pytest.raises(type(expected)) as batched:
+        evaluate_batch(*args, PayoffParams())
+    assert str(batched.value) == str(expected)
+
+
+def test_out_of_domain_omega_message_matches_scalar():
+    with pytest.raises(ValueError) as batched:
+        sweep_gamma(0.2, 9.0, 5, Backend.PAPER)
+    with pytest.raises(ValueError) as scalar:
+        GameInstance(0.0, 0.2, 9.0)
+    assert str(batched.value) == str(scalar.value)
+
+
+# ------------------------------------------------------------------ byte pins
+
+# SHA-256 of CLI stdout, recorded from the point-by-point implementation
+# before the grid paths moved onto the batched kernel.
+PINS = [
+    (["region-map", "--grid-n", "17"],
+     "bfa759d2352d9dde133847d4eb49cfac9ca0de9fe8673b1670ef1d8d8a0b530d"),
+    (["region-map", "--grid-n", "17", "--backend", "unitary"],
+     "e7f660498d488933041b3b577e8adaaecf523432bcd5677f3dcda912a206c124"),
+    (["sweep", "--omega-a", "0", "--omega-b", "0", "--n", "51", "--backend", "paper"],
+     "a6624b1dc82c9d4313dc0705bb9005bb8d9435cc91b9be6ba7feb01ff6d1ac04"),
+    (["sweep", "--omega-a", repr(HALF_PI), "--omega-b", repr(HALF_PI), "--n", "51",
+      "--backend", "paper"],
+     "bb9b09b222d14100f7dcd02d54e3a7d7a9ac64ecd43f5000b08d0e12928331af"),
+    (["sweep", "--omega-a", "0.37", "--omega-b", "1.1", "--n", "51", "--backend", "paper"],
+     "d40c84447dde7abac4879d90842a4b1e2affe0e614557fd680ba571fe2651d7d"),
+    (["sweep", "--omega-a", "0", "--omega-b", "0", "--n", "51", "--backend", "unitary"],
+     "3ec8b231b5b4b334f979fb34475ebc4e2852569ff67fdde828c8887a805e1f0b"),
+    (["sweep", "--omega-a", repr(HALF_PI), "--omega-b", repr(HALF_PI), "--n", "51",
+      "--backend", "unitary"],
+     "3e500aaa76cc1d85d1bed528762030c6a09545153c3a2a79f21964c09eaa853a"),
+    (["sweep", "--omega-a", "0.37", "--omega-b", "1.1", "--n", "51", "--backend", "unitary"],
+     "c21022df4e1ee94d4601db5b81d2acb883a99bfd7c15008b02dba0bfaed09540"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINS, ids=[" ".join(a) for a, _ in PINS])
+def test_cli_output_bytes_pinned(capsys, argv, digest):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
