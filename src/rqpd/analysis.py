@@ -31,8 +31,11 @@ import numpy as np
 
 from . import qmat
 from .game_core import (
+    _k_factors,
+    _k_gamma_step,
     DEFAULT_MAX_NORM_DEFECT,
     JointProbabilities,
+    KVector,
     NamedStrategy,
     PayoffPair,
     PayoffParams,
@@ -176,17 +179,24 @@ class RegionMapRow:
     alice_always_q: bool
 
 
+# The gamma-free k-coefficient factors of the profiles, in PROFILES order.
+_PROFILE_K_FACTORS = tuple(
+    _k_factors(NamedStrategy[p[0]].params, NamedStrategy[p[1]].params) for p in PROFILES
+)
+
+
 def profile_table(g: GameInstance) -> ProfileTable:
     """Payoffs of all four S-profiles under the instance's backend."""
     matrix = coefficient_map(g).matrix
-    pairs = {}
-    for name in PROFILES:
-        a = NamedStrategy[name[0]].params
-        b = NamedStrategy[name[1]].params
-        amplitudes = matrix @ k_coefficients(a, b, g.gamma).as_state()
-        pr = JointProbabilities.from_amplitudes(amplitudes)
-        pairs[name.lower()] = payoff_from_probabilities(pr, g.pay)
-    return ProfileTable(**pairs)
+    cg, sg = math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
+    states = [_k_gamma_step(factors, cg, sg) for factors in _PROFILE_K_FACTORS]
+    for k in states:
+        KVector(*k)  # the finiteness and norm checks of k_coefficients
+    # A stacked product runs the same matrix-vector product per profile as ``M @ k``.
+    amplitudes = (matrix @ np.array(states)[..., None])[..., 0]
+    qmat._require_finite(amplitudes, "state4")  # the check and message of state4
+    probabilities = map(JointProbabilities._from_finite, amplitudes.tolist())
+    return ProfileTable(*(payoff_from_probabilities(pr, g.pay) for pr in probabilities))
 
 
 def sds_of(table: ProfileTable, tie_tol: float = DEFAULT_TIE_TOL) -> SdsReport:

@@ -209,6 +209,9 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
     if args.grid_n is not None:
         if args.grid_n < 2:
             raise ValueError(f"grid_n must be >= 2, got {args.grid_n}")
+        if any(v is not None for v in (args.omega_a, args.omega_b, args.alpha_speed,
+                                       args.delta_a_speed, args.delta_b_speed)):
+            raise ValueError("--grid-n sets both omegas; drop the omega and speed flags")
         axis = np.linspace(0.0, 0.5 * math.pi, args.grid_n)
         lines = []
         for omega_a in axis:

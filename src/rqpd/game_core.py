@@ -141,7 +141,8 @@ class KVector:
         amps = (self.k_cc, self.k_cd, self.k_dc, self.k_dd)
         if not all(cmath.isfinite(a) for a in amps):
             raise ValueError("KVector amplitudes must be finite")
-        total = sum(abs(a) ** 2 for a in amps)
+        p0, p1, p2, p3 = (abs(a) ** 2 for a in amps)
+        total = ((p0 + p1) + p2) + p3
         if abs(total - 1.0) > qmat.ATOL:
             raise ValueError(f"KVector norm^2 = {total!r}, expected 1 within {qmat.ATOL}")
 
@@ -182,10 +183,13 @@ class JointProbabilities:
     @classmethod
     def from_amplitudes(cls, amplitudes) -> "JointProbabilities":
         """Squared magnitudes of a 4-amplitude vector, defect recorded first."""
-        v = qmat.state4(amplitudes)
-        raw = [float(abs(a) ** 2) for a in v]
-        defect = abs(sum(raw) - 1.0)
-        return cls(*raw, norm_defect=defect)
+        return cls._from_finite(qmat.state4(amplitudes).tolist())
+
+    @classmethod
+    def _from_finite(cls, amplitudes: list[complex]) -> "JointProbabilities":
+        # abs() is hypot and ** 2 is pow, as on np.complex128; sum() is compensated from 3.12
+        p0, p1, p2, p3 = (abs(a) ** 2 for a in amplitudes)
+        return cls(p0, p1, p2, p3, norm_defect=abs(((p0 + p1) + p2) + p3 - 1.0))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p_cc, self.p_cd, self.p_dc, self.p_dd)
@@ -202,6 +206,7 @@ def strategy_unitary(s: StrategyParams | NamedStrategy) -> np.ndarray:
 
 
 _DXD = qmat.tensor2(strategy_unitary(NamedStrategy.D), strategy_unitary(NamedStrategy.D))
+_EYE4 = np.eye(4, dtype=complex)
 
 
 def entangler(gamma: float) -> np.ndarray:
@@ -212,9 +217,7 @@ def entangler(gamma: float) -> np.ndarray:
     D (x) D and is unitary for every gamma.
     """
     check_gamma(gamma)
-    return qmat.mat4(
-        math.cos(0.5 * gamma) * np.eye(4, dtype=complex) + 1j * math.sin(0.5 * gamma) * _DXD
-    )
+    return qmat.mat4(math.cos(0.5 * gamma) * _EYE4 + 1j * math.sin(0.5 * gamma) * _DXD)
 
 
 def check_gamma(gamma: float) -> float:
@@ -226,24 +229,36 @@ def check_gamma(gamma: float) -> float:
 
 
 def k_coefficients(a: StrategyParams, b: StrategyParams, gamma: float) -> KVector:
-    """Closed-form amplitudes of ``(U_A (x) U_B) J(gamma) |CC>``.
-
-    Uses half-angle shorthand c_x = cos(x/2), s_x = sin(x/2).
-    """
+    """Closed-form amplitudes of ``(U_A (x) U_B) J(gamma) |CC>``."""
     if isinstance(a, NamedStrategy):
         a = a.params
     if isinstance(b, NamedStrategy):
         b = b.params
     check_gamma(gamma)
+    cg, sg = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
+    return KVector(*_k_gamma_step(_k_factors(a, b), cg, sg))
+
+
+def _k_factors(a: StrategyParams, b: StrategyParams) -> tuple[tuple[complex, complex], ...]:
+    """Per amplitude (CC, CD, DC, DD), the pair (A, B) with k = A c_g + B s_g.
+
+    c_x = cos(x/2), s_x = sin(x/2).  Products run left to right with c_g
+    or s_g last, so the split keeps every rounding of the full product.
+    """
     ca, sa = math.cos(0.5 * a.theta), math.sin(0.5 * a.theta)
     cb, sb = math.cos(0.5 * b.theta), math.sin(0.5 * b.theta)
-    cg, sg = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
     ea, eb = cmath.exp(1j * a.phi), cmath.exp(1j * b.phi)
-    k_cc = ea * eb * ca * cb * cg + 1j * sa * sb * sg
-    k_cd = -ea * ca * sb * cg + 1j * eb.conjugate() * sa * cb * sg
-    k_dc = -eb * sa * cb * cg + 1j * ea.conjugate() * ca * sb * sg
-    k_dd = sa * sb * cg + 1j * (ea * eb).conjugate() * ca * cb * sg
-    return KVector(k_cc, k_cd, k_dc, k_dd)
+    return (
+        (ea * eb * ca * cb, 1j * sa * sb),
+        (-ea * ca * sb, 1j * eb.conjugate() * sa * cb),
+        (-eb * sa * cb, 1j * ea.conjugate() * ca * sb),
+        (sa * sb, 1j * (ea * eb).conjugate() * ca * cb),
+    )
+
+
+def _k_gamma_step(factors, cg: float, sg: float) -> list[complex]:
+    """The k-coefficients A c_g + B s_g from :func:`_k_factors`."""
+    return [f_cos * cg + f_sin * sg for f_cos, f_sin in factors]
 
 
 def payoff_from_probabilities(

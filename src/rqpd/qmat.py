@@ -82,7 +82,8 @@ def tensor2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = _as_matrix(a, 2, "tensor2 left factor")
     b = _as_matrix(b, 2, "tensor2 right factor")
-    return _frozen(np.kron(a, b))
+    # the broadcast product np.kron forms internally, without its generality
+    return _frozen((a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4))
 
 
 def apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:

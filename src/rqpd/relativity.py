@@ -41,6 +41,7 @@ import numpy as np
 from . import qmat
 from .game_core import (
     _DXD,
+    _EYE4,
     DEFAULT_MAX_NORM_DEFECT,
     PROBABILITY_DUST,
     JointProbabilities,
@@ -86,11 +87,21 @@ def wigner_angle(alpha: float, delta: float) -> float:
 
     Symmetric in its arguments, zero iff either rapidity is zero, and
     strictly increasing in each argument while the other is positive.
+    Finite for every finite rapidity; it tends to pi/2 as both grow.
     """
     for name, value in (("alpha", alpha), ("delta", delta)):
         if not math.isfinite(value) or value < 0.0:
             raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    return math.atan(math.sinh(alpha) * math.sinh(delta) / (math.cosh(alpha) + math.cosh(delta)))
+    try:
+        ratio = math.sinh(alpha) * math.sinh(delta) / (math.cosh(alpha) + math.cosh(delta))
+        if math.isfinite(ratio):
+            return math.atan(ratio)
+    except OverflowError:
+        pass
+    # A rapidity or alpha + delta past about 710 overflows a term above; divided
+    # through by cosh(alpha) cosh(delta), the ratio is tanh tanh / (sech + sech).
+    sech_a, sech_d = (2.0 * math.exp(-x) / (1.0 + math.exp(-2.0 * x)) for x in (alpha, delta))
+    return math.atan2(math.tanh(alpha) * math.tanh(delta), sech_a + sech_d)
 
 
 def check_omega(omega: float, name: str = "omega") -> float:
@@ -183,7 +194,8 @@ def coefficient_map(g: GameInstance) -> CoefficientMap:
     """Coefficient map for a game instance under its selected backend."""
     if g.backend is Backend.UNITARY:
         r_a, r_b = spin_rotation_pair(g.omega_a, g.omega_b)
-        matrix = qmat.mat4(qmat.adjoint(entangler(g.gamma)) @ qmat.tensor2(r_a, r_b))
+        # entangler's result is validated and frozen: conj().T is the adjoint
+        matrix = qmat.mat4(entangler(g.gamma).conj().T @ qmat.tensor2(r_a, r_b))
     else:
         matrix = paper_coefficient_matrix(g.gamma, g.omega_a, g.omega_b)
     return CoefficientMap(
@@ -211,8 +223,6 @@ def coefficient_map(g: GameInstance) -> CoefficientMap:
 # * a map is applied as ``M @ k[..., None]``, the same BLAS matrix-vector
 #   product as the scalar ``M @ k`` (``k @ M.T`` is not);
 # * the UNITARY map reuses ``game_core._DXD`` with its cos(pi/2) dust.
-
-_EYE4 = np.eye(4, dtype=complex)
 
 # PAPER map entry (i, j) is w, conj(w), -conj(w) or -w for
 # w = (w1, w2, w3, w4)[_PAPER_W[i, j]], as in paper_coefficient_matrix.

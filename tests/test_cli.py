@@ -249,6 +249,10 @@ def test_io_error_exit_code(tmp_path, capsys):
         ["wigner", "--alpha-speed", "1.5", "--delta-speed", "0.5"],
         ["thresholds", "--grid-n", "0"],
         ["thresholds", "--grid-n", "1"],
+        ["thresholds", "--grid-n", "2", "--omega-a", "9"],
+        ["thresholds", "--grid-n", "3", "--omega-a", "0.1", "--omega-b", "0.2", "--numeric"],
+        ["thresholds", "--grid-n", "2", "--alpha-speed", "0.5", "--delta-a-speed", "0.5",
+         "--delta-b-speed", "0.5"],
     ],
 )
 def test_invalid_arguments_exit_2(capsys, argv):
@@ -275,9 +279,18 @@ def test_numeric_failure_exit_3(capsys):
     assert "numeric failure" in err
 
 
-def test_wigner_overflow_exits_3(capsys):
-    # sinh overflows for rapidities above about 710
+def test_wigner_overflow_exits_3(capsys, monkeypatch):
+    # a backstop: wigner_angle is finite for every finite rapidity
+    def overflow(alpha, delta):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "wigner_angle", overflow)
     code, out, err = run(capsys, ["wigner", "--alpha", "800", "--delta", "800"])
     assert code == 3
     assert out == ""
     assert err.startswith("rqpd: numeric failure:")
+
+
+def test_wigner_beyond_sinh_range(capsys):
+    doc, _ = run_json(capsys, ["wigner", "--alpha", "800", "--delta", "800"])
+    assert doc["omega"] == HALF_PI

@@ -109,6 +109,27 @@ def test_wigner_range():
     assert 0.0 <= wigner_angle(50.0, 50.0) <= HALF_PI
 
 
+def test_wigner_finite_beyond_sinh_range():
+    # math.sinh and math.cosh overflow above about 710
+    assert wigner_angle(800.0, 800.0) == HALF_PI
+    assert wigner_angle(800.0, 1.0) == pytest.approx(math.atan(math.sinh(1.0)), rel=1e-15)
+    assert wigner_angle(800.0, 0.0) == 0.0
+    assert wigner_angle(710.4, 1.0) == pytest.approx(math.atan(math.sinh(1.0)), rel=1e-15)
+    assert wigner_angle(710.0, 710.0) == HALF_PI
+    assert wigner_angle(1e308, 1e308) == HALF_PI
+
+
+@pytest.mark.parametrize("delta", [1e-300, 1e-8, 0.5, 1.0, 3.0, 20.0, 300.0, 705.0, 710.4, 800.0])
+def test_wigner_monotone_across_overflow_switch(delta):
+    # The product of the sinh terms overflows once alpha + delta passes
+    # about 710, and the overflow-free form takes over; the grid crosses
+    # that point for every delta below 710.  Where Omega has converged to
+    # its last bits both forms round within an ulp of it (the direct form
+    # already wobbles by one ulp near alpha = 32), hence the allowance.
+    values = [wigner_angle(float(a), delta) for a in np.linspace(0.0, 1000.0, 4001)]
+    assert all(b >= a - 2 * math.ulp(a) for a, b in zip(values, values[1:]))
+
+
 def test_omega_is_authoritative_over_speed_inputs():
     # omega is the primary input precisely because the speed mapping is
     # unforgiving: these pairs land far from pi/16 and 7pi/16
