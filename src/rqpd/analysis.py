@@ -31,11 +31,12 @@ import numpy as np
 
 from . import qmat
 from .game_core import (
+    _check_unit_amplitudes,
     _k_factors,
     _k_gamma_step,
+    _payoff_of_amplitudes,
     DEFAULT_MAX_NORM_DEFECT,
     JointProbabilities,
-    KVector,
     NamedStrategy,
     PayoffPair,
     PayoffParams,
@@ -191,12 +192,11 @@ def profile_table(g: GameInstance) -> ProfileTable:
     cg, sg = math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
     states = [_k_gamma_step(factors, cg, sg) for factors in _PROFILE_K_FACTORS]
     for k in states:
-        KVector(*k)  # the finiteness and norm checks of k_coefficients
+        _check_unit_amplitudes(k)  # the KVector checks of k_coefficients
     # A stacked product runs the same matrix-vector product per profile as ``M @ k``.
     amplitudes = (matrix @ np.array(states)[..., None])[..., 0]
     qmat._require_finite(amplitudes, "state4")  # the check and message of state4
-    probabilities = map(JointProbabilities._from_finite, amplitudes.tolist())
-    return ProfileTable(*(payoff_from_probabilities(pr, g.pay) for pr in probabilities))
+    return ProfileTable(*(_payoff_of_amplitudes(a, g.pay) for a in amplitudes.tolist()))
 
 
 def sds_of(table: ProfileTable, tie_tol: float = DEFAULT_TIE_TOL) -> SdsReport:

@@ -4,14 +4,15 @@ Every run is a pure function of its flags; identical invocations emit
 identical bytes.  JSON subcommands (payoff, nash, thresholds, wigner)
 write a single document with a metadata block to stdout or --output.
 CSV subcommands (sweep, thresholds --grid-n, region-map) write a bare
-header-plus-rows payload there and echo their metadata as one JSON line
-on stderr, keeping the payload machine-clean.
+header-plus-rows payload there and then, once it is written, echo their
+metadata as one JSON line on stderr, keeping the payload machine-clean.
 
 Angle flags are radians unless --degrees is given; rapidities are
-dimensionless and never converted.  Speed flags are fractions of the
-speed of light and are converted to Wigner angles through rapidities;
-the resulting omegas are echoed in the metadata so the mapping is
-always visible.
+dimensionless and never converted.  Where no angle is read (region-map,
+thresholds --grid-n, wigner), --degrees is refused with exit 2.  Speed
+flags are fractions of the speed of light and are converted to Wigner
+angles through rapidities; the resulting omegas are echoed in the
+metadata so the mapping is always visible.
 
 Exit codes: 0 success, 2 invalid arguments, 3 numeric failure,
 4 I/O error.
@@ -77,6 +78,11 @@ def _parse_strategy(text: str, degrees: bool) -> StrategyParams:
     return StrategyParams(_angle(theta, degrees), _angle(phi, degrees))
 
 
+def _reject_degrees(args: argparse.Namespace, reason: str) -> None:
+    if args.degrees:
+        raise ValueError(f"--degrees converts no input here: {reason}")
+
+
 def _backend(args: argparse.Namespace, default: Backend) -> Backend:
     if args.backend is None:
         return default
@@ -117,8 +123,8 @@ def _emit_json(doc: dict, path: str | None) -> None:
 
 
 def _emit_csv(header: str, rows: list[str], path: str | None, metadata: dict) -> None:
-    print(json.dumps(metadata), file=sys.stderr)
     _write_output("\n".join([header, *rows]) + "\n", path)
+    print(json.dumps(metadata), file=sys.stderr)
 
 
 def _metadata(command: str, backend: Backend | None = None, **extra) -> dict:
@@ -212,6 +218,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
         if any(v is not None for v in (args.omega_a, args.omega_b, args.alpha_speed,
                                        args.delta_a_speed, args.delta_b_speed)):
             raise ValueError("--grid-n sets both omegas; drop the omega and speed flags")
+        _reject_degrees(args, "the --grid-n omegas are radians")
         axis = np.linspace(0.0, 0.5 * math.pi, args.grid_n)
         lines = []
         for omega_a in axis:
@@ -246,6 +253,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def _cmd_region_map(args: argparse.Namespace) -> int:
+    _reject_degrees(args, "the region-map omegas are radians")
     backend = _backend(args, Backend.PAPER)
     rows = always_classical_scan(args.grid_n, backend)
     lines = [
@@ -265,6 +273,7 @@ def _cmd_region_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_wigner(args: argparse.Namespace) -> int:
+    _reject_degrees(args, "rapidities and speeds are not angles")
     by_rapidity = args.alpha is not None or args.delta is not None
     by_speed = args.alpha_speed is not None or args.delta_speed is not None
     if by_rapidity and by_speed:

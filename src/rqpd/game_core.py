@@ -138,16 +138,26 @@ class KVector:
     k_dd: complex
 
     def __post_init__(self):
-        amps = (self.k_cc, self.k_cd, self.k_dc, self.k_dd)
-        if not all(cmath.isfinite(a) for a in amps):
-            raise ValueError("KVector amplitudes must be finite")
-        p0, p1, p2, p3 = (abs(a) ** 2 for a in amps)
-        total = ((p0 + p1) + p2) + p3
-        if abs(total - 1.0) > qmat.ATOL:
-            raise ValueError(f"KVector norm^2 = {total!r}, expected 1 within {qmat.ATOL}")
+        _check_unit_amplitudes((self.k_cc, self.k_cd, self.k_dc, self.k_dd))
 
     def as_state(self) -> np.ndarray:
         return qmat.state4((self.k_cc, self.k_cd, self.k_dc, self.k_dd))
+
+
+def _squares_and_sum(amplitudes) -> tuple[tuple[float, ...], float]:
+    # abs() is hypot and ** 2 is pow, as on np.complex128; sum() is compensated from 3.12
+    a0, a1, a2, a3 = amplitudes
+    p = (abs(a0) ** 2, abs(a1) ** 2, abs(a2) ** 2, abs(a3) ** 2)
+    return p, ((p[0] + p[1]) + p[2]) + p[3]
+
+
+def _check_unit_amplitudes(amps) -> None:
+    """The :class:`KVector` checks: finite amplitudes, unit norm within ``qmat.ATOL``."""
+    if not all(map(cmath.isfinite, amps)):
+        raise ValueError("KVector amplitudes must be finite")
+    _, total = _squares_and_sum(amps)
+    if abs(total - 1.0) > qmat.ATOL:
+        raise ValueError(f"KVector norm^2 = {total!r}, expected 1 within {qmat.ATOL}")
 
 
 def _clamp_probability(value: float) -> float:
@@ -158,6 +168,11 @@ def _clamp_probability(value: float) -> float:
     if 1.0 < value <= 1.0 + PROBABILITY_DUST:
         return 1.0
     raise ValueError(f"probability {value!r} outside [0, 1] beyond dust tolerance")
+
+
+def _clamped(raw, norm_defect: float) -> list[float]:
+    _require_finite_scalar(norm_defect, "norm_defect")
+    return [_clamp_probability(p) for p in raw]
 
 
 @dataclass(frozen=True)
@@ -176,9 +191,9 @@ class JointProbabilities:
     norm_defect: float
 
     def __post_init__(self):
-        _require_finite_scalar(self.norm_defect, "norm_defect")
-        for name in ("p_cc", "p_cd", "p_dc", "p_dd"):
-            object.__setattr__(self, name, _clamp_probability(getattr(self, name)))
+        clean = _clamped(self.as_tuple(), self.norm_defect)
+        for name, value in zip(("p_cc", "p_cd", "p_dc", "p_dd"), clean):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_amplitudes(cls, amplitudes) -> "JointProbabilities":
@@ -187,9 +202,8 @@ class JointProbabilities:
 
     @classmethod
     def _from_finite(cls, amplitudes: list[complex]) -> "JointProbabilities":
-        # abs() is hypot and ** 2 is pow, as on np.complex128; sum() is compensated from 3.12
-        p0, p1, p2, p3 = (abs(a) ** 2 for a in amplitudes)
-        return cls(p0, p1, p2, p3, norm_defect=abs(((p0 + p1) + p2) + p3 - 1.0))
+        raw, total = _squares_and_sum(amplitudes)
+        return cls(*raw, norm_defect=abs(total - 1.0))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p_cc, self.p_cd, self.p_dc, self.p_dd)
@@ -272,11 +286,23 @@ def payoff_from_probabilities(
     Raises :class:`NumericIntegrityError` when the recorded norm defect
     exceeds ``max_norm_defect``.
     """
-    if pr.norm_defect > max_norm_defect:
-        raise NumericIntegrityError(pr.norm_defect, max_norm_defect)
-    alice = pay.r * pr.p_cc + pay.p * pr.p_dd + pay.t * pr.p_dc + pay.s * pr.p_cd
-    bob = pay.r * pr.p_cc + pay.p * pr.p_dd + pay.s * pr.p_dc + pay.t * pr.p_cd
+    return _payoff_within(pr.as_tuple(), pr.norm_defect, pay, max_norm_defect)
+
+
+def _payoff_within(probabilities, norm_defect, pay, max_norm_defect) -> PayoffPair:
+    p_cc, p_cd, p_dc, p_dd = probabilities
+    if norm_defect > max_norm_defect:
+        raise NumericIntegrityError(norm_defect, max_norm_defect)
+    alice = pay.r * p_cc + pay.p * p_dd + pay.t * p_dc + pay.s * p_cd
+    bob = pay.r * p_cc + pay.p * p_dd + pay.s * p_dc + pay.t * p_cd
     return PayoffPair(alice, bob)
+
+
+def _payoff_of_amplitudes(amplitudes, pay, max_norm_defect=DEFAULT_MAX_NORM_DEFECT) -> PayoffPair:
+    """``payoff_from_probabilities`` of ``JointProbabilities._from_finite``, objects left out."""
+    raw, total = _squares_and_sum(amplitudes)
+    norm_defect = abs(total - 1.0)
+    return _payoff_within(_clamped(raw, norm_defect), norm_defect, pay, max_norm_defect)
 
 
 def classical_table(pay: PayoffParams) -> dict[tuple[str, str], PayoffPair]:

@@ -7,8 +7,7 @@ re-derive or reorder this basis.
 
 Arrays returned by constructors and operations are marked read-only, so
 they can be shared freely across threads.  Nothing is renormalized
-silently; norm and unitarity defects are surfaced through
-:func:`unitarity_defect` and :func:`norm`.
+silently.
 """
 
 from __future__ import annotations
@@ -68,13 +67,6 @@ def basis_state(index: int) -> np.ndarray:
     return _frozen(v)
 
 
-def identity(dim: int) -> np.ndarray:
-    """Complex identity matrix of size 2 or 4."""
-    if dim not in (2, 4):
-        raise ValueError(f"identity supports dim 2 or 4, got {dim}")
-    return _frozen(np.eye(dim, dtype=complex))
-
-
 def tensor2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two 2x2 matrices in the frozen basis order.
 
@@ -84,35 +76,3 @@ def tensor2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = _as_matrix(b, 2, "tensor2 right factor")
     # the broadcast product np.kron forms internally, without its generality
     return _frozen((a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4))
-
-
-def apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product of a 4x4 matrix with a 4-state."""
-    m = _as_matrix(m, 4, "apply matrix")
-    v = state4(v)
-    return _frozen(m @ v)
-
-
-def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a 2x2 or 4x4 matrix."""
-    m = np.array(m, dtype=complex)
-    if m.shape not in ((2, 2), (4, 4)):
-        raise ValueError(f"adjoint expects a 2x2 or 4x4 matrix, got {m.shape}")
-    _require_finite(m, "adjoint input")
-    return _frozen(m.conj().T)
-
-
-def unitarity_defect(m: np.ndarray) -> float:
-    """Max-abs entry of ``adjoint(m) @ m - I``; 0 for exactly unitary input."""
-    m = np.array(m, dtype=complex)
-    if m.shape not in ((2, 2), (4, 4)):
-        raise ValueError(f"unitarity_defect expects 2x2 or 4x4, got {m.shape}")
-    _require_finite(m, "unitarity_defect input")
-    eye = np.eye(m.shape[0], dtype=complex)
-    return float(np.abs(m.conj().T @ m - eye).max())
-
-
-def norm(v: np.ndarray) -> float:
-    """Euclidean norm of a state vector."""
-    v = state4(v)
-    return float(np.linalg.norm(v))

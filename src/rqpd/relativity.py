@@ -42,6 +42,7 @@ from . import qmat
 from .game_core import (
     _DXD,
     _EYE4,
+    _payoff_of_amplitudes,
     DEFAULT_MAX_NORM_DEFECT,
     PROBABILITY_DUST,
     JointProbabilities,
@@ -53,7 +54,6 @@ from .game_core import (
     check_gamma,
     entangler,
     k_coefficients,
-    payoff_from_probabilities,
 )
 
 _HALF_PI = 0.5 * math.pi
@@ -437,6 +437,10 @@ def _raise_first_failure(shape: tuple[int, ...], checks) -> None:
         raise first[1](first[0])
 
 
+def _final_amplitudes(g: GameInstance, a, b) -> np.ndarray:
+    return coefficient_map(g).matrix @ k_coefficients(a, b, g.gamma).as_state()
+
+
 def joint_probabilities(
     g: GameInstance,
     a: StrategyParams | NamedStrategy,
@@ -447,9 +451,7 @@ def joint_probabilities(
     A norm defect (possible under ``Backend.PAPER`` away from the named
     strategy set) is recorded on the result, not raised here.
     """
-    cmap = coefficient_map(g)
-    k = k_coefficients(a, b, g.gamma)
-    return JointProbabilities.from_amplitudes(cmap.matrix @ k.as_state())
+    return JointProbabilities.from_amplitudes(_final_amplitudes(g, a, b))
 
 
 def payoffs(
@@ -459,4 +461,5 @@ def payoffs(
     max_norm_defect: float = DEFAULT_MAX_NORM_DEFECT,
 ) -> PayoffPair:
     """Expected payoffs for a strategy pair under an instance."""
-    return payoff_from_probabilities(joint_probabilities(g, a, b), g.pay, max_norm_defect)
+    amplitudes = qmat.state4(_final_amplitudes(g, a, b)).tolist()
+    return _payoff_of_amplitudes(amplitudes, g.pay, max_norm_defect)

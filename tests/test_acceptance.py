@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from qmat_helpers import unitarity_defect
 from rqpd import cli, qmat
 from rqpd.analysis import (
     always_classical_scan,
@@ -173,7 +174,7 @@ def test_criterion_08_normalization_and_unitarity():
         a = StrategyParams(rng.uniform(0, math.pi), rng.uniform(0, HALF_PI))
         b = StrategyParams(rng.uniform(0, math.pi), rng.uniform(0, HALF_PI))
         cmap = coefficient_map(g)
-        worst_defect = max(worst_defect, qmat.unitarity_defect(cmap.matrix))
+        worst_defect = max(worst_defect, unitarity_defect(cmap.matrix))
         amplitudes = cmap.matrix @ k_coefficients(a, b, g.gamma).as_state()
         pr = JointProbabilities.from_amplitudes(amplitudes)
         worst_sum = max(worst_sum, pr.norm_defect)
@@ -223,7 +224,7 @@ def test_criterion_09_backend_divergence_ledger():
     assert worst_elsewhere < 1e-12
 
     witness = paper_coefficient_matrix(HALF_PI, math.pi / 3, 2 * math.pi / 3)
-    defect = qmat.unitarity_defect(witness)
+    defect = unitarity_defect(witness)
     assert defect > 0.3
     _report(
         9,

@@ -1,13 +1,21 @@
+import contextlib
+import io
 import json
 import math
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqpd import cli
 from rqpd.analysis import sweep_gamma
 from rqpd.relativity import Backend
 
 HALF_PI = 0.5 * math.pi
+
+# An --output path that cannot be created: its parent is this file.
+BAD_OUTPUT = os.path.join(__file__, "no-such-dir", "x.out")
 
 
 def run(capsys, argv):
@@ -230,6 +238,15 @@ def test_io_error_exit_code(tmp_path, capsys):
     assert "i/o error" in err
 
 
+def test_csv_io_error_leaves_no_metadata(tmp_path, capsys):
+    missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
+    code, out, err = run(capsys, ["region-map", "--grid-n", "2", "--output", str(missing_dir)])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("rqpd: i/o error:")
+    assert len(err.splitlines()) == 1
+
+
 # ------------------------------------------------------------- exit codes
 
 
@@ -253,6 +270,9 @@ def test_io_error_exit_code(tmp_path, capsys):
         ["thresholds", "--grid-n", "3", "--omega-a", "0.1", "--omega-b", "0.2", "--numeric"],
         ["thresholds", "--grid-n", "2", "--alpha-speed", "0.5", "--delta-a-speed", "0.5",
          "--delta-b-speed", "0.5"],
+        ["region-map", "--grid-n", "2", "--degrees"],
+        ["thresholds", "--grid-n", "2", "--degrees"],
+        ["wigner", "--alpha", "1", "--delta", "1", "--degrees"],
     ],
 )
 def test_invalid_arguments_exit_2(capsys, argv):
@@ -294,3 +314,80 @@ def test_wigner_overflow_exits_3(capsys, monkeypatch):
 def test_wigner_beyond_sinh_range(capsys):
     doc, _ = run_json(capsys, ["wigner", "--alpha", "800", "--delta", "800"])
     assert doc["omega"] == HALF_PI
+
+
+# ---------------------------------------------------------------- argv fuzz
+
+# Valid values first and in the majority, so most commands get past the
+# argument checks; a draw shrinks toward the front of each list.
+fuzz_angles = st.sampled_from(["0", "0.3", "1.2", "1.5707963267948966", "45", "90",
+                               "-1", "9.9", "nan", "inf", "1e308"])
+fuzz_speeds = st.sampled_from(["0", "0.5", "0.99", "0.9999999", "1", "-0.2", "nan"])
+fuzz_rapidities = st.sampled_from(["0", "1", "2.5", "800", "-1", "nan", "inf"])
+fuzz_sizes = st.sampled_from(["2", "3", "4", "-1", "0", "1", "x"])
+fuzz_strategies = st.sampled_from(["C", "D", "Q", "1.5707963267948966,0", "0.5,0.2",
+                                   "3.2,0", "1,2,3", "X"])
+SPEED_FLAGS = ("--alpha-speed", "--delta-a-speed", "--delta-b-speed")
+# How a command gives its two Wigner angles; the last three are invalid.
+OMEGA_MODES = (("--omega-a", "--omega-b"), SPEED_FLAGS, ("--omega-a", "--omega-b"),
+               ("--omega-a", "--omega-b", *SPEED_FLAGS), ("--omega-a",), SPEED_FLAGS[:2])
+WIGNER_MODES = (("--alpha", "--delta"), ("--alpha-speed", "--delta-speed"),
+                ("--alpha", "--delta-speed"), ("--delta",))
+
+
+@st.composite
+def fuzz_argv(draw):
+    """One rqpd command line from a small grammar, valid or not."""
+    command = draw(st.sampled_from(
+        ["payoff", "nash", "sweep", "thresholds", "region-map", "wigner"]
+    ))
+    argv = [command]
+    grid = command == "region-map" or command == "thresholds" and draw(st.booleans())
+    if command == "wigner":
+        inputs = draw(st.sampled_from(WIGNER_MODES))
+    elif grid:
+        inputs = draw(st.sampled_from([("--grid-n",), ("--grid-n",), ("--grid-n", "--omega-a")]))
+    else:
+        inputs = draw(st.sampled_from(OMEGA_MODES))
+    if command in ("payoff", "nash"):
+        inputs = ("--gamma", *inputs)
+    if command == "payoff":
+        inputs += ("--alice", "--bob")
+    if command == "sweep" and draw(st.booleans()):
+        inputs += ("--n",)
+    values = {"--grid-n": fuzz_sizes, "--n": fuzz_sizes, "--alice": fuzz_strategies,
+              "--bob": fuzz_strategies, "--alpha": fuzz_rapidities, "--delta": fuzz_rapidities}
+    for flag in inputs:
+        default = fuzz_speeds if flag.endswith("speed") else fuzz_angles
+        argv += [flag, draw(values.get(flag, default))]
+    if command != "wigner" and draw(st.booleans()):
+        argv += ["--backend", draw(st.sampled_from(["paper", "unitary", "other"]))]
+    if command == "thresholds" and draw(st.booleans()):
+        argv.append("--numeric")
+    if draw(st.integers(0, 3)) == 0:
+        argv.append("--degrees")
+    return argv
+
+
+def run_isolated(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzz_argv(), st.integers(0, 3))
+def test_fuzzed_argv_exits_cleanly_and_deterministically(argv, output):
+    bad_output = output == 0
+    if bad_output:
+        argv = [*argv, "--output", BAD_OUTPUT]
+    code, out, err = run_isolated(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err
+    if bad_output and code == 0:
+        pytest.fail(f"wrote to a missing directory: {argv}")
+    assert run_isolated(argv)[:2] == (code, out)

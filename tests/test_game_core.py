@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmat_helpers import adjoint, apply, unitarity_defect
 from rqpd import qmat
 from rqpd.game_core import (
     JointProbabilities,
@@ -31,7 +32,7 @@ gammas = st.floats(0.0, HALF_PI, allow_nan=False)
 def pipeline_k(a: StrategyParams, b: StrategyParams, gamma: float) -> np.ndarray:
     """Independent oracle: explicit (U_A (x) U_B) J(gamma) |CC> pipeline."""
     u_ab = qmat.tensor2(strategy_unitary(a), strategy_unitary(b))
-    return u_ab @ qmat.apply(entangler(gamma), qmat.basis_state(0))
+    return u_ab @ apply(entangler(gamma), qmat.basis_state(0))
 
 
 # ---------------------------------------------------------------- strategies
@@ -63,14 +64,14 @@ def test_strategy_params_range_errors(theta, phi):
 @given(thetas, phis)
 @settings(max_examples=100, deadline=None)
 def test_strategy_unitary_is_unitary(theta, phi):
-    assert qmat.unitarity_defect(strategy_unitary(StrategyParams(theta, phi))) < 1e-12
+    assert unitarity_defect(strategy_unitary(StrategyParams(theta, phi))) < 1e-12
 
 
 def test_strategy_unitary_defect_bulk():
     rng = np.random.default_rng(211)
     for _ in range(10_000):
         s = StrategyParams(rng.uniform(0, math.pi), rng.uniform(0, HALF_PI))
-        assert qmat.unitarity_defect(strategy_unitary(s)) < 1e-12
+        assert unitarity_defect(strategy_unitary(s)) < 1e-12
 
 
 def test_named_strategy_params_are_exact():
@@ -96,7 +97,7 @@ def test_entangler_unitary_and_commutes_with_dxd():
     dxd = qmat.tensor2(strategy_unitary(NamedStrategy.D), strategy_unitary(NamedStrategy.D))
     for gamma in np.linspace(0.0, HALF_PI, 7):
         j = entangler(float(gamma))
-        assert np.allclose(j @ qmat.adjoint(j), np.eye(4), atol=1e-12)
+        assert np.allclose(j @ adjoint(j), np.eye(4), atol=1e-12)
         assert np.allclose(j @ dxd, dxd @ j, atol=1e-12)
 
 

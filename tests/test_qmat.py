@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qmat_helpers import adjoint, apply, identity, norm, unitarity_defect
 from rqpd import qmat
 from rqpd.game_core import StrategyParams, entangler, strategy_unitary
 
@@ -20,7 +21,7 @@ def random_state(rng):
 
 
 def test_tensor2_identity():
-    eye2 = qmat.identity(2)
+    eye2 = identity(2)
     assert np.array_equal(qmat.tensor2(eye2, eye2), np.eye(4))
 
 
@@ -37,7 +38,7 @@ def test_tensor2_dxd_hand_expansion():
 def test_tensor2_basis_action():
     rng = np.random.default_rng(7)
     a, b = random_unitary2(rng), random_unitary2(rng)
-    lhs = qmat.apply(qmat.tensor2(a, b), qmat.basis_state(0))
+    lhs = apply(qmat.tensor2(a, b), qmat.basis_state(0))
     rhs = np.kron(a[:, 0], b[:, 0])
     assert np.allclose(lhs, rhs, atol=1e-12)
 
@@ -62,13 +63,13 @@ def test_tensor2_is_bilinear():
 
 def test_apply_identity_and_zero():
     v = random_state(np.random.default_rng(3))
-    assert np.array_equal(qmat.apply(qmat.identity(4), v), v)
+    assert np.array_equal(apply(identity(4), v), v)
     zero = qmat.state4([0, 0, 0, 0])
-    assert np.array_equal(qmat.apply(qmat.identity(4), zero), zero)
+    assert np.array_equal(apply(identity(4), zero), zero)
 
 
 def test_apply_entangler_to_cc():
-    got = qmat.apply(entangler(0.5 * math.pi), qmat.basis_state(0))
+    got = apply(entangler(0.5 * math.pi), qmat.basis_state(0))
     expected = np.array([1, 0, 0, 1j], dtype=complex) / math.sqrt(2)
     assert np.allclose(got, expected, atol=1e-12)
 
@@ -78,43 +79,43 @@ def test_apply_is_linear():
     m = entangler(1.0)
     u, v = random_state(rng), random_state(rng)
     alpha, beta = 0.25 + 0.5j, -1.5 + 0.125j
-    lhs = qmat.apply(m, qmat.state4(alpha * u + beta * v))
-    rhs = alpha * qmat.apply(m, u) + beta * qmat.apply(m, v)
+    lhs = apply(m, qmat.state4(alpha * u + beta * v))
+    rhs = alpha * apply(m, u) + beta * apply(m, v)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_adjoint_examples():
-    assert np.array_equal(qmat.adjoint(qmat.identity(4)), np.eye(4))
+    assert np.array_equal(adjoint(identity(4)), np.eye(4))
     assert np.array_equal(
-        qmat.adjoint(qmat.mat2([[1j, 0], [0, -1j]])), np.diag([-1j, 1j])
+        adjoint(qmat.mat2([[1j, 0], [0, -1j]])), np.diag([-1j, 1j])
     )
 
 
 def test_adjoint_involution():
     rng = np.random.default_rng(17)
     m = qmat.tensor2(random_unitary2(rng), random_unitary2(rng))
-    assert np.array_equal(qmat.adjoint(qmat.adjoint(m)), m)
+    assert np.array_equal(adjoint(adjoint(m)), m)
 
 
 def test_adjoint_of_entangler_is_inverse():
     j = entangler(1.2)
-    assert np.allclose(qmat.adjoint(j) @ j, np.eye(4), atol=1e-12)
+    assert np.allclose(adjoint(j) @ j, np.eye(4), atol=1e-12)
 
 
 def test_unitarity_defect_identity_is_zero():
-    assert qmat.unitarity_defect(qmat.identity(4)) == 0.0
-    assert qmat.unitarity_defect(qmat.identity(2)) == 0.0
+    assert unitarity_defect(identity(4)) == 0.0
+    assert unitarity_defect(identity(2)) == 0.0
 
 
 def test_unitarity_defect_random_strategy_unitaries():
     rng = np.random.default_rng(23)
     for _ in range(100):
-        assert qmat.unitarity_defect(random_unitary2(rng)) < 1e-12
+        assert unitarity_defect(random_unitary2(rng)) < 1e-12
 
 
 def test_unitarity_defect_flags_nonunitary():
     m = qmat.mat4(np.eye(4) * 1.5)
-    assert qmat.unitarity_defect(m) == pytest.approx(1.25)
+    assert unitarity_defect(m) == pytest.approx(1.25)
 
 
 def test_unitary_tensor_preserves_norm():
@@ -122,7 +123,7 @@ def test_unitary_tensor_preserves_norm():
     for _ in range(100):
         m = qmat.tensor2(random_unitary2(rng), random_unitary2(rng))
         v = random_state(rng)
-        assert abs(qmat.norm(qmat.apply(m, v)) - qmat.norm(v)) < 1e-12
+        assert abs(norm(apply(m, v)) - norm(v)) < 1e-12
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -145,6 +146,6 @@ def test_shape_validation():
 
 
 def test_outputs_are_read_only():
-    m = qmat.tensor2(qmat.identity(2), qmat.identity(2))
+    m = qmat.tensor2(identity(2), identity(2))
     with pytest.raises(ValueError):
         m[0, 0] = 2.0

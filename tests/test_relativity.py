@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmat_helpers import adjoint, unitarity_defect
 from rqpd import qmat
 from rqpd.game_core import (
     NamedStrategy,
@@ -177,7 +178,7 @@ def test_composition_reproduces_paper_rows_1_and_4():
 
 def test_map_reduces_to_disentangler_at_rest():
     for gamma in (0.0, 0.8, HALF_PI):
-        expected = qmat.adjoint(entangler(gamma))
+        expected = adjoint(entangler(gamma))
         assert np.abs(paper_map(gamma, 0.0, 0.0) - expected).max() < 1e-12
         assert np.abs(unitary_map(gamma, 0.0, 0.0) - expected).max() < 1e-12
 
@@ -211,12 +212,12 @@ def test_unitary_backend_has_no_defect():
     rng = np.random.default_rng(41)
     for _ in range(200):
         gamma, omega_a, omega_b = rng.uniform(0.0, HALF_PI, 3)
-        assert qmat.unitarity_defect(unitary_map(gamma, omega_a, omega_b)) < 1e-12
+        assert unitarity_defect(unitary_map(gamma, omega_a, omega_b)) < 1e-12
 
 
 def test_paper_backend_nonunitarity_witness():
     m = paper_coefficient_matrix(HALF_PI, math.pi / 3, 2 * math.pi / 3)
-    assert qmat.unitarity_defect(m) > 0.3
+    assert unitarity_defect(m) > 0.3
     row_overlap = abs(np.vdot(m[1], m[3]))
     assert row_overlap == pytest.approx(ROW24_OVERLAP_WITNESS, abs=1e-12)
 

@@ -2,13 +2,16 @@
 
 ``profile_table`` factors the k-coefficients into strategy-only parts
 and a gamma step, applies the coefficient map to the four profiles in
-one stacked product and squares magnitudes on Python complexes.  The
+one stacked product and goes from amplitudes to payoffs without the
+per-profile ``KVector`` and ``JointProbabilities`` objects.  The
 reference below is the per-profile loop it replaced, written out here
-with the unsplit closed form, ``np.kron`` and ``qmat.adjoint``.
-Results must be equal, not close: speed must never change output bytes.
+with the unsplit closed form, ``np.kron``, the validating ``adjoint``
+and the probability objects.  Results, and the errors raised, must be
+equal, not close: speed must never change output bytes.
 """
 
 import cmath
+import dataclasses
 import hashlib
 import math
 
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
+from qmat_helpers import adjoint
 from rqpd import analysis, cli, qmat
 from rqpd.analysis import (
     PROFILES,
@@ -29,12 +33,23 @@ from rqpd.analysis import (
 )
 from rqpd.game_core import (
     JointProbabilities,
+    KVector,
     NamedStrategy,
+    NumericIntegrityError,
     PayoffParams,
+    StrategyParams,
     payoff_from_probabilities,
     strategy_unitary,
 )
-from rqpd.relativity import Backend, GameInstance, paper_coefficient_matrix, spin_rotation_pair
+from rqpd.relativity import (
+    Backend,
+    GameInstance,
+    coefficient_map,
+    joint_probabilities,
+    paper_coefficient_matrix,
+    payoffs,
+    spin_rotation_pair,
+)
 
 HALF_PI = 0.5 * math.pi
 
@@ -75,11 +90,11 @@ def reference_map(g):
         np.kron(d, d)
     )
     r_a, r_b = spin_rotation_pair(g.omega_a, g.omega_b)
-    return qmat.mat4(qmat.adjoint(qmat.mat4(j)) @ np.kron(r_a, r_b))
+    return qmat.mat4(adjoint(qmat.mat4(j)) @ np.kron(r_a, r_b))
 
 
-def reference_profile_table(g):
-    matrix = reference_map(g)
+def reference_profile_table(g, matrix=None):
+    matrix = reference_map(g) if matrix is None else matrix
     pairs = {}
     for name in PROFILES:
         a = NamedStrategy[name[0]].params
@@ -124,6 +139,81 @@ def test_thresholds_numeric_equals_reference_bisection(omega_a, omega_b, backend
     expected = [_bisect_crossing(lambda x, k=key: margin(k, x)) for key in SdsMargins._fields]
     got = thresholds_numeric(omega_a, omega_b, backend, pay)
     assert list(got.as_dict().values()) == expected
+
+
+# ------------------------------------------------------------ error parity
+
+
+def outcome(f):
+    """The result's repr, or the error's type, message and ``defect``."""
+    try:
+        return repr(f())
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc), getattr(exc, "defect", None)
+
+
+def scaled_rows(scale):
+    # At gamma = omega = 0 both maps are the identity, and DD, QD, DQ, QQ
+    # land on basis states DD, CD, DC, CC: row i scales one profile.
+    return qmat.mat4(np.diag(scale) @ reference_map(GameInstance(0.0, 0.0, 0.0)))
+
+
+# (map, the error both must raise); profiles are hit in DD, QD, DQ, QQ order
+ERROR_MAPS = {
+    "nan": (qmat._frozen(np.where(np.eye(4) == 1, np.nan, 0.0).astype(complex)),
+            "state4 contains non-finite entries"),
+    "dq beyond dust": (scaled_rows([1.0, 1.0, 1.1, 1.0]), "beyond dust tolerance"),
+    "dd over limit, dq beyond dust": (scaled_rows([1.0, 1.0, 1.1, 0.999]), "norm defect"),
+}
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("case", list(ERROR_MAPS))
+def test_profile_table_errors_match_reference(monkeypatch, case, backend):
+    matrix, message = ERROR_MAPS[case]
+    g = GameInstance(0.0, 0.0, 0.0, backend=backend)
+    cmap = dataclasses.replace(coefficient_map(g), matrix=matrix)
+    monkeypatch.setattr(analysis, "coefficient_map", lambda g: cmap)
+    got = outcome(lambda: profile_table(g))
+    assert got == outcome(lambda: reference_profile_table(g, matrix))
+    assert isinstance(got, tuple) and message in got[1]
+
+
+named = st.sampled_from(list(NamedStrategy))
+explicit = st.builds(StrategyParams, st.floats(0.0, math.pi), angles)
+
+
+def object_payoffs(g, a, b, max_norm_defect=1e-6):
+    return payoff_from_probabilities(joint_probabilities(g, a, b), g.pay, max_norm_defect)
+
+
+@settings(max_examples=150, deadline=None)
+@given(angles, angles, angles, pay_tables, st.data())
+def test_payoffs_equals_probability_objects(gamma, omega_a, omega_b, pay, data):
+    # UNITARY takes any strategy; PAPER leaks norm off {C, D, Q} at the default limit
+    backend = data.draw(backends)
+    strategies = explicit if backend is Backend.UNITARY else named
+    a, b = data.draw(strategies), data.draw(strategies)
+    g = GameInstance(gamma, omega_a, omega_b, pay, backend)
+    got = outcome(lambda: payoffs(g, a, b))
+    assert got == outcome(lambda: object_payoffs(g, a, b))
+    assert not isinstance(got, tuple)
+
+
+def test_payoffs_raises_like_probability_objects_over_custom_limit():
+    g = GameInstance(HALF_PI, HALF_PI, HALF_PI, backend=Backend.PAPER)
+    mixed = StrategyParams(HALF_PI, 0.0)
+    got = outcome(lambda: payoffs(g, mixed, mixed, 1e-3))
+    assert got == outcome(lambda: object_payoffs(g, mixed, mixed, 1e-3))
+    assert got[0] is NumericIntegrityError
+    assert got[2] == joint_probabilities(g, mixed, mixed).norm_defect > 1e-3
+
+
+def test_kvector_keeps_its_messages():
+    with pytest.raises(ValueError, match="^KVector amplitudes must be finite$"):
+        KVector(complex(math.nan, 0.0), 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"^KVector norm\^2 = 1\.000000001\d*, expected 1 within"):
+        KVector(math.sqrt(1.0 + 1e-9), 0.0, 0.0, 0.0)
 
 
 # --------------------------------------------------------------- call counts
