@@ -65,6 +65,11 @@ BISECTION_MAX_ITER = 200
 #: bounded whatever its size.
 GRID_CHUNK = 256
 
+#: Most points one grid may hold: grid_n <= 1024 for the grid_n x grid_n
+#: omega grids, n <= 2**20 for a gamma sweep.  Larger sizes are refused
+#: before anything is allocated.
+MAX_GRID_POINTS = 2**20
+
 # cos^2 - sin^2 cancellation leaves O(1e-16) dust in the threshold
 # ratios at the omega = pi/2 endpoint; ratios this close to 0 or 1 are
 # snapped so the endpoint thresholds come out exactly 0 or pi/2.
@@ -390,6 +395,15 @@ def _profile_payoffs(gamma, omega_a, omega_b, backend: Backend, pay: PayoffParam
     return ProfileTable(*(PayoffPair(ev.alice[..., i], ev.bob[..., i]) for i in range(4)))
 
 
+def _grid_axis(n: int, name: str, dims: int = 1) -> np.ndarray:
+    """n uniformly spaced angles in [0, pi/2], the axis of an n**dims grid."""
+    if n < 2:
+        raise ValueError(f"{name} must be >= 2, got {n}")
+    if n**dims > MAX_GRID_POINTS:
+        raise ValueError(f"{name} = {n} makes {n**dims} grid points, more than {MAX_GRID_POINTS}")
+    return np.linspace(0.0, _HALF_PI, n)
+
+
 def _chunks(total: int):
     """Consecutive index ranges of at most GRID_CHUNK points."""
     for start in range(0, total, GRID_CHUNK):
@@ -410,10 +424,8 @@ def always_classical_scan(
     ``alice_always_q``: the gA34 = 0 case; Alice's crossings sit at
     gamma = 0 so Q dominates for every positive gamma.
     """
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
+    axis = _grid_axis(grid_n, "grid_n", dims=2)
     pay = pay if pay is not None else PayoffParams()
-    axis = np.linspace(0.0, _HALF_PI, grid_n)
     rows = []
     for index in _chunks(grid_n * grid_n):
         omega_a, omega_b = axis[index // grid_n], axis[index % grid_n]
@@ -447,10 +459,8 @@ def sweep_gamma(
     pay: PayoffParams | None = None,
 ) -> tuple[SweepRow, ...]:
     """Profile payoffs at n uniformly spaced gammas in [0, pi/2]."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    gammas = _grid_axis(n, "n")
     pay = pay if pay is not None else PayoffParams()
-    gammas = np.linspace(0.0, _HALF_PI, n)
     rows = []
     for index in _chunks(n):
         t = _profile_payoffs(gammas[index], omega_a, omega_b, backend, pay)

@@ -25,10 +25,9 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .analysis import (
+    _grid_axis,
     ConvergenceError,
     PROFILES,
     nash_set,
@@ -213,22 +212,20 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
         return thresholds_closed_form(omega_a, omega_b)
 
     if args.grid_n is not None:
-        if args.grid_n < 2:
-            raise ValueError(f"grid_n must be >= 2, got {args.grid_n}")
+        axis = _grid_axis(args.grid_n, "grid_n", dims=2).tolist()
         if any(v is not None for v in (args.omega_a, args.omega_b, args.alpha_speed,
                                        args.delta_a_speed, args.delta_b_speed)):
             raise ValueError("--grid-n sets both omegas; drop the omega and speed flags")
         _reject_degrees(args, "the --grid-n omegas are radians")
-        axis = np.linspace(0.0, 0.5 * math.pi, args.grid_n)
         lines = []
         for omega_a in axis:
             for omega_b in axis:
-                ts = compute(float(omega_a), float(omega_b))
+                ts = compute(omega_a, omega_b)
                 lines.append(
                     ",".join(
                         [
-                            _fmt(float(omega_a)),
-                            _fmt(float(omega_b)),
+                            _fmt(omega_a),
+                            _fmt(omega_b),
                             _fmt_optional(ts.g_a12),
                             _fmt_optional(ts.g_a34),
                             _fmt_optional(ts.g_b13),

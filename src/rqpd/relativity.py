@@ -223,6 +223,10 @@ def coefficient_map(g: GameInstance) -> CoefficientMap:
 # * a map is applied as ``M @ k[..., None]``, the same BLAS matrix-vector
 #   product as the scalar ``M @ k`` (``k @ M.T`` is not);
 # * the UNITARY map reuses ``game_core._DXD`` with its cos(pi/2) dust.
+#
+# The kernel only detects failing points, one predicate per scalar check;
+# the scalar pipeline, called at the first of them, raises the error, so
+# each error message and the order of the checks exist once.
 
 # PAPER map entry (i, j) is w, conj(w), -conj(w) or -w for
 # w = (w1, w2, w3, w4)[_PAPER_W[i, j]], as in paper_coefficient_matrix.
@@ -233,6 +237,10 @@ _PAPER_SIGN_RE = np.array(
 _PAPER_SIGN_IM = np.array(
     [[1, -1, 1, -1], [1, 1, 1, -1], [-1, 1, 1, -1], [-1, -1, 1, 1]], dtype=float
 )
+
+# Upper ends of the [0, upper] domains of (gamma, omega_a, omega_b, theta_a,
+# phi_a, theta_b, phi_b), the argument order of evaluate_batch.
+_ANGLE_UPPER = (_HALF_PI, _HALF_PI, _HALF_PI, math.pi, _HALF_PI, math.pi, _HALF_PI)
 
 
 class BatchPayoffs(NamedTuple):
@@ -265,19 +273,23 @@ def evaluate_batch(
     their omegas share one set of k-coefficients.  Results are
     bit-for-bit the scalar ones.
 
-    Every check of the scalar path runs once per batch.  When points
-    fail, the error raised is the one that
+    Every check of the scalar path runs once per batch, as a predicate
+    per point.  When points fail, the kernel calls
     ``payoffs(GameInstance(gamma, omega_a, omega_b, pay, backend),
-    StrategyParams(theta_a, phi_a), StrategyParams(theta_b, phi_b))``,
-    called point by point, raises at the first failing point in C order
-    of the broadcast shape, with the same message.
+    StrategyParams(theta_a, phi_a), StrategyParams(theta_b, phi_b))`` at
+    the first failing point in C order of the broadcast shape, so the
+    error raised is the one a point-by-point loop raises first, with its
+    message.  Should that call return, kernel and scalar path disagree,
+    and :class:`NumericIntegrityError` with the kernel's defect at that
+    point is raised instead of payoffs.
     """
-    angles = (gamma, omega_a, omega_b, theta_a, phi_a, theta_b, phi_b)
-    gamma, omega_a, omega_b, theta_a, phi_a, theta_b, phi_b = (
-        np.asarray(x, dtype=float) for x in angles
+    angles = tuple(
+        np.asarray(x, dtype=float)
+        for x in (gamma, omega_a, omega_b, theta_a, phi_a, theta_b, phi_b)
     )
-    # Out-of-domain points are reported below, in point order, so the
-    # arithmetic runs on them too; NaN and inf inputs must not warn.
+    gamma, omega_a, omega_b, theta_a, phi_a, theta_b, phi_b = angles
+    # Failing points are found after the arithmetic, which therefore runs
+    # on them too; NaN and inf inputs must not warn.
     with np.errstate(invalid="ignore"):
         maps = _coefficient_maps(gamma, omega_a, omega_b, backend)
         k = _k_coefficient_array(gamma, theta_a, phi_a, theta_b, phi_b)
@@ -285,71 +297,22 @@ def evaluate_batch(
         amplitudes = (maps @ k[..., None])[..., 0]
         raw = _abs2(amplitudes)
         defect = np.abs(_sum4(raw) - 1.0)
-    beyond_dust = ~((raw >= -PROBABILITY_DUST) & (raw <= 1.0 + PROBABILITY_DUST))
-
-    shape = defect.shape
-
-    def at(values: np.ndarray, i: int) -> float:
-        return float(np.broadcast_to(values, shape).flat[i])
-
-    def finite(values: np.ndarray, name: str):
-        return (
-            ~np.isfinite(values),
-            lambda i: ValueError(f"{name} must be finite, got {at(values, i)!r}"),
-        )
-
-    def within(values: np.ndarray, name: str, upper: float, upper_text: str):
-        return (
-            ~((values >= 0.0) & (values <= upper)),
-            lambda i: ValueError(f"{name} must be in [0, {upper_text}], got {at(values, i)}"),
-        )
-
-    def strategy(theta: np.ndarray, phi: np.ndarray):
-        # StrategyParams checks both angles are finite before their ranges
-        return (
-            finite(theta, "theta"),
-            finite(phi, "phi"),
-            within(theta, "theta", math.pi, "pi"),
-            within(phi, "phi", _HALF_PI, "pi/2"),
-        )
-
-    def beyond_dust_error(i: int) -> ValueError:
-        value = float(raw.reshape(-1, 4)[i][beyond_dust.reshape(-1, 4)[i]][0])
-        return ValueError(f"probability {value!r} outside [0, 1] beyond dust tolerance")
-
-    _raise_first_failure(
-        shape,
-        (
-            finite(gamma, "gamma"),
-            within(gamma, "gamma", _HALF_PI, "pi/2"),
-            finite(omega_a, "omega_a"),
-            within(omega_a, "omega_a", _HALF_PI, "pi/2"),
-            finite(omega_b, "omega_b"),
-            within(omega_b, "omega_b", _HALF_PI, "pi/2"),
-            (
-                np.array(not isinstance(backend, Backend)),
-                lambda i: ValueError(f"backend must be a Backend, got {backend!r}"),
-            ),
-            *strategy(theta_a, phi_a),
-            *strategy(theta_b, phi_b),
-            (
-                ~np.isfinite(maps).all((-2, -1)),
-                lambda i: ValueError("mat4 contains non-finite entries"),
-            ),
-            (~np.isfinite(k).all(-1), lambda i: ValueError("KVector amplitudes must be finite")),
-            (
-                np.abs(k_norm2 - 1.0) > qmat.ATOL,
-                lambda i: ValueError(
-                    f"KVector norm^2 = {at(k_norm2, i)!r}, expected 1 within {qmat.ATOL}"
-                ),
-            ),
-            (beyond_dust.any(-1), beyond_dust_error),
-            (
-                defect > DEFAULT_MAX_NORM_DEFECT,
-                lambda i: NumericIntegrityError(at(defect, i), DEFAULT_MAX_NORM_DEFECT),
-            ),
-        ),
+    ok = (
+        np.isfinite(maps).all((-2, -1))
+        & np.isfinite(k).all(-1)
+        & (np.abs(k_norm2 - 1.0) <= qmat.ATOL)
+        & ((raw >= -PROBABILITY_DUST) & (raw <= 1.0 + PROBABILITY_DUST)).all(-1)
+        & (defect <= DEFAULT_MAX_NORM_DEFECT)
+        & isinstance(backend, Backend)
     )
+    for values, upper in zip(angles, _ANGLE_UPPER):
+        ok &= (values >= 0.0) & (values <= upper)  # NaN fails both
+    if not ok.all():
+        i = int(np.argmax(~ok))
+        point = [float(np.broadcast_to(x, ok.shape).flat[i]) for x in angles]
+        game = GameInstance(*point[:3], pay, backend)
+        payoffs(game, StrategyParams(*point[3:5]), StrategyParams(*point[5:]))
+        raise NumericIntegrityError(float(defect.flat[i]), DEFAULT_MAX_NORM_DEFECT)
 
     probabilities = np.clip(raw, 0.0, 1.0)
     p_cc, p_cd, p_dc, p_dd = np.moveaxis(probabilities, -1, 0)
@@ -417,24 +380,6 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 def _sum4(x: np.ndarray) -> np.ndarray:
     """Left-to-right sum over the last axis of length 4, as Python's ``sum``."""
     return ((x[..., 0] + x[..., 1]) + x[..., 2]) + x[..., 3]
-
-
-def _raise_first_failure(shape: tuple[int, ...], checks) -> None:
-    """Raise the error of the first failing point in C order.
-
-    ``checks`` lists ``(flags, error)`` in the order one point meets them;
-    ``flags`` broadcast to ``shape`` and ``error`` maps a flat point index
-    to the exception.  At a point that fails several checks the earliest
-    check wins, as in the scalar pipeline.
-    """
-    first = None
-    for flags, error in checks:
-        if flags.any():
-            index = int(np.argmax(np.broadcast_to(flags, shape)))
-            if first is None or index < first[0]:
-                first = (index, error)
-    if first is not None:
-        raise first[1](first[0])
 
 
 def _final_amplitudes(g: GameInstance, a, b) -> np.ndarray:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from rqpd.analysis import (
+    _grid_axis,
+    MAX_GRID_POINTS,
     PROFILES,
     Region,
     ThresholdSet,
@@ -378,6 +380,16 @@ def test_sweep_curves_affine_in_sin_squared():
 def test_sweep_validates_n():
     with pytest.raises(ValueError):
         sweep_gamma(0.0, 0.0, 1, Backend.PAPER)
+
+
+def test_grid_sizes_are_capped():
+    side = math.isqrt(MAX_GRID_POINTS)
+    assert len(_grid_axis(side, "grid_n", dims=2)) == side == 1024
+    assert len(_grid_axis(MAX_GRID_POINTS, "n")) == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="^grid_n = 1025 makes 1050625 grid points"):
+        always_classical_scan(side + 1, Backend.PAPER)
+    with pytest.raises(ValueError, match="^n = 1048577 makes 1048577 grid points"):
+        sweep_gamma(0.0, 0.0, MAX_GRID_POINTS + 1, Backend.PAPER)
 
 
 # ------------------------------------------------------------ best response

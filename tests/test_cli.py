@@ -273,6 +273,9 @@ def test_csv_io_error_leaves_no_metadata(tmp_path, capsys):
         ["region-map", "--grid-n", "2", "--degrees"],
         ["thresholds", "--grid-n", "2", "--degrees"],
         ["wigner", "--alpha", "1", "--delta", "1", "--degrees"],
+        ["region-map", "--grid-n", "1025"],
+        ["thresholds", "--grid-n", "1025"],
+        ["sweep", "--omega-a", "0", "--omega-b", "0", "--n", "1048577"],
     ],
 )
 def test_invalid_arguments_exit_2(capsys, argv):

@@ -6,6 +6,7 @@ The grid paths (region maps and gamma sweeps) run on
 speed must never change output bytes.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from rqpd import cli
+from rqpd import cli, relativity
 from rqpd.analysis import (
     GRID_CHUNK,
     always_classical_scan,
@@ -23,7 +25,12 @@ from rqpd.analysis import (
     sds_of,
     sweep_gamma,
 )
-from rqpd.game_core import NumericIntegrityError, PayoffParams, StrategyParams
+from rqpd.game_core import (
+    DEFAULT_MAX_NORM_DEFECT,
+    NumericIntegrityError,
+    PayoffParams,
+    StrategyParams,
+)
 from rqpd.relativity import Backend, GameInstance, evaluate_batch, joint_probabilities, payoffs
 
 HALF_PI = 0.5 * math.pi
@@ -135,7 +142,6 @@ def test_kernel_raises_at_first_offending_point():
 def test_kernel_clamps_dust_and_rejects_beyond_it(monkeypatch):
     # No game in the domain puts a probability above 1, so scale the
     # maps: the rest-frame DD outcome then has probability 1 * factor^2.
-    from rqpd import relativity
     from rqpd.game_core import JointProbabilities
 
     build = relativity._coefficient_maps
@@ -147,6 +153,13 @@ def test_kernel_clamps_dust_and_rejects_beyond_it(monkeypatch):
     assert 0.0 < float(got.norm_defect) < 1e-12
 
     monkeypatch.setattr(relativity, "_coefficient_maps", lambda *a: build(*a) * 1.1)
+    scalar_map = relativity.coefficient_map
+
+    def scaled_map(g):
+        cmap = scalar_map(g)
+        return dataclasses.replace(cmap, matrix=cmap.matrix * 1.1)
+
+    monkeypatch.setattr(relativity, "coefficient_map", scaled_map)
     with pytest.raises(ValueError) as batched:
         evaluate_batch(*args)
     raw = float(np.float_power(np.hypot(1.1, 0.0), 2.0))
@@ -176,15 +189,42 @@ def test_grid_paths_reject_bad_input(call):
         call()
 
 
+def test_kernel_disagreeing_with_scalar_path_returns_no_payoffs(monkeypatch, capsys):
+    # Only the kernel's maps are scaled, so the scalar pipeline passes at
+    # the failing point; the kernel must then raise, never return payoffs.
+    build = relativity._coefficient_maps
+    monkeypatch.setattr(relativity, "_coefficient_maps", lambda *a: build(*a) * 1.1)
+    args = (0.0, 0.0, 0.0, [0.0, math.pi], 0.0, math.pi, 0.0, Backend.UNITARY, PayoffParams())
+    with pytest.raises(NumericIntegrityError) as batched:
+        evaluate_batch(*args)
+    assert batched.value.limit == DEFAULT_MAX_NORM_DEFECT
+    assert 0.2 < batched.value.defect < 0.22
+    assert cli.main(["sweep", "--omega-a", "0", "--omega-b", "0", "--n", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("rqpd: numeric failure: probability norm defect")
+    assert "Traceback" not in err
+
+
+def scalar_point_payoffs(gamma, omega_a, omega_b, ta, pa, tb, pb, backend):
+    """Payoffs of a point-by-point loop in C order; raises what the loop raises first."""
+    points = np.broadcast_arrays(gamma, omega_a, omega_b, ta, pa, tb, pb)
+    return [
+        payoffs(
+            GameInstance(*point[:3], backend=backend),
+            StrategyParams(*point[3:5]),
+            StrategyParams(*point[5:]),
+        )
+        for point in zip(*(p.ravel().tolist() for p in points))
+    ]
+
+
 def scalar_first_error(gamma, omega_a, omega_b, ta, pa, tb, pb, backend):
     """The error a point-by-point payoffs loop raises first, in C order."""
-    points = np.broadcast_arrays(gamma, omega_a, omega_b, ta, pa, tb, pb)
-    for point in zip(*(p.ravel().tolist() for p in points)):
-        try:
-            g = GameInstance(*point[:3], backend=backend)
-            payoffs(g, StrategyParams(*point[3:5]), StrategyParams(*point[5:]))
-        except (ValueError, NumericIntegrityError) as exc:
-            return exc
+    try:
+        scalar_point_payoffs(gamma, omega_a, omega_b, ta, pa, tb, pb, backend)
+    except (ValueError, NumericIntegrityError) as exc:
+        return exc
     raise AssertionError("no point fails")
 
 
@@ -209,6 +249,47 @@ def test_kernel_first_error_matches_point_by_point_loop(args):
     with pytest.raises(type(expected)) as batched:
         evaluate_batch(*args, PayoffParams())
     assert str(batched.value) == str(expected)
+
+
+# Upper ends of the domains of (gamma, omega_a, omega_b, theta_a, phi_a, theta_b, phi_b).
+UPPER = (HALF_PI, HALF_PI, HALF_PI, math.pi, HALF_PI, math.pi, HALF_PI)
+
+
+@st.composite
+def kernel_batches(draw):
+    """Up to 8 points in a random broadcast, with out-of-domain values injected.
+
+    Thetas and phis mix the named {D, Q} values with explicit angles, which
+    leak norm under PAPER, so batches that pass and batches that fail both occur.
+    """
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=7, max_dims=3, max_side=2))
+    args = []
+    for shape, upper in zip(shapes.input_shapes, UPPER):
+        values = st.sampled_from([0.0, upper]) | st.floats(0.0, upper)
+        flat = draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
+        args.append(np.array(flat, dtype=float).reshape(shape))
+    for _ in range(draw(st.integers(0, 2))):
+        arg = draw(st.integers(0, 6))
+        index = draw(st.integers(0, args[arg].size - 1))
+        bad = [math.nan, math.inf, -math.inf, -0.1, UPPER[arg] + 0.1]
+        args[arg].flat[index] = draw(st.sampled_from(bad))
+    return args
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_batches(), backends)
+def test_kernel_matches_point_by_point_loop(args, backend):
+    try:
+        expected = scalar_point_payoffs(*args, backend)
+    except (ValueError, NumericIntegrityError) as exc:
+        with pytest.raises(type(exc)) as batched:
+            evaluate_batch(*args, backend, PayoffParams())
+        assert type(batched.value) is type(exc)
+        assert str(batched.value) == str(exc)
+        assert getattr(batched.value, "defect", None) == getattr(exc, "defect", None)
+    else:
+        got = evaluate_batch(*args, backend, PayoffParams())
+        assert list(zip(got.alice.ravel().tolist(), got.bob.ravel().tolist())) == expected
 
 
 def test_out_of_domain_omega_message_matches_scalar():
