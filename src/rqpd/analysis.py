@@ -30,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmat
+from .closed_form import RATIO_DUST, ConvergenceError, ThresholdSet, thresholds_closed_form
 from .game_core import (
     _check_unit_amplitudes,
     _k_factors,
@@ -46,9 +47,7 @@ from .game_core import (
     k_coefficients,
     payoff_from_probabilities,
 )
-from .relativity import Backend, GameInstance, check_omega, coefficient_map, evaluate_batch
-
-_HALF_PI = 0.5 * math.pi
+from .relativity import _HALF_PI, Backend, GameInstance, coefficient_map, evaluate_batch
 
 #: Canonical profile order (Alice's move first); also the G1..G4 order.
 PROFILES = ("DD", "QD", "DQ", "QQ")
@@ -69,15 +68,6 @@ GRID_CHUNK = 256
 #: omega grids, n <= 2**20 for a gamma sweep.  Larger sizes are refused
 #: before anything is allocated.
 MAX_GRID_POINTS = 2**20
-
-# cos^2 - sin^2 cancellation leaves O(1e-16) dust in the threshold
-# ratios at the omega = pi/2 endpoint; ratios this close to 0 or 1 are
-# snapped so the endpoint thresholds come out exactly 0 or pi/2.
-RATIO_DUST = 1e-13
-
-
-class ConvergenceError(ArithmeticError):
-    """Bisection failed to bracket a crossing to tolerance."""
 
 
 class Region(enum.Enum):
@@ -140,24 +130,6 @@ class RegionLabel:
 
     alice: Region
     bob: Region
-
-
-@dataclass(frozen=True)
-class ThresholdSet:
-    """The four crossing gammas; None marks an absent crossing."""
-
-    g_a12: float | None
-    g_a34: float | None
-    g_b13: float | None
-    g_b24: float | None
-
-    def as_dict(self) -> dict[str, float | None]:
-        return {
-            "gA12": self.g_a12,
-            "gA34": self.g_a34,
-            "gB13": self.g_b13,
-            "gB24": self.g_b24,
-        }
 
 
 @dataclass(frozen=True)
@@ -249,53 +221,6 @@ def nash_set(table: ProfileTable, tie_tol: float = DEFAULT_TIE_TOL) -> NashRepor
         if alice_ok and bob_ok:
             equilibria.append(profile)
     return NashReport(equilibria=tuple(equilibria), tie_tolerance=tie_tol)
-
-
-def _half_angle_squares(omega: float) -> tuple[float, float]:
-    c = math.cos(0.5 * omega)
-    s = math.sin(0.5 * omega)
-    return c * c, s * s
-
-
-def _arcsin_sqrt_ratio(num: float, den: float) -> float | None:
-    if den <= 0.0:
-        return None
-    ratio = num / den
-    if abs(ratio) <= RATIO_DUST:
-        ratio = 0.0
-    elif abs(ratio - 1.0) <= RATIO_DUST:
-        ratio = 1.0
-    if not 0.0 <= ratio <= 1.0:
-        return None
-    return math.asin(math.sqrt(ratio))
-
-
-def thresholds_closed_form(omega_a: float, omega_b: float) -> ThresholdSet:
-    """Closed-form crossing gammas for the default (5, 3, 1, 0) payoffs.
-
-    Each threshold is arcsin(sqrt(ratio)) of a rational expression in
-    the half-angle squares of the two Wigner angles; the crossing is
-    absent when the ratio falls outside [0, 1] or the denominator is
-    not positive.  Algebraically these are the PAPER-backend crossings.
-    """
-    check_omega(omega_a, "omega_a")
-    check_omega(omega_b, "omega_b")
-    c2a, s2a = _half_angle_squares(omega_a)
-    c2b, s2b = _half_angle_squares(omega_b)
-
-    num_a12 = c2a * c2b - 2 * s2a * s2b + 2 * c2a * s2b - s2a * c2b
-    num_a34 = 2 * c2a * c2b - s2a * s2b + c2a * s2b - 2 * s2a * c2b
-    den_a = 5 * c2a * c2b - 5 * s2a * s2b + 3 * c2a * s2b + 2 * s2a * c2b
-    num_b13 = c2a * c2b - 2 * s2a * s2b - c2a * s2b + 2 * s2a * c2b
-    num_b24 = 2 * c2a * c2b - s2a * s2b - 2 * c2a * s2b + s2a * c2b
-    den_b = 5 * c2a * c2b - 5 * s2a * s2b - 3 * c2a * s2b - 2 * s2a * c2b
-
-    return ThresholdSet(
-        g_a12=_arcsin_sqrt_ratio(num_a12, den_a),
-        g_a34=_arcsin_sqrt_ratio(num_a34, den_a),
-        g_b13=_arcsin_sqrt_ratio(num_b13, den_b),
-        g_b24=_arcsin_sqrt_ratio(num_b24, den_b),
-    )
 
 
 def thresholds_numeric(

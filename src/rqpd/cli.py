@@ -21,25 +21,20 @@ Exit codes: 0 success, 2 invalid arguments, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
 from . import __version__
-from .analysis import (
-    _grid_axis,
+from .closed_form import (
+    Backend,
     ConvergenceError,
-    PROFILES,
-    nash_set,
-    always_classical_scan,
-    profile_table,
-    sds_of,
-    sweep_gamma,
+    NumericIntegrityError,
+    rapidity_from_speed,
     thresholds_closed_form,
-    thresholds_numeric,
+    wigner_angle,
 )
-from .game_core import NamedStrategy, NumericIntegrityError, StrategyParams
-from .relativity import Backend, GameInstance, payoffs, rapidity_from_speed, wigner_angle
 
 _SWEEP_HEADER = "gamma,A_DD,A_QD,A_DQ,A_QQ,B_DD,B_QD,B_DQ,B_QQ"
 _THRESHOLD_GRID_HEADER = "omega_a,omega_b,gA12,gA34,gB13,gB24"
@@ -65,6 +60,8 @@ def _angle(value: float, degrees: bool) -> float:
 
 
 def _parse_strategy(text: str, degrees: bool) -> StrategyParams:
+    from .game_core import NamedStrategy, StrategyParams
+
     token = text.strip()
     if token.upper() in ("C", "D", "Q"):
         return NamedStrategy[token.upper()].params
@@ -135,6 +132,8 @@ def _metadata(command: str, backend: Backend | None = None, **extra) -> dict:
 
 
 def _game_envelope(g: GameInstance) -> dict:
+    from .analysis import PROFILES, nash_set, profile_table, sds_of
+
     table = profile_table(g)
     report = sds_of(table)
     nash = nash_set(table)
@@ -148,6 +147,8 @@ def _game_envelope(g: GameInstance) -> dict:
 
 
 def _cmd_payoff(args: argparse.Namespace) -> int:
+    from .relativity import GameInstance, payoffs
+
     backend = _backend(args, Backend.UNITARY)
     omega_a, omega_b = _resolve_omegas(args)
     gamma = _angle(args.gamma, args.degrees)
@@ -173,6 +174,8 @@ def _cmd_payoff(args: argparse.Namespace) -> int:
 
 
 def _cmd_nash(args: argparse.Namespace) -> int:
+    from .relativity import GameInstance
+
     backend = _backend(args, Backend.UNITARY)
     omega_a, omega_b = _resolve_omegas(args)
     gamma = _angle(args.gamma, args.degrees)
@@ -186,6 +189,8 @@ def _cmd_nash(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .analysis import sweep_gamma
+
     backend = _backend(args, Backend.PAPER)
     omega_a, omega_b = _resolve_omegas(args)
     rows = sweep_gamma(omega_a, omega_b, args.n, backend)
@@ -205,13 +210,15 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
     backend = _backend(args, Backend.PAPER)
     numeric = args.numeric or backend is Backend.UNITARY
     method = "bisection" if numeric else "closed-form"
+    compute = thresholds_closed_form
+    if numeric:
+        from .analysis import thresholds_numeric
 
-    def compute(omega_a: float, omega_b: float):
-        if numeric:
-            return thresholds_numeric(omega_a, omega_b, backend)
-        return thresholds_closed_form(omega_a, omega_b)
+        compute = functools.partial(thresholds_numeric, backend=backend)
 
     if args.grid_n is not None:
+        from .analysis import _grid_axis
+
         axis = _grid_axis(args.grid_n, "grid_n", dims=2).tolist()
         if any(v is not None for v in (args.omega_a, args.omega_b, args.alpha_speed,
                                        args.delta_a_speed, args.delta_b_speed)):
@@ -250,6 +257,8 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def _cmd_region_map(args: argparse.Namespace) -> int:
+    from .analysis import always_classical_scan
+
     _reject_degrees(args, "the region-map omegas are radians")
     backend = _backend(args, Backend.PAPER)
     rows = always_classical_scan(args.grid_n, backend)

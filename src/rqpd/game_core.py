@@ -29,8 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmat
-
-_HALF_PI = 0.5 * math.pi
+from .closed_form import _HALF_PI, NumericIntegrityError
 
 #: Dust half-width for probability clamping: values this far outside
 #: [0, 1] are attributed to floating-point noise and clamped.
@@ -39,20 +38,6 @@ PROBABILITY_DUST = 1e-12
 #: Default ceiling on the norm defect accepted when converting
 #: probabilities into payoffs.
 DEFAULT_MAX_NORM_DEFECT = 1e-6
-
-
-class NumericIntegrityError(ArithmeticError):
-    """A probability vector is too far from normalized to trust.
-
-    Carries the offending ``defect`` so callers can report it.
-    """
-
-    def __init__(self, defect: float, limit: float):
-        super().__init__(
-            f"probability norm defect {defect:.3e} exceeds limit {limit:.3e}"
-        )
-        self.defect = defect
-        self.limit = limit
 
 
 def _require_finite_scalar(value: float, name: str) -> None:

@@ -31,7 +31,6 @@ which is recorded (never hidden) in ``JointProbabilities.norm_defect``.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -39,6 +38,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmat
+from .closed_form import (
+    _HALF_PI,
+    Backend,
+    NumericIntegrityError,
+    check_omega,
+    rapidity_from_speed,
+    speed_from_rapidity,
+    wigner_angle,
+)
 from .game_core import (
     _DXD,
     _EYE4,
@@ -47,7 +55,6 @@ from .game_core import (
     PROBABILITY_DUST,
     JointProbabilities,
     NamedStrategy,
-    NumericIntegrityError,
     PayoffPair,
     PayoffParams,
     StrategyParams,
@@ -55,62 +62,6 @@ from .game_core import (
     entangler,
     k_coefficients,
 )
-
-_HALF_PI = 0.5 * math.pi
-
-
-class Backend(enum.Enum):
-    """Selectable realization of the final coefficient map."""
-
-    PAPER = "paper"
-    UNITARY = "unitary"
-
-
-def rapidity_from_speed(v: float) -> float:
-    """Rapidity artanh(v) for a speed v in [0, 1) (fraction of c)."""
-    if not math.isfinite(v):
-        raise ValueError(f"speed must be finite, got {v!r}")
-    if not 0.0 <= v < 1.0:
-        raise ValueError(f"speed must be in [0, 1), got {v}")
-    return math.atanh(v)
-
-
-def speed_from_rapidity(rapidity: float) -> float:
-    """Inverse of :func:`rapidity_from_speed`."""
-    if not math.isfinite(rapidity) or rapidity < 0.0:
-        raise ValueError(f"rapidity must be finite and >= 0, got {rapidity!r}")
-    return math.tanh(rapidity)
-
-
-def wigner_angle(alpha: float, delta: float) -> float:
-    """Wigner rotation angle from the arbiter and player rapidities.
-
-    Symmetric in its arguments, zero iff either rapidity is zero, and
-    strictly increasing in each argument while the other is positive.
-    Finite for every finite rapidity; it tends to pi/2 as both grow.
-    """
-    for name, value in (("alpha", alpha), ("delta", delta)):
-        if not math.isfinite(value) or value < 0.0:
-            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    try:
-        ratio = math.sinh(alpha) * math.sinh(delta) / (math.cosh(alpha) + math.cosh(delta))
-        if math.isfinite(ratio):
-            return math.atan(ratio)
-    except OverflowError:
-        pass
-    # A rapidity or alpha + delta past about 710 overflows a term above; divided
-    # through by cosh(alpha) cosh(delta), the ratio is tanh tanh / (sech + sech).
-    sech_a, sech_d = (2.0 * math.exp(-x) / (1.0 + math.exp(-2.0 * x)) for x in (alpha, delta))
-    return math.atan2(math.tanh(alpha) * math.tanh(delta), sech_a + sech_d)
-
-
-def check_omega(omega: float, name: str = "omega") -> float:
-    """Validate a Wigner angle in [0, pi/2]."""
-    if not math.isfinite(omega):
-        raise ValueError(f"{name} must be finite, got {omega!r}")
-    if not 0.0 <= omega <= _HALF_PI:
-        raise ValueError(f"{name} must be in [0, pi/2], got {omega}")
-    return omega
 
 
 def spin_rotation_pair(omega_a: float, omega_b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -224,9 +175,11 @@ def coefficient_map(g: GameInstance) -> CoefficientMap:
 #   product as the scalar ``M @ k`` (``k @ M.T`` is not);
 # * the UNITARY map reuses ``game_core._DXD`` with its cos(pi/2) dust.
 #
-# The kernel only detects failing points, one predicate per scalar check;
-# the scalar pipeline, called at the first of them, raises the error, so
-# each error message and the order of the checks exist once.
+# The kernel only detects failing points; the scalar pipeline, called at
+# the first of them, raises the error, so each error message and the order
+# of the checks exist once.  The scalar finiteness and k-norm checks need
+# no predicate: in-range angles give finite maps and unit k, and a NaN
+# anywhere fails the dust and defect predicates.
 
 # PAPER map entry (i, j) is w, conj(w), -conj(w) or -w for
 # w = (w1, w2, w3, w4)[_PAPER_W[i, j]], as in paper_coefficient_matrix.
@@ -273,8 +226,9 @@ def evaluate_batch(
     their omegas share one set of k-coefficients.  Results are
     bit-for-bit the scalar ones.
 
-    Every check of the scalar path runs once per batch, as a predicate
-    per point.  When points fail, the kernel calls
+    The angle domains, the backend, the probability dust and the norm
+    defect are checked once per batch, as a predicate per point.  When
+    points fail, the kernel calls
     ``payoffs(GameInstance(gamma, omega_a, omega_b, pay, backend),
     StrategyParams(theta_a, phi_a), StrategyParams(theta_b, phi_b))`` at
     the first failing point in C order of the broadcast shape, so the
@@ -293,15 +247,11 @@ def evaluate_batch(
     with np.errstate(invalid="ignore"):
         maps = _coefficient_maps(gamma, omega_a, omega_b, backend)
         k = _k_coefficient_array(gamma, theta_a, phi_a, theta_b, phi_b)
-        k_norm2 = _sum4(_abs2(k))
         amplitudes = (maps @ k[..., None])[..., 0]
         raw = _abs2(amplitudes)
         defect = np.abs(_sum4(raw) - 1.0)
     ok = (
-        np.isfinite(maps).all((-2, -1))
-        & np.isfinite(k).all(-1)
-        & (np.abs(k_norm2 - 1.0) <= qmat.ATOL)
-        & ((raw >= -PROBABILITY_DUST) & (raw <= 1.0 + PROBABILITY_DUST)).all(-1)
+        ((raw >= -PROBABILITY_DUST) & (raw <= 1.0 + PROBABILITY_DUST)).all(-1)
         & (defect <= DEFAULT_MAX_NORM_DEFECT)
         & isinstance(backend, Backend)
     )

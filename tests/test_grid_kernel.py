@@ -139,7 +139,10 @@ def test_kernel_raises_at_first_offending_point():
     assert str(batched.value) == str(scalar.value)
 
 
-def test_kernel_clamps_dust_and_rejects_beyond_it(monkeypatch):
+# 1 + 1e-8 puts the probability beyond the dust but its defect within the
+# limit, so only the dust predicate stops the kernel there.
+@pytest.mark.parametrize("factor", [1 + 1e-8, 1.1])
+def test_kernel_clamps_dust_and_rejects_beyond_it(monkeypatch, factor):
     # No game in the domain puts a probability above 1, so scale the
     # maps: the rest-frame DD outcome then has probability 1 * factor^2.
     from rqpd.game_core import JointProbabilities
@@ -152,17 +155,17 @@ def test_kernel_clamps_dust_and_rejects_beyond_it(monkeypatch):
     assert float(got.probabilities[3]) == 1.0
     assert 0.0 < float(got.norm_defect) < 1e-12
 
-    monkeypatch.setattr(relativity, "_coefficient_maps", lambda *a: build(*a) * 1.1)
+    monkeypatch.setattr(relativity, "_coefficient_maps", lambda *a: build(*a) * factor)
     scalar_map = relativity.coefficient_map
 
     def scaled_map(g):
         cmap = scalar_map(g)
-        return dataclasses.replace(cmap, matrix=cmap.matrix * 1.1)
+        return dataclasses.replace(cmap, matrix=cmap.matrix * factor)
 
     monkeypatch.setattr(relativity, "coefficient_map", scaled_map)
     with pytest.raises(ValueError) as batched:
         evaluate_batch(*args)
-    raw = float(np.float_power(np.hypot(1.1, 0.0), 2.0))
+    raw = float(np.float_power(np.hypot(factor, 0.0), 2.0))
     with pytest.raises(ValueError) as scalar:
         JointProbabilities(0.0, 0.0, 0.0, raw, norm_defect=raw - 1.0)
     assert str(batched.value) == str(scalar.value)

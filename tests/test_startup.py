@@ -1,0 +1,169 @@
+"""Start-up contract: the numpy-free commands and the lazy package exports."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rqpd
+
+SRC = str(Path(rqpd.__file__).resolve().parent.parent)
+
+# Runs the CLI in a fresh interpreter, then reports on stderr whether numpy
+# was loaded; with BLOCK_NUMPY first, any import of numpy fails instead.
+RUN_CLI = """
+import sys
+from rqpd.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+BLOCK_NUMPY = 'import sys; sys.modules["numpy"] = None\n'
+
+NUMPY_FREE = [
+    (["wigner", "--alpha", "1.25", "--delta", "0.5"], 0),
+    (["wigner", "--alpha-speed", "0.6", "--delta-speed", "0.95"], 0),
+    (["thresholds", "--omega-a", "0.3", "--omega-b", "1.1"], 0),
+    (["thresholds", "--alpha-speed", "0.5", "--delta-a-speed", "0.3",
+      "--delta-b-speed", "0.9"], 0),
+    (["thresholds", "--omega-a", "0.7", "--omega-b", "0.2", "--backend", "paper"], 0),
+    (["thresholds", "--omega-a", "9"], 2),
+    (["thresholds", "--omega-a", "9", "--omega-b", "0.2"], 2),
+]
+
+
+def run_child(code: str, argv: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, timeout=60, check=False)
+
+
+@pytest.mark.parametrize("argv,exit_code", NUMPY_FREE, ids=[" ".join(a) for a, _ in NUMPY_FREE])
+def test_command_starts_without_numpy(argv, exit_code):
+    normal = run_child(RUN_CLI, argv)
+    assert normal.returncode == exit_code, normal.stderr
+    assert normal.stderr.endswith(b"numpy loaded: False\n")
+    blocked = run_child(BLOCK_NUMPY + RUN_CLI, argv)
+    assert blocked.returncode == exit_code, blocked.stderr
+    assert blocked.stdout == normal.stdout
+
+
+def test_numeric_thresholds_still_load_numpy():
+    # the control: the check above can see numpy being loaded
+    proc = run_child(RUN_CLI, ["thresholds", "--omega-a", "0.3", "--omega-b", "1.1", "--numeric"])
+    assert proc.returncode == 0
+    assert proc.stderr.endswith(b"numpy loaded: True\n")
+
+
+def test_package_import_loads_no_engine_module():
+    proc = run_child(
+        "import sys, rqpd\n"
+        "rqpd.__version__, rqpd.wigner_angle, rqpd.Backend\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('rqpd.')))\n",
+        [],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"['rqpd.closed_form']\n"
+
+
+# ------------------------------------------------------------ lazy exports
+
+ALL = [
+    "Backend",
+    "CoefficientMap",
+    "ConvergenceError",
+    "GameInstance",
+    "JointProbabilities",
+    "KVector",
+    "NamedStrategy",
+    "NashReport",
+    "NumericIntegrityError",
+    "PROFILES",
+    "PayoffPair",
+    "PayoffParams",
+    "ProfileTable",
+    "Region",
+    "RegionLabel",
+    "RegionMapRow",
+    "SdsMargins",
+    "SdsReport",
+    "StrategyParams",
+    "SweepRow",
+    "ThresholdSet",
+    "always_classical_scan",
+    "best_response_scan",
+    "classical_table",
+    "coefficient_map",
+    "entangler",
+    "entanglement_degree",
+    "joint_probabilities",
+    "k_coefficients",
+    "nash_set",
+    "paper_coefficient_matrix",
+    "payoff_from_probabilities",
+    "payoffs",
+    "profile_table",
+    "rapidity_from_speed",
+    "region_classify",
+    "sds_of",
+    "speed_from_rapidity",
+    "spin_rotation_pair",
+    "strategy_unitary",
+    "sweep_gamma",
+    "thresholds_closed_form",
+    "thresholds_numeric",
+    "wigner_angle",
+]
+
+MODULES = ("closed_form", "game_core", "relativity", "analysis", "cli")
+
+
+def test_all_is_pinned():
+    assert rqpd.__all__ == ALL
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_export_is_the_object_of_every_module_that_has_it(name):
+    value = getattr(rqpd, name)
+    holders = [m for m in (importlib.import_module(f"rqpd.{m}") for m in MODULES)
+               if hasattr(m, name)]
+    assert holders
+    assert all(getattr(m, name) is value for m in holders)
+    home = getattr(value, "__module__", None)
+    if home is not None and home.startswith("rqpd."):
+        assert getattr(importlib.import_module(home), name) is value
+
+
+@pytest.mark.parametrize(
+    "name,modules",
+    [
+        ("Backend", ("relativity", "analysis", "cli")),
+        ("NumericIntegrityError", ("game_core", "relativity", "cli")),
+        ("ConvergenceError", ("analysis", "cli")),
+    ],
+)
+def test_moved_names_are_one_object(name, modules):
+    # the modules that defined or imported these before they moved
+    value = getattr(importlib.import_module("rqpd.closed_form"), name)
+    assert all(getattr(importlib.import_module(f"rqpd.{m}"), name) is value for m in modules)
+
+
+def test_dir_covers_all():
+    assert set(ALL) <= set(dir(rqpd))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(rqpd, "no_such_name")
+    assert not hasattr(rqpd, "numpy")
+
+
+def test_star_import_binds_all():
+    namespace: dict = {}
+    exec("from rqpd import *", namespace)
+    assert all(namespace[name] is getattr(rqpd, name) for name in ALL)
