@@ -7,7 +7,7 @@ over the named strategy set, crossing thresholds in the entanglement
 angle, and the region maps behind figure-style sweeps.
 
 Names are exported lazily: importing the package loads no submodule, and
-each name below imports its module on first use, so the numpy-free
+each exported name imports its module on first use, so the numpy-free
 ``closed_form`` names start without numpy.
 """
 

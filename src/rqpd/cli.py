@@ -14,6 +14,9 @@ flags are fractions of the speed of light and are converted to Wigner
 angles through rapidities; the resulting omegas are echoed in the
 metadata so the mapping is always visible.
 
+Only :mod:`rqpd.closed_form` is imported at module level; commands that
+need numpy import their modules when they run, never per point.
+
 Exit codes: 0 success, 2 invalid arguments, 3 numeric failure,
 4 I/O error.
 """

@@ -1,10 +1,8 @@
 """The numpy-free part of the engine: Wigner angles and closed-form thresholds.
 
-Everything here needs only :mod:`math`, so the CLI commands built on it
-alone (``wigner`` and single-point closed-form ``thresholds``) start
-without importing numpy.  :mod:`rqpd.relativity`, :mod:`rqpd.analysis`
-and :mod:`rqpd.game_core` re-import these names, so each resolves to
-the same object from every module.
+Only :mod:`math` is needed here, so ``wigner`` and single-point
+closed-form ``thresholds`` start without numpy.  ``relativity``,
+``analysis`` and ``game_core`` re-import these names.
 """
 
 from __future__ import annotations
