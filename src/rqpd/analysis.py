@@ -32,25 +32,24 @@ import numpy as np
 from . import qmat
 from .closed_form import RATIO_DUST, ConvergenceError, ThresholdSet, thresholds_closed_form
 from .game_core import (
+    _HALF_PI,
     _check_unit_amplitudes,
     _k_factors,
     _k_gamma_step,
     _payoff_of_amplitudes,
     DEFAULT_MAX_NORM_DEFECT,
-    JointProbabilities,
     NamedStrategy,
     PayoffPair,
     PayoffParams,
     StrategyParams,
     check_gamma,
     entangler,
-    k_coefficients,
-    payoff_from_probabilities,
 )
-from .relativity import _HALF_PI, Backend, GameInstance, coefficient_map, evaluate_batch
+from .relativity import _pair_amplitudes, Backend, GameInstance, coefficient_map, evaluate_batch
 
 #: Canonical profile order (Alice's move first); also the G1..G4 order.
 PROFILES = ("DD", "QD", "DQ", "QQ")
+_PROFILE_FIELDS = {p: p.lower() for p in PROFILES}  # the ProfileTable field of each
 
 #: Payoff comparisons within this distance count as ties.
 DEFAULT_TIE_TOL = 1e-9
@@ -87,9 +86,10 @@ class ProfileTable:
 
     def pair(self, profile: str) -> PayoffPair:
         try:
-            return getattr(self, profile.lower())
-        except AttributeError:
+            field = _PROFILE_FIELDS[profile]
+        except (KeyError, TypeError):  # TypeError: unhashable
             raise KeyError(f"unknown profile {profile!r}, expected one of {PROFILES}") from None
+        return getattr(self, field)
 
     def alice(self, profile: str) -> float:
         return self.pair(profile).alice
@@ -417,9 +417,8 @@ def best_response_scan(
     for theta in np.linspace(0.0, math.pi, n_theta):
         for phi in np.linspace(0.0, _HALF_PI, n_phi):
             candidate = StrategyParams(float(theta), float(phi))
-            amplitudes = matrix @ k_coefficients(candidate, opponent, g.gamma).as_state()
-            pr = JointProbabilities.from_amplitudes(amplitudes)
-            value = payoff_from_probabilities(pr, g.pay, max_norm_defect).alice
+            amplitudes = _pair_amplitudes(matrix, candidate, opponent, g.gamma)
+            value = _payoff_of_amplitudes(amplitudes, g.pay, max_norm_defect).alice
             if value > best_payoff:
                 best_payoff = value
                 best_params = candidate

@@ -229,13 +229,18 @@ def check_gamma(gamma: float) -> float:
 
 def k_coefficients(a: StrategyParams, b: StrategyParams, gamma: float) -> KVector:
     """Closed-form amplitudes of ``(U_A (x) U_B) J(gamma) |CC>``."""
+    return KVector(*_k_amplitudes(a, b, gamma))
+
+
+def _k_amplitudes(a, b, gamma: float) -> list[complex]:
+    """:func:`k_coefficients` before its :class:`KVector` checks, as a list."""
     if isinstance(a, NamedStrategy):
         a = a.params
     if isinstance(b, NamedStrategy):
         b = b.params
     check_gamma(gamma)
     cg, sg = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
-    return KVector(*_k_gamma_step(_k_factors(a, b), cg, sg))
+    return _k_gamma_step(_k_factors(a, b), cg, sg)
 
 
 def _k_factors(a: StrategyParams, b: StrategyParams) -> tuple[tuple[complex, complex], ...]:

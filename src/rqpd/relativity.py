@@ -50,6 +50,8 @@ from .closed_form import (
 from .game_core import (
     _DXD,
     _EYE4,
+    _check_unit_amplitudes,
+    _k_amplitudes,
     _payoff_of_amplitudes,
     DEFAULT_MAX_NORM_DEFECT,
     PROBABILITY_DUST,
@@ -60,7 +62,6 @@ from .game_core import (
     StrategyParams,
     check_gamma,
     entangler,
-    k_coefficients,
 )
 
 
@@ -332,8 +333,11 @@ def _sum4(x: np.ndarray) -> np.ndarray:
     return ((x[..., 0] + x[..., 1]) + x[..., 2]) + x[..., 3]
 
 
-def _final_amplitudes(g: GameInstance, a, b) -> np.ndarray:
-    return coefficient_map(g).matrix @ k_coefficients(a, b, g.gamma).as_state()
+def _pair_amplitudes(matrix: np.ndarray, a, b, gamma: float) -> list[complex]:
+    """``state4(matrix @ k_coefficients(a, b, gamma).as_state())`` as a list, checks kept."""
+    k = _k_amplitudes(a, b, gamma)
+    _check_unit_amplitudes(k)
+    return qmat.state4(matrix @ qmat.state4(k)).tolist()
 
 
 def joint_probabilities(
@@ -346,7 +350,8 @@ def joint_probabilities(
     A norm defect (possible under ``Backend.PAPER`` away from the named
     strategy set) is recorded on the result, not raised here.
     """
-    return JointProbabilities.from_amplitudes(_final_amplitudes(g, a, b))
+    amplitudes = _pair_amplitudes(coefficient_map(g).matrix, a, b, g.gamma)
+    return JointProbabilities._from_finite(amplitudes)
 
 
 def payoffs(
@@ -356,5 +361,5 @@ def payoffs(
     max_norm_defect: float = DEFAULT_MAX_NORM_DEFECT,
 ) -> PayoffPair:
     """Expected payoffs for a strategy pair under an instance."""
-    amplitudes = qmat.state4(_final_amplitudes(g, a, b)).tolist()
+    amplitudes = _pair_amplitudes(coefficient_map(g).matrix, a, b, g.gamma)
     return _payoff_of_amplitudes(amplitudes, g.pay, max_norm_defect)

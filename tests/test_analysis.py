@@ -98,10 +98,20 @@ def test_profile_table_payoffs_bounded():
                     assert pay.s - 1e-9 <= value <= pay.t + 1e-9
 
 
-def test_profile_table_accessor_rejects_unknown():
+@pytest.mark.parametrize("profile", ["XX", "pair", "__class__", "bob", "dd", "", 3, None, ["DD"]])
+def test_profile_table_accessor_rejects_unknown(profile):
+    # attribute names of the table are not profiles either
     t = profile_table(rest(0.3))
-    with pytest.raises(KeyError):
-        t.pair("XX")
+    for accessor in (t.pair, t.alice, t.bob):
+        with pytest.raises(KeyError, match="unknown profile"):
+            accessor(profile)
+
+
+def test_profile_table_accessor_reads_each_profile():
+    t = profile_table(rest(0.3))
+    for name, pair in zip(PROFILES, (t.dd, t.qd, t.dq, t.qq)):
+        assert t.pair(name) is pair
+        assert (t.alice(name), t.bob(name)) == pair
 
 
 # -------------------------------------------------------------- sds / nash

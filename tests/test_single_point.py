@@ -8,6 +8,11 @@ reference below is the per-profile loop it replaced, written out here
 with the unsplit closed form, ``np.kron``, the validating ``adjoint``
 and the probability objects.  Results, and the errors raised, must be
 equal, not close: speed must never change output bytes.
+
+The scalar pair path (``payoffs``, ``joint_probabilities`` and each
+candidate of ``best_response_scan``) likewise skips the ``KVector`` and
+``JointProbabilities`` objects; its references below are the object
+paths it replaced.
 """
 
 import cmath
@@ -21,13 +26,14 @@ import numpy as np
 import pytest
 
 from qmat_helpers import adjoint
-from rqpd import analysis, cli, qmat
+from rqpd import analysis, cli, game_core, qmat, relativity
 from rqpd.analysis import (
     PROFILES,
     ProfileTable,
     SdsMargins,
     _bisect_crossing,
     _margins,
+    best_response_scan,
     profile_table,
     thresholds_numeric,
 )
@@ -38,6 +44,7 @@ from rqpd.game_core import (
     NumericIntegrityError,
     PayoffParams,
     StrategyParams,
+    k_coefficients,
     payoff_from_probabilities,
     strategy_unitary,
 )
@@ -179,25 +186,121 @@ def test_profile_table_errors_match_reference(monkeypatch, case, backend):
     assert isinstance(got, tuple) and message in got[1]
 
 
-named = st.sampled_from(list(NamedStrategy))
-explicit = st.builds(StrategyParams, st.floats(0.0, math.pi), angles)
+# ---------------------------------------------------- scalar pair references
+#
+# The object paths the scalar pair path replaced: the map is read through
+# the module attribute, so a patched ``relativity.coefficient_map`` reaches
+# them too.
+
+
+def reference_final_amplitudes(g, a, b):
+    return relativity.coefficient_map(g).matrix @ k_coefficients(a, b, g.gamma).as_state()
+
+
+def reference_joint_probabilities(g, a, b):
+    return JointProbabilities.from_amplitudes(reference_final_amplitudes(g, a, b))
 
 
 def object_payoffs(g, a, b, max_norm_defect=1e-6):
-    return payoff_from_probabilities(joint_probabilities(g, a, b), g.pay, max_norm_defect)
+    pr = reference_joint_probabilities(g, a, b)
+    return payoff_from_probabilities(pr, g.pay, max_norm_defect)
 
 
-@settings(max_examples=150, deadline=None)
-@given(angles, angles, angles, pay_tables, st.data())
-def test_payoffs_equals_probability_objects(gamma, omega_a, omega_b, pay, data):
-    # UNITARY takes any strategy; PAPER leaks norm off {C, D, Q} at the default limit
-    backend = data.draw(backends)
-    strategies = explicit if backend is Backend.UNITARY else named
-    a, b = data.draw(strategies), data.draw(strategies)
+def reference_best_response_scan(g, opponent, grid, max_norm_defect=1e-6):
+    n_theta, n_phi = grid
+    if isinstance(opponent, NamedStrategy):
+        opponent = opponent.params
+    matrix = relativity.coefficient_map(g).matrix
+    best_params, best_payoff = None, -math.inf
+    for theta in np.linspace(0.0, math.pi, n_theta):
+        for phi in np.linspace(0.0, HALF_PI, n_phi):
+            candidate = StrategyParams(float(theta), float(phi))
+            amplitudes = matrix @ k_coefficients(candidate, opponent, g.gamma).as_state()
+            pr = JointProbabilities.from_amplitudes(amplitudes)
+            value = payoff_from_probabilities(pr, g.pay, max_norm_defect).alice
+            if value > best_payoff:
+                best_params, best_payoff = candidate, value
+    return best_params, best_payoff
+
+
+named = st.sampled_from(list(NamedStrategy))
+explicit = st.builds(StrategyParams, st.floats(0.0, math.pi), angles)
+limits = st.sampled_from([1e-6, 1e-3, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(angles, angles, angles, backends, pay_tables, named | explicit, named | explicit, limits)
+def test_payoffs_equals_probability_objects(gamma, omega_a, omega_b, backend, pay, a, b, limit):
     g = GameInstance(gamma, omega_a, omega_b, pay, backend)
-    got = outcome(lambda: payoffs(g, a, b))
-    assert got == outcome(lambda: object_payoffs(g, a, b))
-    assert not isinstance(got, tuple)
+    got = outcome(lambda: payoffs(g, a, b, limit))
+    assert got == outcome(lambda: object_payoffs(g, a, b, limit))
+    assert outcome(lambda: joint_probabilities(g, a, b)) == outcome(
+        lambda: reference_joint_probabilities(g, a, b)
+    )
+    # UNITARY takes any strategy; PAPER leaks norm off {C, D, Q}, so errors must match too
+    if backend is Backend.UNITARY or {type(a), type(b)} == {NamedStrategy}:
+        assert not isinstance(got, tuple)
+
+
+grids = st.tuples(st.integers(2, 6), st.integers(2, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(angles, angles, angles, backends, pay_tables, named | explicit, grids, limits)
+def test_best_response_scan_equals_object_loop(
+    gamma, omega_a, omega_b, backend, pay, opponent, grid, limit
+):
+    g = GameInstance(gamma, omega_a, omega_b, pay, backend)
+    got = outcome(lambda: best_response_scan(g, opponent, grid, limit))
+    assert got == outcome(lambda: reference_best_response_scan(g, opponent, grid, limit))
+
+
+def test_best_response_scan_raises_like_object_loop_on_norm_leak():
+    # the PAPER case of test_kernel_raises_at_first_offending_point
+    g = GameInstance(0.7, 0.4, 1.1, backend=Backend.PAPER)
+    opponent = StrategyParams(1.0, 0.3)
+    got = outcome(lambda: best_response_scan(g, opponent, grid=(19, 10)))
+    assert got == outcome(lambda: reference_best_response_scan(g, opponent, (19, 10)))
+    assert got[0] is NumericIntegrityError and got[2] == 0.12100302935704244
+
+
+def scaled_k_step(scale):
+    step = game_core._k_gamma_step
+    return lambda *args: [z * scale for z in step(*args)]
+
+
+NAN_MAP = dataclasses.replace(coefficient_map(GameInstance(0.0, 0.0, 0.0)),
+                              matrix=ERROR_MAPS["nan"][0])
+
+# (name to patch, replacement, the error all must raise), for the checks
+# that in-domain angles never trip: a non-finite map, and k-coefficients
+# that fail the KVector checks
+PAIR_ERRORS = {
+    "nan map": ("coefficient_map", lambda g: NAN_MAP, "state4 contains non-finite entries"),
+    "k not finite": ("_k_gamma_step", scaled_k_step(math.nan), "amplitudes must be finite"),
+    "k off unit norm": ("_k_gamma_step", scaled_k_step(1.0 + 1e-9), "KVector norm^2 = "),
+}
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("case", list(PAIR_ERRORS))
+def test_pair_path_errors_match_object_path(monkeypatch, case, backend):
+    name, replacement, message = PAIR_ERRORS[case]
+    for module in (game_core, relativity, analysis):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, replacement)
+    g = GameInstance(0.3, 0.2, 0.9, backend=backend)
+    q = NamedStrategy.Q
+    pairs = [
+        (lambda: payoffs(g, q, q), lambda: object_payoffs(g, q, q)),
+        (lambda: joint_probabilities(g, q, q), lambda: reference_joint_probabilities(g, q, q)),
+        (lambda: best_response_scan(g, q, (3, 2)),
+         lambda: reference_best_response_scan(g, q, (3, 2))),
+    ]
+    for new, reference in pairs:
+        got = outcome(new)
+        assert got == outcome(reference)
+        assert isinstance(got, tuple) and message in got[1]
 
 
 def test_payoffs_raises_like_probability_objects_over_custom_limit():
