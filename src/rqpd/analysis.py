@@ -33,7 +33,8 @@ from . import qmat
 from .closed_form import RATIO_DUST, ConvergenceError, ThresholdSet, thresholds_closed_form
 from .game_core import (
     _HALF_PI,
-    _check_unit_amplitudes,
+    _check_tolerance,
+    _k_amplitudes,
     _k_factors,
     _k_gamma_step,
     _payoff_of_amplitudes,
@@ -42,10 +43,9 @@ from .game_core import (
     PayoffPair,
     PayoffParams,
     StrategyParams,
-    check_gamma,
     entangler,
 )
-from .relativity import _pair_amplitudes, Backend, GameInstance, coefficient_map, evaluate_batch
+from .relativity import _final_amplitudes, Backend, GameInstance, coefficient_map, evaluate_batch
 
 #: Canonical profile order (Alice's move first); also the G1..G4 order.
 PROFILES = ("DD", "QD", "DQ", "QQ")
@@ -64,8 +64,9 @@ BISECTION_MAX_ITER = 200
 GRID_CHUNK = 256
 
 #: Most points one grid may hold: grid_n <= 1024 for the grid_n x grid_n
-#: omega grids, n <= 2**20 for a gamma sweep.  Larger sizes are refused
-#: before anything is allocated.
+#: omega grids, n <= 2**20 for a gamma sweep, n_theta * n_phi <= 2**20
+#: candidates for a best-response scan.  Larger sizes are refused before
+#: anything is allocated.
 MAX_GRID_POINTS = 2**20
 
 
@@ -168,12 +169,8 @@ def profile_table(g: GameInstance) -> ProfileTable:
     matrix = coefficient_map(g).matrix
     cg, sg = math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
     states = [_k_gamma_step(factors, cg, sg) for factors in _PROFILE_K_FACTORS]
-    for k in states:
-        _check_unit_amplitudes(k)  # the KVector checks of k_coefficients
-    # A stacked product runs the same matrix-vector product per profile as ``M @ k``.
-    amplitudes = (matrix @ np.array(states)[..., None])[..., 0]
-    qmat._require_finite(amplitudes, "state4")  # the check and message of state4
-    return ProfileTable(*(_payoff_of_amplitudes(a, g.pay) for a in amplitudes.tolist()))
+    amplitudes = _final_amplitudes(matrix, states)
+    return ProfileTable(*(_payoff_of_amplitudes(a, g.pay) for a in amplitudes))
 
 
 def sds_of(table: ProfileTable, tie_tol: float = DEFAULT_TIE_TOL) -> SdsReport:
@@ -182,6 +179,7 @@ def sds_of(table: ProfileTable, tie_tol: float = DEFAULT_TIE_TOL) -> SdsReport:
     A move dominates only if it is strictly better against both of the
     opponent's moves, beyond the tie tolerance.
     """
+    _check_tolerance(tie_tol, "tie_tol")
     margins = _margins(table)
     alice = _dominant(margins.a12, margins.a34, tie_tol)
     bob = _dominant(margins.b13, margins.b24, tie_tol)
@@ -212,6 +210,7 @@ def nash_set(table: ProfileTable, tie_tol: float = DEFAULT_TIE_TOL) -> NashRepor
     Inequalities are weak at the tie tolerance, so exact crossing points
     report both neighboring profiles.
     """
+    _check_tolerance(tie_tol, "tie_tol")
     other = {"D": "Q", "Q": "D"}
     equilibria = []
     for profile in PROFILES:
@@ -350,6 +349,7 @@ def always_classical_scan(
     gamma = 0 so Q dominates for every positive gamma.
     """
     axis = _grid_axis(grid_n, "grid_n", dims=2)
+    _check_tolerance(tie_tol, "tie_tol")
     pay = pay if pay is not None else PayoffParams()
     rows = []
     for index in _chunks(grid_n * grid_n):
@@ -409,15 +409,18 @@ def best_response_scan(
     n_theta, n_phi = grid
     if n_theta < 2 or n_phi < 2:
         raise ValueError(f"grid dims must be >= 2, got {grid}")
-    if isinstance(opponent, NamedStrategy):
-        opponent = opponent.params
+    if n_theta * n_phi > MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid = {grid} makes {n_theta * n_phi} grid points, more than {MAX_GRID_POINTS}"
+        )
+    _check_tolerance(max_norm_defect, "max_norm_defect")
     matrix = coefficient_map(g).matrix
     best_params: StrategyParams | None = None
     best_payoff = -math.inf
     for theta in np.linspace(0.0, math.pi, n_theta):
         for phi in np.linspace(0.0, _HALF_PI, n_phi):
             candidate = StrategyParams(float(theta), float(phi))
-            amplitudes = _pair_amplitudes(matrix, candidate, opponent, g.gamma)
+            (amplitudes,) = _final_amplitudes(matrix, [_k_amplitudes(candidate, opponent, g.gamma)])
             value = _payoff_of_amplitudes(amplitudes, g.pay, max_norm_defect).alice
             if value > best_payoff:
                 best_payoff = value
@@ -428,6 +431,5 @@ def best_response_scan(
 
 def entanglement_degree(gamma: float) -> float:
     """Concurrence of the entangled initial state; equals sin(gamma)."""
-    check_gamma(gamma)
     a = entangler(gamma) @ qmat.basis_state(0)
     return 2.0 * abs(a[0] * a[3] - a[1] * a[2])

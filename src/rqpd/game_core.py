@@ -45,6 +45,12 @@ def _require_finite_scalar(value: float, name: str) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _check_tolerance(value: float, name: str) -> None:
+    """A tolerance must be >= 0; +inf turns its check off, NaN is refused."""
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StrategyParams:
     """Angles (theta, phi) of a strategy unitary, range-checked."""
@@ -276,6 +282,7 @@ def payoff_from_probabilities(
     Raises :class:`NumericIntegrityError` when the recorded norm defect
     exceeds ``max_norm_defect``.
     """
+    _check_tolerance(max_norm_defect, "max_norm_defect")
     return _payoff_within(pr.as_tuple(), pr.norm_defect, pay, max_norm_defect)
 
 

@@ -50,6 +50,7 @@ from .closed_form import (
 from .game_core import (
     _DXD,
     _EYE4,
+    _check_tolerance,
     _check_unit_amplitudes,
     _k_amplitudes,
     _payoff_of_amplitudes,
@@ -333,11 +334,14 @@ def _sum4(x: np.ndarray) -> np.ndarray:
     return ((x[..., 0] + x[..., 1]) + x[..., 2]) + x[..., 3]
 
 
-def _pair_amplitudes(matrix: np.ndarray, a, b, gamma: float) -> list[complex]:
-    """``state4(matrix @ k_coefficients(a, b, gamma).as_state())`` as a list, checks kept."""
-    k = _k_amplitudes(a, b, gamma)
-    _check_unit_amplitudes(k)
-    return qmat.state4(matrix @ qmat.state4(k)).tolist()
+def _final_amplitudes(matrix: np.ndarray, states) -> list[list[complex]]:
+    """Each ``matrix @ k`` of ``states`` as a list, with the ``KVector`` and ``state4`` checks."""
+    for k in states:
+        _check_unit_amplitudes(k)
+    # A stacked product runs the same matrix-vector product per k as ``M @ k``.
+    amplitudes = (matrix @ np.array(states)[..., None])[..., 0]
+    qmat._require_finite(amplitudes, "state4")
+    return amplitudes.tolist()
 
 
 def joint_probabilities(
@@ -350,7 +354,7 @@ def joint_probabilities(
     A norm defect (possible under ``Backend.PAPER`` away from the named
     strategy set) is recorded on the result, not raised here.
     """
-    amplitudes = _pair_amplitudes(coefficient_map(g).matrix, a, b, g.gamma)
+    (amplitudes,) = _final_amplitudes(coefficient_map(g).matrix, [_k_amplitudes(a, b, g.gamma)])
     return JointProbabilities._from_finite(amplitudes)
 
 
@@ -361,5 +365,6 @@ def payoffs(
     max_norm_defect: float = DEFAULT_MAX_NORM_DEFECT,
 ) -> PayoffPair:
     """Expected payoffs for a strategy pair under an instance."""
-    amplitudes = _pair_amplitudes(coefficient_map(g).matrix, a, b, g.gamma)
+    _check_tolerance(max_norm_defect, "max_norm_defect")
+    (amplitudes,) = _final_amplitudes(coefficient_map(g).matrix, [_k_amplitudes(a, b, g.gamma)])
     return _payoff_of_amplitudes(amplitudes, g.pay, max_norm_defect)

@@ -20,8 +20,14 @@ from rqpd.analysis import (
     thresholds_closed_form,
     thresholds_numeric,
 )
-from rqpd.game_core import NamedStrategy, PayoffParams, StrategyParams
-from rqpd.relativity import Backend, GameInstance
+from rqpd.game_core import (
+    JointProbabilities,
+    NamedStrategy,
+    PayoffParams,
+    StrategyParams,
+    payoff_from_probabilities,
+)
+from rqpd.relativity import Backend, GameInstance, payoffs
 
 HALF_PI = 0.5 * math.pi
 
@@ -400,6 +406,10 @@ def test_grid_sizes_are_capped():
         always_classical_scan(side + 1, Backend.PAPER)
     with pytest.raises(ValueError, match="^n = 1048577 makes 1048577 grid points"):
         sweep_gamma(0.0, 0.0, MAX_GRID_POINTS + 1, Backend.PAPER)
+    with pytest.raises(
+        ValueError, match=r"^grid = \(100000, 100000\) makes 10000000000 grid points"
+    ):
+        best_response_scan(rest(0.0), NamedStrategy.Q, grid=(10**5, 10**5))
 
 
 # ------------------------------------------------------------ best response
@@ -420,8 +430,6 @@ def test_best_response_to_defection_in_classical_game():
 
 
 def test_best_response_beats_named_strategies():
-    from rqpd.relativity import payoffs
-
     g = GameInstance(0.8, 0.5, 0.2, backend=Backend.UNITARY)
     opponent = StrategyParams(1.0, 0.7)
     _, value = best_response_scan(g, opponent, grid=(19, 10))
@@ -434,12 +442,51 @@ def test_best_response_validates_grid():
         best_response_scan(rest(0.1), NamedStrategy.Q, grid=(1, 5))
 
 
+# ---------------------------------------------------------------- tolerances
+
+# MIXED against MIXED leaks a norm of 1.6e-2 here, which the default limit refuses
+LEAKY = GameInstance(0.5, 0.1, 0.2, backend=Backend.PAPER)
+MIXED = StrategyParams(0.5, 0.5)
+TOLERANCE_CALLS = {
+    "payoffs": ("max_norm_defect", lambda tol: payoffs(LEAKY, MIXED, MIXED, tol)),
+    "payoff_from_probabilities": (
+        "max_norm_defect",
+        lambda tol: payoff_from_probabilities(
+            JointProbabilities(0.5, 0.5, 0.0, 0.0, 0.0), PayoffParams(), tol
+        ),
+    ),
+    "best_response_scan": (
+        "max_norm_defect",
+        lambda tol: best_response_scan(LEAKY, MIXED, (3, 2), tol),
+    ),
+    "sds_of": ("tie_tol", lambda tol: sds_of(profile_table(rest(0.3)), tol)),
+    "nash_set": ("tie_tol", lambda tol: nash_set(profile_table(rest(0.3)), tol)),
+    "always_classical_scan": (
+        "tie_tol",
+        lambda tol: always_classical_scan(2, Backend.PAPER, None, tol),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0])
+@pytest.mark.parametrize("call", list(TOLERANCE_CALLS))
+def test_tolerances_must_be_non_negative(call, value):
+    # a NaN limit compares False everywhere and so switched its check off
+    name, f = TOLERANCE_CALLS[call]
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got {value!r}$"):
+        f(value)
+    f(math.inf)  # an infinite tolerance stays allowed
+
+
 # -------------------------------------------------------------- entanglement
 
 
 def test_entanglement_degree_endpoints():
     assert entanglement_degree(0.0) == pytest.approx(0.0, abs=1e-15)
     assert entanglement_degree(HALF_PI) == pytest.approx(1.0, abs=1e-12)
+    # the entangler validates gamma
+    with pytest.raises(ValueError, match="^gamma must be in"):
+        entanglement_degree(2.0)
 
 
 def test_entanglement_degree_equals_sine_and_increases():

@@ -1,18 +1,17 @@
-"""The single-point profile table against the per-profile reference loop, bit for bit.
+"""The single-point evaluation path against the object paths it replaced, bit for bit.
 
-``profile_table`` factors the k-coefficients into strategy-only parts
-and a gamma step, applies the coefficient map to the four profiles in
-one stacked product and goes from amplitudes to payoffs without the
-per-profile ``KVector`` and ``JointProbabilities`` objects.  The
-reference below is the per-profile loop it replaced, written out here
+``profile_table``, ``payoffs``, ``joint_probabilities`` and each
+candidate of ``best_response_scan`` get their final amplitudes from one
+helper, ``relativity._final_amplitudes``: the ``KVector`` checks on each
+k-vector, one stacked ``M @ k`` product and ``state4``'s finiteness
+check.  They go from amplitudes to payoffs without the ``KVector`` and
+``JointProbabilities`` objects, and ``profile_table`` factors its
+k-coefficients into strategy-only parts and a gamma step.  The
+references below are the loops they replaced: the per-profile table
 with the unsplit closed form, ``np.kron``, the validating ``adjoint``
-and the probability objects.  Results, and the errors raised, must be
-equal, not close: speed must never change output bytes.
-
-The scalar pair path (``payoffs``, ``joint_probabilities`` and each
-candidate of ``best_response_scan``) likewise skips the ``KVector`` and
-``JointProbabilities`` objects; its references below are the object
-paths it replaced.
+and the probability objects, and the object paths of the pair
+functions.  Results, and the errors raised, must be equal, not close:
+speed must never change output bytes.
 """
 
 import cmath
@@ -322,9 +321,20 @@ def test_kvector_keeps_its_messages():
 # --------------------------------------------------------------- call counts
 
 
+SINGLE_POINT_CALLS = {
+    "profile_table": profile_table,
+    "payoffs": lambda g: payoffs(g, NamedStrategy.Q, NamedStrategy.D),
+    "joint_probabilities": lambda g: joint_probabilities(g, NamedStrategy.Q, NamedStrategy.D),
+    # a limit of 1: off {C, D, Q} the PAPER map leaks norm at this point
+    "best_response_scan": lambda g: best_response_scan(g, NamedStrategy.Q, (3, 2), 1.0),
+}
+
+
 @pytest.mark.parametrize("backend,tensor2_calls", [(Backend.UNITARY, 1), (Backend.PAPER, 0)])
-def test_profile_table_builds_one_map(monkeypatch, backend, tensor2_calls):
-    # the bisection oracle's per-table cost, as the benchmark's smoke pins count it
+@pytest.mark.parametrize("call", list(SINGLE_POINT_CALLS))
+def test_single_point_call_builds_one_map(monkeypatch, call, backend, tensor2_calls):
+    # for profile_table, the bisection oracle's per-table cost as the benchmark's smoke
+    # pins count it; the scan builds its map once, not once per candidate
     calls = {"coefficient_map": 0, "tensor2": 0}
 
     def count(module, name):
@@ -337,8 +347,9 @@ def test_profile_table_builds_one_map(monkeypatch, backend, tensor2_calls):
         monkeypatch.setattr(module, name, wrapper)
 
     count(analysis, "coefficient_map")
+    count(relativity, "coefficient_map")
     count(qmat, "tensor2")
-    profile_table(GameInstance(0.7, 0.4, 1.1, backend=backend))
+    SINGLE_POINT_CALLS[call](GameInstance(0.7, 0.4, 1.1, backend=backend))
     assert calls == {"coefficient_map": 1, "tensor2": tensor2_calls}
 
 
