@@ -22,6 +22,7 @@ bisection cross-check and also serves the UNITARY backend.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -34,10 +35,11 @@ from .closed_form import RATIO_DUST, ConvergenceError, ThresholdSet, thresholds_
 from .game_core import (
     _HALF_PI,
     _check_tolerance,
-    _k_amplitudes,
+    _k_factor_product,
     _k_factors,
     _k_gamma_step,
     _payoff_of_amplitudes,
+    _strategy_params,
     DEFAULT_MAX_NORM_DEFECT,
     NamedStrategy,
     PayoffPair,
@@ -414,19 +416,24 @@ def best_response_scan(
             f"grid = {grid} makes {n_theta * n_phi} grid points, more than {MAX_GRID_POINTS}"
         )
     _check_tolerance(max_norm_defect, "max_norm_defect")
+    b = _strategy_params(opponent, "opponent")
     matrix = coefficient_map(g).matrix
-    best_params: StrategyParams | None = None
-    best_payoff = -math.inf
-    for theta in np.linspace(0.0, math.pi, n_theta):
-        for phi in np.linspace(0.0, _HALF_PI, n_phi):
-            candidate = StrategyParams(float(theta), float(phi))
-            (amplitudes,) = _final_amplitudes(matrix, [_k_amplitudes(candidate, opponent, g.gamma)])
+    # StrategyParams' checks, once per axis value rather than once per candidate
+    thetas = [StrategyParams(x, 0.0).theta for x in np.linspace(0.0, math.pi, n_theta).tolist()]
+    phis = [StrategyParams(0.0, x).phi for x in np.linspace(0.0, _HALF_PI, n_phi).tolist()]
+    phases = [cmath.exp(1j * phi) for phi in phis]
+    cb, sb, eb = math.cos(0.5 * b.theta), math.sin(0.5 * b.theta), cmath.exp(1j * b.phi)
+    cg, sg = math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
+    best, best_payoff = None, -math.inf
+    for theta in thetas:
+        ca, sa = math.cos(0.5 * theta), math.sin(0.5 * theta)
+        for phi, ea in zip(phis, phases):
+            k = _k_gamma_step(_k_factor_product(ca, sa, ea, cb, sb, eb), cg, sg)
+            (amplitudes,) = _final_amplitudes(matrix, [k])
             value = _payoff_of_amplitudes(amplitudes, g.pay, max_norm_defect).alice
             if value > best_payoff:
-                best_payoff = value
-                best_params = candidate
-    assert best_params is not None
-    return best_params, best_payoff
+                best, best_payoff = (theta, phi), value
+    return StrategyParams(*best), best_payoff
 
 
 def entanglement_degree(gamma: float) -> float:

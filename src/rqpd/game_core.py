@@ -200,10 +200,18 @@ class JointProbabilities:
         return (self.p_cc, self.p_cd, self.p_dc, self.p_dd)
 
 
+def _strategy_params(s, name: str) -> StrategyParams:
+    """A strategy argument as angles; anything but the two strategy types is refused."""
+    if isinstance(s, NamedStrategy):
+        return s.params
+    if not isinstance(s, StrategyParams):
+        raise ValueError(f"{name} must be a StrategyParams or a NamedStrategy, got {s!r}")
+    return s
+
+
 def strategy_unitary(s: StrategyParams | NamedStrategy) -> np.ndarray:
     """2x2 unitary U(theta, phi) for a strategy."""
-    if isinstance(s, NamedStrategy):
-        s = s.params
+    s = _strategy_params(s, "s")
     ct = math.cos(0.5 * s.theta)
     st = math.sin(0.5 * s.theta)
     phase = cmath.exp(1j * s.phi)
@@ -222,7 +230,12 @@ def entangler(gamma: float) -> np.ndarray:
     D (x) D and is unitary for every gamma.
     """
     check_gamma(gamma)
-    return qmat.mat4(math.cos(0.5 * gamma) * _EYE4 + 1j * math.sin(0.5 * gamma) * _DXD)
+    return qmat.mat4(_entangler_entries(gamma))
+
+
+def _entangler_entries(gamma: float) -> np.ndarray:
+    """:func:`entangler` before its checks: neither gamma nor the result is validated."""
+    return math.cos(0.5 * gamma) * _EYE4 + 1j * math.sin(0.5 * gamma) * _DXD
 
 
 def check_gamma(gamma: float) -> float:
@@ -240,10 +253,7 @@ def k_coefficients(a: StrategyParams, b: StrategyParams, gamma: float) -> KVecto
 
 def _k_amplitudes(a, b, gamma: float) -> list[complex]:
     """:func:`k_coefficients` before its :class:`KVector` checks, as a list."""
-    if isinstance(a, NamedStrategy):
-        a = a.params
-    if isinstance(b, NamedStrategy):
-        b = b.params
+    a, b = _strategy_params(a, "a"), _strategy_params(b, "b")
     check_gamma(gamma)
     cg, sg = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
     return _k_gamma_step(_k_factors(a, b), cg, sg)
@@ -255,9 +265,14 @@ def _k_factors(a: StrategyParams, b: StrategyParams) -> tuple[tuple[complex, com
     c_x = cos(x/2), s_x = sin(x/2).  Products run left to right with c_g
     or s_g last, so the split keeps every rounding of the full product.
     """
-    ca, sa = math.cos(0.5 * a.theta), math.sin(0.5 * a.theta)
-    cb, sb = math.cos(0.5 * b.theta), math.sin(0.5 * b.theta)
-    ea, eb = cmath.exp(1j * a.phi), cmath.exp(1j * b.phi)
+    return _k_factor_product(
+        math.cos(0.5 * a.theta), math.sin(0.5 * a.theta), cmath.exp(1j * a.phi),
+        math.cos(0.5 * b.theta), math.sin(0.5 * b.theta), cmath.exp(1j * b.phi),
+    )
+
+
+def _k_factor_product(ca: float, sa: float, ea: complex, cb: float, sb: float, eb: complex):
+    """:func:`_k_factors` from the half-angle cosines and sines and the phases e^{i phi}."""
     return (
         (ea * eb * ca * cb, 1j * sa * sb),
         (-ea * ca * sb, 1j * eb.conjugate() * sa * cb),

@@ -31,6 +31,7 @@ which is recorded (never hidden) in ``JointProbabilities.norm_defect``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -52,6 +53,7 @@ from .game_core import (
     _EYE4,
     _check_tolerance,
     _check_unit_amplitudes,
+    _entangler_entries,
     _k_amplitudes,
     _payoff_of_amplitudes,
     DEFAULT_MAX_NORM_DEFECT,
@@ -62,7 +64,6 @@ from .game_core import (
     PayoffParams,
     StrategyParams,
     check_gamma,
-    entangler,
 )
 
 
@@ -77,11 +78,15 @@ def spin_rotation_pair(omega_a: float, omega_b: float) -> tuple[np.ndarray, np.n
     """
     check_omega(omega_a, "omega_a")
     check_omega(omega_b, "omega_b")
+    r_a, r_b = _rotation_entries(omega_a, omega_b)
+    return qmat.mat2(r_a), qmat.mat2(r_b)
+
+
+def _rotation_entries(omega_a: float, omega_b: float):
+    """:func:`spin_rotation_pair` before its checks, as nested lists."""
     ca, sa = math.cos(0.5 * omega_a), math.sin(0.5 * omega_a)
     cb, sb = math.cos(0.5 * omega_b), math.sin(0.5 * omega_b)
-    r_a = qmat.mat2([[ca, -sa], [sa, ca]])
-    r_b = qmat.mat2([[cb, sb], [-sb, cb]])
-    return r_a, r_b
+    return [[ca, -sa], [sa, ca]], [[cb, sb], [-sb, cb]]
 
 
 @dataclass(frozen=True)
@@ -98,6 +103,8 @@ class GameInstance:
         check_gamma(self.gamma)
         check_omega(self.omega_a, "omega_a")
         check_omega(self.omega_b, "omega_b")
+        if not isinstance(self.pay, PayoffParams):
+            raise ValueError(f"pay must be a PayoffParams, got {self.pay!r}")
         if not isinstance(self.backend, Backend):
             raise ValueError(f"backend must be a Backend, got {self.backend!r}")
 
@@ -146,9 +153,10 @@ def paper_coefficient_matrix(gamma: float, omega_a: float, omega_b: float) -> np
 def coefficient_map(g: GameInstance) -> CoefficientMap:
     """Coefficient map for a game instance under its selected backend."""
     if g.backend is Backend.UNITARY:
-        r_a, r_b = spin_rotation_pair(g.omega_a, g.omega_b)
-        # entangler's result is validated and frozen: conj().T is the adjoint
-        matrix = qmat.mat4(entangler(g.gamma).conj().T @ qmat.tensor2(r_a, r_b))
+        # GameInstance has checked the angles; tensor2 checks the rotations
+        # and mat4 the product, so the factors are built unchecked
+        kron = qmat.tensor2(*_rotation_entries(g.omega_a, g.omega_b))
+        matrix = qmat.mat4(_entangler_entries(g.gamma).conj().T @ kron)
     else:
         matrix = paper_coefficient_matrix(g.gamma, g.omega_a, g.omega_b)
     return CoefficientMap(
@@ -339,9 +347,10 @@ def _final_amplitudes(matrix: np.ndarray, states) -> list[list[complex]]:
     for k in states:
         _check_unit_amplitudes(k)
     # A stacked product runs the same matrix-vector product per k as ``M @ k``.
-    amplitudes = (matrix @ np.array(states)[..., None])[..., 0]
-    qmat._require_finite(amplitudes, "state4")
-    return amplitudes.tolist()
+    amplitudes = (matrix @ np.array(states)[..., None])[..., 0].tolist()
+    if not all(all(map(cmath.isfinite, a)) for a in amplitudes):
+        raise ValueError("state4 contains non-finite entries")
+    return amplitudes
 
 
 def joint_probabilities(

@@ -25,9 +25,11 @@ from rqpd.game_core import (
     NamedStrategy,
     PayoffParams,
     StrategyParams,
+    k_coefficients,
     payoff_from_probabilities,
+    strategy_unitary,
 )
-from rqpd.relativity import Backend, GameInstance, payoffs
+from rqpd.relativity import Backend, GameInstance, joint_probabilities, payoffs
 
 HALF_PI = 0.5 * math.pi
 
@@ -476,6 +478,30 @@ def test_tolerances_must_be_non_negative(call, value):
     with pytest.raises(ValueError, match=f"^{name} must be >= 0, got {value!r}$"):
         f(value)
     f(math.inf)  # an infinite tolerance stays allowed
+
+
+STRATEGY_CALLS = {
+    "payoffs a": ("a", lambda s: payoffs(rest(0.3), s, NamedStrategy.D)),
+    "payoffs b": ("b", lambda s: payoffs(rest(0.3), NamedStrategy.D, s)),
+    "joint_probabilities a": ("a", lambda s: joint_probabilities(rest(0.3), s, MIXED)),
+    "joint_probabilities b": ("b", lambda s: joint_probabilities(rest(0.3), MIXED, s)),
+    "k_coefficients a": ("a", lambda s: k_coefficients(s, MIXED, 0.3)),
+    "k_coefficients b": ("b", lambda s: k_coefficients(MIXED, s, 0.3)),
+    "strategy_unitary": ("s", strategy_unitary),
+    "best_response_scan": ("opponent", lambda s: best_response_scan(rest(0.3), s, (3, 2))),
+}
+
+
+@pytest.mark.parametrize("value", ["Q", (0.0, HALF_PI), None])
+@pytest.mark.parametrize("call", list(STRATEGY_CALLS))
+def test_strategy_arguments_must_be_strategies(call, value):
+    name, f = STRATEGY_CALLS[call]
+    with pytest.raises(
+        ValueError, match=f"^{name} must be a StrategyParams or a NamedStrategy, got "
+    ):
+        f(value)
+    f(NamedStrategy.Q)
+    f(MIXED)
 
 
 # -------------------------------------------------------------- entanglement

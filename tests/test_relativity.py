@@ -157,6 +157,21 @@ def test_spin_rotation_senses_are_transposed():
         assert np.array_equal(r_b, r_a.T)
 
 
+@pytest.mark.parametrize(
+    "omegas,message",
+    [
+        ((-0.1, 0.0), "^omega_a must be in"),
+        ((0.0, HALF_PI + 1e-9), "^omega_b must be in"),
+        ((math.nan, 0.0), "^omega_a must be finite"),
+        ((0.0, math.inf), "^omega_b must be finite"),
+    ],
+)
+def test_spin_rotation_pair_checks_its_omegas(omegas, message):
+    # coefficient_map builds its rotations without this check: GameInstance ran it
+    with pytest.raises(ValueError, match=message):
+        spin_rotation_pair(*omegas)
+
+
 def test_spin_rotation_alice_quarter_turn():
     r_a, _ = spin_rotation_pair(HALF_PI, 0.0)
     s = math.sqrt(2) / 2
@@ -370,3 +385,5 @@ def test_game_instance_validation():
         GameInstance(0.1, 0.0, HALF_PI + 0.2)
     with pytest.raises(ValueError):
         GameInstance(0.1, 0.0, 0.0, backend="paper")
+    with pytest.raises(ValueError, match=r"^pay must be a PayoffParams, got \(5, 3, 1, 0\)$"):
+        GameInstance(0.1, 0.1, 0.1, pay=(5, 3, 1, 0))

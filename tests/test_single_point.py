@@ -118,6 +118,15 @@ def reference_profile_table(g, matrix=None):
 
 
 @settings(max_examples=200, deadline=None)
+@given(angles, angles, angles, backends)
+def test_coefficient_map_equals_reference_map(gamma, omega_a, omega_b, backend):
+    g = GameInstance(gamma, omega_a, omega_b, backend=backend)
+    got = coefficient_map(g).matrix
+    assert repr(got) == repr(reference_map(g))
+    assert got.tobytes() == reference_map(g).tobytes()  # every bit, -0.0 included
+
+
+@settings(max_examples=200, deadline=None)
 @given(angles, angles, angles, backends, pay_tables)
 def test_profile_table_equals_reference_loop(gamma, omega_a, omega_b, backend, pay):
     g = GameInstance(gamma, omega_a, omega_b, pay, backend)
@@ -252,6 +261,20 @@ def test_best_response_scan_equals_object_loop(
     g = GameInstance(gamma, omega_a, omega_b, pay, backend)
     got = outcome(lambda: best_response_scan(g, opponent, grid, limit))
     assert got == outcome(lambda: reference_best_response_scan(g, opponent, grid, limit))
+
+
+def test_best_response_scan_equals_object_loop_at_default_grid():
+    # the 181x91 grid of the benchmark; the hypothesis test above reaches 6x6
+    g = GameInstance(0.9, 0.3, 1.2)
+    opponent = StrategyParams(2.1, 0.4)
+    got = best_response_scan(g, opponent)
+    assert repr(got) == repr(reference_best_response_scan(g, opponent, (181, 91)))
+
+
+def test_best_response_scan_ties_break_toward_smallest_angles():
+    # classical game against D: every phi at theta = pi earns exactly p = 1
+    got = best_response_scan(GameInstance(0.0, 0.0, 0.0), NamedStrategy.D, (37, 19))
+    assert repr(got) == repr((StrategyParams(math.pi, 0.0), 1.0))
 
 
 def test_best_response_scan_raises_like_object_loop_on_norm_leak():
