@@ -6,10 +6,17 @@ helper, ``relativity._final_amplitudes``: the ``KVector`` checks on each
 k-vector, one stacked ``M @ k`` product and ``state4``'s finiteness
 check.  They go from amplitudes to payoffs without the ``KVector`` and
 ``JointProbabilities`` objects, and ``profile_table`` factors its
-k-coefficients into strategy-only parts and a gamma step.  The
-references below are the loops they replaced: the per-profile table
-with the unsplit closed form, ``np.kron``, the validating ``adjoint``
-and the probability objects, and the object paths of the pair
+k-coefficients into strategy-only parts and a gamma step.
+``best_response_scan`` checks its opponent and each axis value once and
+computes the angle-only factors once per axis value or call, so a
+candidate costs only its k-factor product, the gamma step, the helper
+and the payoff tail.  The UNITARY ``coefficient_map`` builds its
+rotations and entangler unchecked, since ``GameInstance`` has checked
+their angles.  The references below are the loops they replaced: the
+map from the checking ``spin_rotation_pair``, ``np.kron`` and the
+validating ``adjoint``, the per-profile table with the unsplit closed
+form and the probability objects, a ``StrategyParams`` and
+``k_coefficients`` per scan candidate, and the object paths of the pair
 functions.  Results, and the errors raised, must be equal, not close:
 speed must never change output bytes.
 """
@@ -121,9 +128,9 @@ def reference_profile_table(g, matrix=None):
 @given(angles, angles, angles, backends)
 def test_coefficient_map_equals_reference_map(gamma, omega_a, omega_b, backend):
     g = GameInstance(gamma, omega_a, omega_b, backend=backend)
-    got = coefficient_map(g).matrix
-    assert repr(got) == repr(reference_map(g))
-    assert got.tobytes() == reference_map(g).tobytes()  # every bit, -0.0 included
+    got, expected = coefficient_map(g).matrix, reference_map(g)
+    assert repr(got) == repr(expected)
+    assert got.tobytes() == expected.tobytes()  # every bit, -0.0 included
 
 
 @settings(max_examples=200, deadline=None)
