@@ -31,7 +31,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmat
-from .closed_form import RATIO_DUST, ConvergenceError, ThresholdSet, thresholds_closed_form
+from .closed_form import (
+    MAX_GRID_POINTS,
+    RATIO_DUST,
+    ConvergenceError,
+    ThresholdSet,
+    _grid_axis,
+    _linspace,
+    thresholds_closed_form,
+)
 from .game_core import (
     _HALF_PI,
     _check_tolerance,
@@ -64,12 +72,6 @@ BISECTION_MAX_ITER = 200
 #: region map, gammas of a sweep).  Fixed so a grid's working set stays
 #: bounded whatever its size.
 GRID_CHUNK = 256
-
-#: Most points one grid may hold: grid_n <= 1024 for the grid_n x grid_n
-#: omega grids, n <= 2**20 for a gamma sweep, n_theta * n_phi <= 2**20
-#: candidates for a best-response scan.  Larger sizes are refused before
-#: anything is allocated.
-MAX_GRID_POINTS = 2**20
 
 
 class Region(enum.Enum):
@@ -321,15 +323,6 @@ def _profile_payoffs(gamma, omega_a, omega_b, backend: Backend, pay: PayoffParam
     return ProfileTable(*(PayoffPair(ev.alice[..., i], ev.bob[..., i]) for i in range(4)))
 
 
-def _grid_axis(n: int, name: str, dims: int = 1) -> np.ndarray:
-    """n uniformly spaced angles in [0, pi/2], the axis of an n**dims grid."""
-    if n < 2:
-        raise ValueError(f"{name} must be >= 2, got {n}")
-    if n**dims > MAX_GRID_POINTS:
-        raise ValueError(f"{name} = {n} makes {n**dims} grid points, more than {MAX_GRID_POINTS}")
-    return np.linspace(0.0, _HALF_PI, n)
-
-
 def _chunks(total: int):
     """Consecutive index ranges of at most GRID_CHUNK points."""
     for start in range(0, total, GRID_CHUNK):
@@ -350,7 +343,7 @@ def always_classical_scan(
     ``alice_always_q``: the gA34 = 0 case; Alice's crossings sit at
     gamma = 0 so Q dominates for every positive gamma.
     """
-    axis = _grid_axis(grid_n, "grid_n", dims=2)
+    axis = np.array(_grid_axis(grid_n, "grid_n", dims=2))
     _check_tolerance(tie_tol, "tie_tol")
     pay = pay if pay is not None else PayoffParams()
     rows = []
@@ -386,7 +379,7 @@ def sweep_gamma(
     pay: PayoffParams | None = None,
 ) -> tuple[SweepRow, ...]:
     """Profile payoffs at n uniformly spaced gammas in [0, pi/2]."""
-    gammas = _grid_axis(n, "n")
+    gammas = np.array(_grid_axis(n, "n"))
     pay = pay if pay is not None else PayoffParams()
     rows = []
     for index in _chunks(n):
@@ -419,8 +412,8 @@ def best_response_scan(
     b = _strategy_params(opponent, "opponent")
     matrix = coefficient_map(g).matrix
     # StrategyParams' checks, once per axis value rather than once per candidate
-    thetas = [StrategyParams(x, 0.0).theta for x in np.linspace(0.0, math.pi, n_theta).tolist()]
-    phis = [StrategyParams(0.0, x).phi for x in np.linspace(0.0, _HALF_PI, n_phi).tolist()]
+    thetas = [StrategyParams(x, 0.0).theta for x in _linspace(math.pi, n_theta)]
+    phis = [StrategyParams(0.0, x).phi for x in _linspace(_HALF_PI, n_phi)]
     phases = [cmath.exp(1j * phi) for phi in phis]
     cb, sb, eb = math.cos(0.5 * b.theta), math.sin(0.5 * b.theta), cmath.exp(1j * b.phi)
     cg, sg = math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)

@@ -14,8 +14,10 @@ flags are fractions of the speed of light and are converted to Wigner
 angles through rapidities; the resulting omegas are echoed in the
 metadata so the mapping is always visible.
 
-Only :mod:`rqpd.closed_form` is imported at module level; commands that
-need numpy import their modules when they run, never per point.
+Only :mod:`rqpd.closed_form` is imported at module level, and it alone
+serves ``wigner`` and closed-form ``thresholds``, at one point or on a
+grid.  Commands that need numpy import their modules when they run,
+never per point.
 
 Exit codes: 0 success, 2 invalid arguments, 3 numeric failure,
 4 I/O error.
@@ -34,6 +36,8 @@ from .closed_form import (
     Backend,
     ConvergenceError,
     NumericIntegrityError,
+    _grid_axis,
+    _threshold_rows,
     rapidity_from_speed,
     thresholds_closed_form,
     wigner_angle,
@@ -220,29 +224,21 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
         compute = functools.partial(thresholds_numeric, backend=backend)
 
     if args.grid_n is not None:
-        from .analysis import _grid_axis
-
-        axis = _grid_axis(args.grid_n, "grid_n", dims=2).tolist()
+        axis = _grid_axis(args.grid_n, "grid_n", dims=2)
         if any(v is not None for v in (args.omega_a, args.omega_b, args.alpha_speed,
                                        args.delta_a_speed, args.delta_b_speed)):
             raise ValueError("--grid-n sets both omegas; drop the omega and speed flags")
         _reject_degrees(args, "the --grid-n omegas are radians")
-        lines = []
-        for omega_a in axis:
-            for omega_b in axis:
-                ts = compute(omega_a, omega_b)
-                lines.append(
-                    ",".join(
-                        [
-                            _fmt(omega_a),
-                            _fmt(omega_b),
-                            _fmt_optional(ts.g_a12),
-                            _fmt_optional(ts.g_a34),
-                            _fmt_optional(ts.g_b13),
-                            _fmt_optional(ts.g_b24),
-                        ]
-                    )
-                )
+        if numeric:
+            rows = ([tuple(compute(a, b).as_dict().values()) for b in axis] for a in axis)
+        else:
+            rows = _threshold_rows(axis)
+        labels = [_fmt(omega) for omega in axis]
+        lines = [
+            ",".join([label_a, label_b, *map(_fmt_optional, values)])
+            for label_a, row in zip(labels, rows)
+            for label_b, values in zip(labels, row)
+        ]
         meta = _metadata("thresholds", backend, method=method, grid_n=args.grid_n)
         _emit_csv(_THRESHOLD_GRID_HEADER, lines, args.output, meta)
         return EXIT_OK

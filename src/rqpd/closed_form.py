@@ -1,8 +1,8 @@
 """The numpy-free part of the engine: Wigner angles and closed-form thresholds.
 
-Only :mod:`math` is needed here, so ``wigner`` and single-point
-closed-form ``thresholds`` start without numpy.  ``relativity``,
-``analysis`` and ``game_core`` re-import these names.
+Only :mod:`math` is needed here, so ``wigner`` and closed-form
+``thresholds``, at one point or on a grid, start without numpy.
+``relativity``, ``analysis`` and ``game_core`` re-import these names.
 """
 
 from __future__ import annotations
@@ -17,6 +17,12 @@ _HALF_PI = 0.5 * math.pi
 # ratios at the omega = pi/2 endpoint; ratios this close to 0 or 1 are
 # snapped so the endpoint thresholds come out exactly 0 or pi/2.
 RATIO_DUST = 1e-13
+
+#: Most points one grid may hold: grid_n <= 1024 for the grid_n x grid_n
+#: omega grids, n <= 2**20 for a gamma sweep, n_theta * n_phi <= 2**20
+#: candidates for a best-response scan.  Larger sizes are refused before
+#: anything is allocated.
+MAX_GRID_POINTS = 2**20
 
 
 class Backend(enum.Enum):
@@ -91,6 +97,25 @@ def check_omega(omega: float, name: str = "omega") -> float:
     return omega
 
 
+def _linspace(upper: float, n: int) -> list[float]:
+    """n uniformly spaced values from 0 to upper, both ends included (n >= 2).
+
+    numpy's linspace rule, so the values are bit-for-bit those of
+    ``np.linspace(0.0, upper, n)``.
+    """
+    step = upper / (n - 1)
+    return [i * step for i in range(n - 1)] + [upper]
+
+
+def _grid_axis(n: int, name: str, dims: int = 1) -> list[float]:
+    """n uniformly spaced angles in [0, pi/2], the axis of an n**dims grid."""
+    if n < 2:
+        raise ValueError(f"{name} must be >= 2, got {n}")
+    if n**dims > MAX_GRID_POINTS:
+        raise ValueError(f"{name} = {n} makes {n**dims} grid points, more than {MAX_GRID_POINTS}")
+    return _linspace(_HALF_PI, n)
+
+
 @dataclass(frozen=True)
 class ThresholdSet:
     """The four crossing gammas; None marks an absent crossing."""
@@ -140,17 +165,31 @@ def thresholds_closed_form(omega_a: float, omega_b: float) -> ThresholdSet:
     check_omega(omega_b, "omega_b")
     c2a, s2a = _half_angle_squares(omega_a)
     c2b, s2b = _half_angle_squares(omega_b)
+    return ThresholdSet(*_thresholds(c2a, s2a, c2b, s2b))
 
+
+def _threshold_rows(axis: list[float]):
+    """Closed-form (gA12, gA34, gB13, gB24) over the axis x axis omega grid.
+
+    One list per omega_a, holding one tuple per omega_b.  The axis
+    values must lie in [0, pi/2]; they are not checked here.
+    """
+    squares = [_half_angle_squares(omega) for omega in axis]
+    for c2a, s2a in squares:
+        yield [_thresholds(c2a, s2a, c2b, s2b) for c2b, s2b in squares]
+
+
+def _thresholds(c2a: float, s2a: float, c2b: float, s2b: float) -> tuple:
+    """(gA12, gA34, gB13, gB24) from the half-angle squares of omega_a and omega_b."""
     num_a12 = c2a * c2b - 2 * s2a * s2b + 2 * c2a * s2b - s2a * c2b
     num_a34 = 2 * c2a * c2b - s2a * s2b + c2a * s2b - 2 * s2a * c2b
     den_a = 5 * c2a * c2b - 5 * s2a * s2b + 3 * c2a * s2b + 2 * s2a * c2b
     num_b13 = c2a * c2b - 2 * s2a * s2b - c2a * s2b + 2 * s2a * c2b
     num_b24 = 2 * c2a * c2b - s2a * s2b - 2 * c2a * s2b + s2a * c2b
     den_b = 5 * c2a * c2b - 5 * s2a * s2b - 3 * c2a * s2b - 2 * s2a * c2b
-
-    return ThresholdSet(
-        g_a12=_arcsin_sqrt_ratio(num_a12, den_a),
-        g_a34=_arcsin_sqrt_ratio(num_a34, den_a),
-        g_b13=_arcsin_sqrt_ratio(num_b13, den_b),
-        g_b24=_arcsin_sqrt_ratio(num_b24, den_b),
+    return (
+        _arcsin_sqrt_ratio(num_a12, den_a),
+        _arcsin_sqrt_ratio(num_a34, den_a),
+        _arcsin_sqrt_ratio(num_b13, den_b),
+        _arcsin_sqrt_ratio(num_b24, den_b),
     )

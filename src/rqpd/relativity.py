@@ -236,9 +236,9 @@ def evaluate_batch(
     their omegas share one set of k-coefficients.  Results are
     bit-for-bit the scalar ones.
 
-    The angle domains, the backend, the probability dust and the norm
-    defect are checked once per batch, as a predicate per point.  When
-    points fail, the kernel calls
+    The angle domains, the backend, the payoff table, the probability
+    dust and the norm defect are checked once per batch, as a predicate
+    per point.  When points fail, the kernel calls
     ``payoffs(GameInstance(gamma, omega_a, omega_b, pay, backend),
     StrategyParams(theta_a, phi_a), StrategyParams(theta_b, phi_b))`` at
     the first failing point in C order of the broadcast shape, so the
@@ -264,6 +264,7 @@ def evaluate_batch(
         ((raw >= -PROBABILITY_DUST) & (raw <= 1.0 + PROBABILITY_DUST)).all(-1)
         & (defect <= DEFAULT_MAX_NORM_DEFECT)
         & isinstance(backend, Backend)
+        & isinstance(pay, PayoffParams)
     )
     for values, upper in zip(angles, _ANGLE_UPPER):
         ok &= (values >= 0.0) & (values <= upper)  # NaN fails both

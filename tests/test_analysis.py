@@ -20,6 +20,7 @@ from rqpd.analysis import (
     thresholds_closed_form,
     thresholds_numeric,
 )
+from rqpd.closed_form import _linspace, _threshold_rows
 from rqpd.game_core import (
     JointProbabilities,
     NamedStrategy,
@@ -412,6 +413,21 @@ def test_grid_sizes_are_capped():
         ValueError, match=r"^grid = \(100000, 100000\) makes 10000000000 grid points"
     ):
         best_response_scan(rest(0.0), NamedStrategy.Q, grid=(10**5, 10**5))
+
+
+@pytest.mark.parametrize("upper", [HALF_PI, math.pi], ids=["half_pi", "pi"])
+def test_axis_is_numpy_linspace_bit_for_bit(upper):
+    for n in [*range(2, 1025), MAX_GRID_POINTS]:
+        assert np.array(_linspace(upper, n)).tobytes() == np.linspace(0.0, upper, n).tobytes()
+
+
+def test_closed_form_grid_rows_equal_per_cell_thresholds():
+    for grid_n in [*range(2, 41), 65]:
+        axis = _grid_axis(grid_n, "grid_n", dims=2)
+        expected = [
+            [tuple(thresholds_closed_form(a, b).as_dict().values()) for b in axis] for a in axis
+        ]
+        assert repr(list(_threshold_rows(axis))) == repr(expected)
 
 
 # ------------------------------------------------------------ best response

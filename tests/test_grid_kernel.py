@@ -185,6 +185,8 @@ def test_kernel_clamps_dust_and_rejects_beyond_it(monkeypatch, factor):
                                Backend.UNITARY, PayoffParams()),
         lambda: evaluate_batch(0.1, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0,
                                Backend.UNITARY, PayoffParams()),
+        lambda: always_classical_scan(3, Backend.PAPER, pay=(5, 3, 1, 0)),
+        lambda: sweep_gamma(0.1, 0.2, 3, Backend.PAPER, pay=(5, 3, 1, 0)),
     ],
 )
 def test_grid_paths_reject_bad_input(call):
@@ -209,12 +211,12 @@ def test_kernel_disagreeing_with_scalar_path_returns_no_payoffs(monkeypatch, cap
     assert "Traceback" not in err
 
 
-def scalar_point_payoffs(gamma, omega_a, omega_b, ta, pa, tb, pb, backend):
+def scalar_point_payoffs(gamma, omega_a, omega_b, ta, pa, tb, pb, backend, pay=PayoffParams()):
     """Payoffs of a point-by-point loop in C order; raises what the loop raises first."""
     points = np.broadcast_arrays(gamma, omega_a, omega_b, ta, pa, tb, pb)
     return [
         payoffs(
-            GameInstance(*point[:3], backend=backend),
+            GameInstance(*point[:3], pay, backend),
             StrategyParams(*point[3:5]),
             StrategyParams(*point[5:]),
         )
@@ -222,10 +224,10 @@ def scalar_point_payoffs(gamma, omega_a, omega_b, ta, pa, tb, pb, backend):
     ]
 
 
-def scalar_first_error(gamma, omega_a, omega_b, ta, pa, tb, pb, backend):
+def scalar_first_error(gamma, omega_a, omega_b, ta, pa, tb, pb, backend, pay):
     """The error a point-by-point payoffs loop raises first, in C order."""
     try:
-        scalar_point_payoffs(gamma, omega_a, omega_b, ta, pa, tb, pb, backend)
+        scalar_point_payoffs(gamma, omega_a, omega_b, ta, pa, tb, pb, backend, pay)
     except (ValueError, NumericIntegrityError) as exc:
         return exc
     raise AssertionError("no point fails")
@@ -245,12 +247,18 @@ def scalar_first_error(gamma, omega_a, omega_b, ta, pa, tb, pb, backend):
         (0.1, 0.0, 0.0, float("inf"), 0.0, 5.0, 0.0, "paper"),
         # the norm defect at point 0 beats an out-of-domain angle at point 1
         (0.7, 0.4, 1.1, [1.0, 9.0], 0.3, 1.0, 0.3, Backend.PAPER),
+        # a payoff table that is not a PayoffParams: after the angles of the
+        # game, before the backend and the strategies
+        (0.1, [0.0, 0.2], 0.0, 0.0, 0.0, 0.0, 0.0, Backend.PAPER, (5, 3, 1, 0)),
+        (0.1, [2.0, 0.2], 0.0, 0.0, 0.0, 0.0, 0.0, Backend.PAPER, (5, 3, 1, 0)),
+        (0.1, 0.0, 0.0, [4.0, 0.0], 0.0, 0.0, 0.0, "paper", None),
     ],
 )
 def test_kernel_first_error_matches_point_by_point_loop(args):
+    args = args if len(args) == 9 else (*args, PayoffParams())
     expected = scalar_first_error(*args)
     with pytest.raises(type(expected)) as batched:
-        evaluate_batch(*args, PayoffParams())
+        evaluate_batch(*args)
     assert str(batched.value) == str(expected)
 
 

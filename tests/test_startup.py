@@ -33,6 +33,12 @@ NUMPY_FREE = [
     (["thresholds", "--omega-a", "0.7", "--omega-b", "0.2", "--backend", "paper"], 0),
     (["thresholds", "--omega-a", "9"], 2),
     (["thresholds", "--omega-a", "9", "--omega-b", "0.2"], 2),
+    (["thresholds", "--grid-n", "9"], 0),
+    (["thresholds", "--grid-n", "9", "--backend", "paper"], 0),
+    (["thresholds", "--grid-n", "1"], 2),
+    (["thresholds", "--grid-n", "1025"], 2),
+    (["thresholds", "--grid-n", "2", "--degrees"], 2),
+    (["thresholds", "--grid-n", "2", "--omega-a", "0.1"], 2),
 ]
 
 
@@ -56,6 +62,13 @@ def test_command_starts_without_numpy(argv, exit_code):
 def test_numeric_thresholds_still_load_numpy():
     # the control: the check above can see numpy being loaded
     proc = run_child(RUN_CLI, ["thresholds", "--omega-a", "0.3", "--omega-b", "1.1", "--numeric"])
+    assert proc.returncode == 0
+    assert proc.stderr.endswith(b"numpy loaded: True\n")
+
+
+@pytest.mark.parametrize("flag", ["--numeric", "--backend unitary"])
+def test_bisection_grids_still_load_numpy(flag):
+    proc = run_child(RUN_CLI, ["thresholds", "--grid-n", "3", *flag.split()])
     assert proc.returncode == 0
     assert proc.stderr.endswith(b"numpy loaded: True\n")
 
