@@ -15,9 +15,16 @@ Thresholds are the gamma values where profile payoffs cross:
 A player's strictly dominant strategy is D below both of their
 thresholds, Q above both, and absent in between (the transition
 region).  A threshold can be absent altogether, in which case the same
-move dominates for every gamma.  Closed forms reproduce the PAPER
-backend exactly; :func:`thresholds_numeric` is the independent
-bisection cross-check and also serves the UNITARY backend.
+move dominates for every gamma.
+
+Every margin is d0 - S sin^2(gamma), with d0 and S rational in
+cos(omega_a) and cos(omega_b) under either backend and any payoff
+table (:mod:`rqpd.margins`), so each crossing has the closed form
+arcsin(sqrt(d0 / S)) where that ratio lies in [0, 1].  Region maps are
+computed from (d0, S) directly; :func:`thresholds_closed_form` is that
+form for the PAPER backend and the default table.
+:func:`thresholds_numeric` bisects through the full payoff pipeline
+instead and stays the independent oracle for both backends.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ from .closed_form import (
 )
 from .game_core import (
     _HALF_PI,
-    _check_tolerance,
     _k_factor_product,
     _k_factors,
     _k_gamma_step,
@@ -51,9 +57,15 @@ from .game_core import (
     DEFAULT_MAX_NORM_DEFECT,
     NamedStrategy,
     PayoffPair,
-    PayoffParams,
     StrategyParams,
     entangler,
+)
+from .margins import (
+    DEFAULT_TIE_TOL,
+    PayoffParams,
+    RegionMapRow,
+    _check_tolerance,
+    always_classical_scan,
 )
 from .relativity import _final_amplitudes, Backend, GameInstance, coefficient_map, evaluate_batch
 
@@ -61,16 +73,12 @@ from .relativity import _final_amplitudes, Backend, GameInstance, coefficient_ma
 PROFILES = ("DD", "QD", "DQ", "QQ")
 _PROFILE_FIELDS = {p: p.lower() for p in PROFILES}  # the ProfileTable field of each
 
-#: Payoff comparisons within this distance count as ties.
-DEFAULT_TIE_TOL = 1e-9
-
 #: Bisection stops once the bracketing interval is narrower than this.
 BISECTION_TOL = 1e-11
 BISECTION_MAX_ITER = 200
 
-#: Grid points per kernel call in the grid paths (omega points of a
-#: region map, gammas of a sweep).  Fixed so a grid's working set stays
-#: bounded whatever its size.
+#: Gammas per kernel call in a sweep.  Fixed so a sweep's working set
+#: stays bounded whatever its size.
 GRID_CHUNK = 256
 
 
@@ -152,16 +160,6 @@ class SweepRow:
     b_qq: float
 
 
-@dataclass(frozen=True)
-class RegionMapRow:
-    """Dominance-everywhere flags at one (omega_a, omega_b) grid point."""
-
-    omega_a: float
-    omega_b: float
-    bob_always_d: bool
-    alice_always_q: bool
-
-
 # The gamma-free k-coefficient factors of the profiles, in PROFILES order.
 _PROFILE_K_FACTORS = tuple(
     _k_factors(NamedStrategy[p[0]].params, NamedStrategy[p[1]].params) for p in PROFILES
@@ -191,7 +189,7 @@ def sds_of(table: ProfileTable, tie_tol: float = DEFAULT_TIE_TOL) -> SdsReport:
 
 
 def _margins(table: ProfileTable) -> SdsMargins:
-    """The four dominance margins; elementwise when the table holds arrays."""
+    """The four dominance margins."""
     return SdsMargins(
         a12=table.dd.alice - table.qd.alice,
         a34=table.dq.alice - table.qq.alice,
@@ -236,10 +234,11 @@ def thresholds_numeric(
 
     Because each payoff difference is affine in sin^2(gamma), a sign
     change between gamma = 0 and gamma = pi/2 brackets a unique root;
-    no sign change means the crossing is absent.  Serves as the
-    independent oracle for :func:`thresholds_closed_form` (PAPER
-    backend) and is the only route to the UNITARY-backend crossings,
-    which carry no closed form here.
+    no sign change means the crossing is absent.  The crossings of
+    both backends also have the closed form arcsin(sqrt(d0 / S)) from
+    the endpoint margins of :mod:`rqpd.margins`; this bisection never
+    uses it, so it stays the independent oracle for
+    :func:`thresholds_closed_form` and for either backend.
     """
     pay = pay if pay is not None else PayoffParams()
 
@@ -301,10 +300,6 @@ _PROFILE_ANGLES = tuple(
     for angle in ("theta", "phi")
 )
 
-# Both ends of the gamma range; affinity in sin^2(gamma) makes them decisive.
-_GAMMA_ENDPOINTS = np.array([0.0, _HALF_PI])
-
-
 def _profile_payoffs(gamma, omega_a, omega_b, backend: Backend, pay: PayoffParams) -> ProfileTable:
     """Profile table over broadcast angle arrays; entries are payoff arrays.
 
@@ -327,48 +322,6 @@ def _chunks(total: int):
     """Consecutive index ranges of at most GRID_CHUNK points."""
     for start in range(0, total, GRID_CHUNK):
         yield np.arange(start, min(start + GRID_CHUNK, total))
-
-
-def always_classical_scan(
-    grid_n: int,
-    backend: Backend,
-    pay: PayoffParams | None = None,
-    tie_tol: float = DEFAULT_TIE_TOL,
-) -> tuple[RegionMapRow, ...]:
-    """Flags, per (omega_a, omega_b) grid point, dominance over all gamma.
-
-    ``bob_always_d``: both of Bob's crossings are absent with D-favoring
-    margins at gamma = 0 and pi/2 (affinity makes the endpoints
-    decisive), so Bob's dominant move is D however entangled the game.
-    ``alice_always_q``: the gA34 = 0 case; Alice's crossings sit at
-    gamma = 0 so Q dominates for every positive gamma.
-    """
-    axis = np.array(_grid_axis(grid_n, "grid_n", dims=2))
-    _check_tolerance(tie_tol, "tie_tol")
-    pay = pay if pay is not None else PayoffParams()
-    rows = []
-    for index in _chunks(grid_n * grid_n):
-        omega_a, omega_b = axis[index // grid_n], axis[index % grid_n]
-        m = _margins(
-            _profile_payoffs(_GAMMA_ENDPOINTS, omega_a[:, None], omega_b[:, None], backend, pay)
-        )
-        bob_always_d = ((m.b13 > tie_tol) & (m.b24 > tie_tol)).all(axis=1)
-        alice_always_q = (
-            (m.a12[:, 0] <= tie_tol)
-            & (m.a34[:, 0] <= tie_tol)
-            & (m.a12[:, 1] < -tie_tol)
-            & (m.a34[:, 1] < -tie_tol)
-        )
-        rows.extend(
-            map(
-                RegionMapRow,
-                omega_a.tolist(),
-                omega_b.tolist(),
-                bob_always_d.tolist(),
-                alice_always_q.tolist(),
-            )
-        )
-    return tuple(rows)
 
 
 def sweep_gamma(

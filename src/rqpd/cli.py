@@ -16,7 +16,8 @@ metadata so the mapping is always visible.
 
 Only :mod:`rqpd.closed_form` is imported at module level, and it alone
 serves ``wigner`` and closed-form ``thresholds``, at one point or on a
-grid.  Commands that need numpy import their modules when they run,
+grid.  ``region-map`` imports the numpy-free :mod:`rqpd.margins` when
+it runs.  Commands that need numpy import their modules when they run,
 never per point.
 
 Exit codes: 0 success, 2 invalid arguments, 3 numeric failure,
@@ -256,7 +257,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def _cmd_region_map(args: argparse.Namespace) -> int:
-    from .analysis import always_classical_scan
+    from .margins import always_classical_scan
 
     _reject_degrees(args, "the region-map omegas are radians")
     backend = _backend(args, Backend.PAPER)

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import qmat
 from .closed_form import _HALF_PI, NumericIntegrityError
+from .margins import _check_tolerance, _require_finite_scalar, PayoffParams
 
 #: Dust half-width for probability clamping: values this far outside
 #: [0, 1] are attributed to floating-point noise and clamped.
@@ -38,17 +39,6 @@ PROBABILITY_DUST = 1e-12
 #: Default ceiling on the norm defect accepted when converting
 #: probabilities into payoffs.
 DEFAULT_MAX_NORM_DEFECT = 1e-6
-
-
-def _require_finite_scalar(value: float, name: str) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _check_tolerance(value: float, name: str) -> None:
-    """A tolerance must be >= 0; +inf turns its check off, NaN is refused."""
-    if not value >= 0.0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -84,32 +74,6 @@ _NAMED_PARAMS = {
     NamedStrategy.D: StrategyParams(math.pi, 0.0),
     NamedStrategy.Q: StrategyParams(0.0, _HALF_PI),
 }
-
-
-@dataclass(frozen=True)
-class PayoffParams:
-    """Payoff table (t, r, p, s); default (5, 3, 1, 0).
-
-    The dilemma ordering t > r > p > s is enforced unless
-    ``allow_non_dilemma`` is set, which permits exploring arbitrary
-    tables without touching core code.
-    """
-
-    t: float = 5.0
-    r: float = 3.0
-    p: float = 1.0
-    s: float = 0.0
-    allow_non_dilemma: bool = False
-
-    def __post_init__(self):
-        for name, value in (("t", self.t), ("r", self.r), ("p", self.p), ("s", self.s)):
-            _require_finite_scalar(value, name)
-        if not self.allow_non_dilemma and not (self.t > self.r > self.p > self.s):
-            raise ValueError(
-                f"payoffs must satisfy t > r > p > s, got "
-                f"({self.t}, {self.r}, {self.p}, {self.s}); "
-                "pass allow_non_dilemma=True to override"
-            )
 
 
 class PayoffPair(NamedTuple):

@@ -51,7 +51,6 @@ from .closed_form import (
 from .game_core import (
     _DXD,
     _EYE4,
-    _check_tolerance,
     _check_unit_amplitudes,
     _entangler_entries,
     _k_amplitudes,
@@ -61,10 +60,10 @@ from .game_core import (
     JointProbabilities,
     NamedStrategy,
     PayoffPair,
-    PayoffParams,
     StrategyParams,
     check_gamma,
 )
+from .margins import _check_pay_and_backend, _check_tolerance, PayoffParams
 
 
 def spin_rotation_pair(omega_a: float, omega_b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -103,10 +102,7 @@ class GameInstance:
         check_gamma(self.gamma)
         check_omega(self.omega_a, "omega_a")
         check_omega(self.omega_b, "omega_b")
-        if not isinstance(self.pay, PayoffParams):
-            raise ValueError(f"pay must be a PayoffParams, got {self.pay!r}")
-        if not isinstance(self.backend, Backend):
-            raise ValueError(f"backend must be a Backend, got {self.backend!r}")
+        _check_pay_and_backend(self.pay, self.backend)
 
 
 @dataclass(frozen=True, eq=False)

@@ -366,6 +366,53 @@ def test_always_classical_scan_validates_grid():
         always_classical_scan(1, Backend.PAPER)
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((3, "unitary"), "backend must be a Backend, got 'unitary'"),
+        ((3, Backend.PAPER, (5, 3, 1, 0)), r"pay must be a PayoffParams, got \(5, 3, 1, 0\)"),
+        # the payoff table is checked before the backend, as GameInstance does
+        ((3, "unitary", (5, 3, 1, 0)), r"pay must be a PayoffParams, got \(5, 3, 1, 0\)"),
+        ((1, "unitary", (5, 3, 1, 0), math.nan), "grid_n must be >= 2, got 1"),
+        ((3, "unitary", (5, 3, 1, 0), math.nan), "tie_tol must be >= 0, got nan"),
+    ],
+)
+def test_always_classical_scan_checks_in_order(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        always_classical_scan(*args)
+
+
+# The paper's player asymmetry: a "classical latter" keeps D dominant for
+# every gamma only under the PAPER map, whose (2,4) and (3,4) entries are
+# not unitary.  Criterion 04 pins the PAPER thresholds; these pin where the
+# asymmetry comes from.
+
+
+@pytest.mark.parametrize("grid_n,cells", [(65, 447), (257, 6903)])
+def test_bob_always_d_on_paper_is_the_closed_form_region(grid_n, cells):
+    rows = always_classical_scan(grid_n, Backend.PAPER)
+    assert sum(r.bob_always_d for r in rows) == cells
+    for r in rows:
+        x, y = math.cos(r.omega_a), math.cos(r.omega_b)
+        if r.omega_b < HALF_PI:
+            assert r.bob_always_d == (9 * x + 5 * y + 7 * x * y < 5), r
+        else:  # y is 6.1e-17 there, so both of Bob's margins stay inside the tie tolerance
+            assert not r.bob_always_d
+
+
+def test_bob_always_d_is_empty_on_unitary():
+    assert not any(r.bob_always_d for r in always_classical_scan(65, Backend.UNITARY))
+
+
+def test_unitary_thresholds_are_symmetric_under_swapping_the_players():
+    rng = np.random.default_rng(5)
+    for omega_a, omega_b in rng.uniform(0.05, HALF_PI - 0.05, (10, 2)).tolist():
+        here = thresholds_numeric(omega_a, omega_b, Backend.UNITARY)
+        swapped = thresholds_numeric(omega_b, omega_a, Backend.UNITARY)
+        assert (here.g_a12, here.g_a34) == (swapped.g_b13, swapped.g_b24)
+        assert here.g_a12 is not None and here.g_a34 is not None
+
+
 # -------------------------------------------------------------------- sweep
 
 

@@ -1,9 +1,11 @@
-"""The batched evaluation kernel against the scalar pipeline, bit for bit.
+"""The grid paths against the scalar pipeline.
 
-The grid paths (region maps and gamma sweeps) run on
-``relativity.evaluate_batch``; the scalar path (``profile_table``,
-``payoffs``) stays the reference.  Results must be equal, not close:
-speed must never change output bytes.
+Gamma sweeps run on the batched kernel ``relativity.evaluate_batch``
+and must equal the scalar path (``profile_table``, ``payoffs``) bit for
+bit.  Region maps run on the closed-form margins of ``rqpd.margins``
+and must give the same rows as the scalar path's margins at gamma = 0
+and pi/2.  Results must be equal, not close: speed must never change
+output bytes.
 """
 
 import dataclasses
@@ -19,6 +21,7 @@ from hypothesis.extra import numpy as hnp
 from rqpd import cli, relativity
 from rqpd.analysis import (
     GRID_CHUNK,
+    RegionMapRow,
     always_classical_scan,
     best_response_scan,
     profile_table,
@@ -40,15 +43,30 @@ thetas = st.floats(0.0, math.pi) | st.sampled_from([0.0, math.pi])
 backends = st.sampled_from(list(Backend))
 
 
+@st.composite
+def payoff_tables(draw):
+    """Dilemma tables, and arbitrary ones under ``allow_non_dilemma``.
+
+    Entries are quarters in [-10, 10], exact in binary, so a margin is
+    either exactly zero or far from the tie tolerance, whose edges the
+    closed form and the pipeline may round to different sides of.
+    """
+    values = draw(st.lists(st.integers(-40, 40).map(lambda v: v / 4), min_size=4, max_size=4))
+    dilemma = sorted(set(values), reverse=True)
+    if len(dilemma) == 4 and draw(st.booleans()):
+        return PayoffParams(*dilemma)
+    return PayoffParams(*values, allow_non_dilemma=True)
+
+
 # ----------------------------------------------------- scalar reference loops
 
 
-def scalar_region_map(grid_n, backend, tie_tol=1e-9):
+def scalar_region_map(grid_n, backend, tie_tol=1e-9, pay=PayoffParams()):
     rows = []
     for omega_a in np.linspace(0.0, HALF_PI, grid_n):
         for omega_b in np.linspace(0.0, HALF_PI, grid_n):
-            t0 = profile_table(GameInstance(0.0, omega_a, omega_b, backend=backend))
-            t1 = profile_table(GameInstance(HALF_PI, omega_a, omega_b, backend=backend))
+            t0 = profile_table(GameInstance(0.0, omega_a, omega_b, pay, backend))
+            t1 = profile_table(GameInstance(HALF_PI, omega_a, omega_b, pay, backend))
             m0, m1 = sds_of(t0).margins, sds_of(t1).margins
             bob_always_d = all(m > tie_tol for m in (m0.b13, m0.b24, m1.b13, m1.b24))
             alice_always_q = (
@@ -68,9 +86,9 @@ def scalar_sweep(omega_a, omega_b, n, backend):
     return rows
 
 
-def region_rows(grid_n, backend):
+def region_rows(grid_n, backend, pay=None):
     return [(r.omega_a, r.omega_b, r.bob_always_d, r.alice_always_q)
-            for r in always_classical_scan(grid_n, backend)]
+            for r in always_classical_scan(grid_n, backend, pay)]
 
 
 def sweep_rows(omega_a, omega_b, n, backend):
@@ -93,10 +111,16 @@ def test_kernel_point_equals_scalar_pipeline(gamma, omega_a, omega_b, ta, pa, tb
     assert (float(got.alice), float(got.bob)) == payoffs(g, a, b)
 
 
-@settings(max_examples=10, deadline=None)
-@given(st.integers(2, 6), backends)
-def test_region_map_equals_scalar_loop(grid_n, backend):
-    assert region_rows(grid_n, backend) == scalar_region_map(grid_n, backend)
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 9), backends, payoff_tables())
+def test_region_map_equals_scalar_loop(grid_n, backend, pay):
+    assert region_rows(grid_n, backend, pay) == scalar_region_map(grid_n, backend, pay=pay)
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+def test_region_map_65_equals_scalar_loop_by_repr(backend):
+    expected = tuple(RegionMapRow(*row) for row in scalar_region_map(65, backend))
+    assert repr(always_classical_scan(65, backend)) == repr(expected)
 
 
 @settings(max_examples=25, deadline=None)

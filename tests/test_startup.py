@@ -39,6 +39,10 @@ NUMPY_FREE = [
     (["thresholds", "--grid-n", "1025"], 2),
     (["thresholds", "--grid-n", "2", "--degrees"], 2),
     (["thresholds", "--grid-n", "2", "--omega-a", "0.1"], 2),
+    (["region-map", "--grid-n", "9"], 0),
+    (["region-map", "--grid-n", "9", "--backend", "unitary"], 0),
+    (["region-map", "--grid-n", "1"], 2),
+    (["region-map", "--grid-n", "2", "--degrees"], 2),
 ]
 
 
@@ -71,6 +75,20 @@ def test_bisection_grids_still_load_numpy(flag):
     proc = run_child(RUN_CLI, ["thresholds", "--grid-n", "3", *flag.split()])
     assert proc.returncode == 0
     assert proc.stderr.endswith(b"numpy loaded: True\n")
+
+
+@pytest.mark.parametrize(
+    "call,loaded",
+    [
+        ("rqpd.always_classical_scan(9, rqpd.Backend.PAPER)", False),
+        # the control: sweeps run on the numpy kernel
+        ("rqpd.sweep_gamma(0.3, 1.1, 5, rqpd.Backend.PAPER)", True),
+    ],
+)
+def test_region_map_library_call_loads_no_numpy(call, loaded):
+    proc = run_child(f"import sys, rqpd\n{call}\nprint('numpy' in sys.modules)\n", [])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{loaded}\n".encode()
 
 
 def test_package_import_loads_no_engine_module():
@@ -133,7 +151,7 @@ ALL = [
     "wigner_angle",
 ]
 
-MODULES = ("closed_form", "game_core", "relativity", "analysis", "cli")
+MODULES = ("closed_form", "margins", "game_core", "relativity", "analysis", "cli")
 
 
 def test_all_is_pinned():
@@ -158,11 +176,14 @@ def test_export_is_the_object_of_every_module_that_has_it(name):
         ("Backend", ("relativity", "analysis", "cli")),
         ("NumericIntegrityError", ("game_core", "relativity", "cli")),
         ("ConvergenceError", ("analysis", "cli")),
+        ("PayoffParams", ("game_core", "relativity", "analysis")),
+        ("RegionMapRow", ("analysis",)),
+        ("always_classical_scan", ("analysis",)),
     ],
 )
 def test_moved_names_are_one_object(name, modules):
     # the modules that defined or imported these before they moved
-    value = getattr(importlib.import_module("rqpd.closed_form"), name)
+    value = getattr(importlib.import_module(f"rqpd.{rqpd._EXPORTS[name]}"), name)
     assert all(getattr(importlib.import_module(f"rqpd.{m}"), name) is value for m in modules)
 
 
