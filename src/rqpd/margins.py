@@ -8,8 +8,9 @@ where d0 is the margin at gamma = 0 and S its drop by gamma = pi/2.
 Both are rational in x = cos(omega_a) and y = cos(omega_b), for either
 backend and any payoff table, so a region map, which needs only the
 margins at the two ends of the gamma range, runs here in pure
-:mod:`math`, without numpy.  ``game_core`` and ``analysis`` re-import
-these names; the CLI imports this module only inside ``region-map``.
+:mod:`math`, without numpy.  ``game_core``, ``relativity`` and
+``analysis`` re-import these names; the CLI imports this module only
+inside ``region-map``.
 """
 
 from __future__ import annotations
@@ -120,9 +121,9 @@ def always_classical_scan(
 
     For the default table (5, 3, 1, 0), with x = cos(omega_a) and
     y = cos(omega_b), Bob's always-D region is {9x + 5y + 7xy < 5,
-    y > 0} under PAPER and empty under UNITARY, where his margin at
-    gamma = pi/2 is -x(y + 7)/2.  The classical-latter region thus rests
-    on the PAPER map's two non-unitary entries.
+    y > 0} under PAPER and empty under UNITARY, where his DD-DQ margin
+    at gamma = pi/2 is -x(y + 7)/2 <= 0.  The classical-latter region
+    thus rests on the PAPER map's two non-unitary entries.
     """
     axis = _grid_axis(grid_n, "grid_n", dims=2)
     _check_tolerance(tie_tol, "tie_tol")

@@ -396,7 +396,7 @@ def test_bob_always_d_on_paper_is_the_closed_form_region(grid_n, cells):
         x, y = math.cos(r.omega_a), math.cos(r.omega_b)
         if r.omega_b < HALF_PI:
             assert r.bob_always_d == (9 * x + 5 * y + 7 * x * y < 5), r
-        else:  # y is 6.1e-17 there, so both of Bob's margins stay inside the tie tolerance
+        else:  # y is 6.1e-17: Bob's margins at gamma = 0 stay inside the tie tolerance
             assert not r.bob_always_d
 
 

@@ -47,9 +47,10 @@ backends = st.sampled_from(list(Backend))
 def payoff_tables(draw):
     """Dilemma tables, and arbitrary ones under ``allow_non_dilemma``.
 
-    Entries are quarters in [-10, 10], exact in binary, so a margin is
-    either exactly zero or far from the tie tolerance, whose edges the
-    closed form and the pipeline may round to different sides of.
+    Entries are quarters in [-10, 10], exact in binary, so every margin
+    is either exactly zero or far from the tie tolerance; right at the
+    tolerance the closed form and the pipeline could round to different
+    sides of it.
     """
     values = draw(st.lists(st.integers(-40, 40).map(lambda v: v / 4), min_size=4, max_size=4))
     dilemma = sorted(set(values), reverse=True)
