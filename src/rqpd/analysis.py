@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -77,8 +78,9 @@ _PROFILE_FIELDS = {p: p.lower() for p in PROFILES}  # the ProfileTable field of 
 BISECTION_TOL = 1e-11
 BISECTION_MAX_ITER = 200
 
-#: Gammas per kernel call in a sweep.  Fixed so a sweep's working set
-#: stays bounded whatever its size.
+#: Gammas per kernel call in a sweep, and candidates per stacked product
+#: in a best-response scan.  Fixed so the working set stays bounded
+#: whatever the grid size.
 GRID_CHUNK = 256
 
 
@@ -319,9 +321,9 @@ def _profile_payoffs(gamma, omega_a, omega_b, backend: Backend, pay: PayoffParam
 
 
 def _chunks(total: int):
-    """Consecutive index ranges of at most GRID_CHUNK points."""
+    """Consecutive slices of at most GRID_CHUNK points."""
     for start in range(0, total, GRID_CHUNK):
-        yield np.arange(start, min(start + GRID_CHUNK, total))
+        yield slice(start, min(start + GRID_CHUNK, total))
 
 
 def sweep_gamma(
@@ -353,8 +355,17 @@ def best_response_scan(
 
     Returns the argmax strategy and its payoff; ties break toward the
     smallest theta, then the smallest phi, so results are deterministic.
+    The candidates of each theta go through ``_final_amplitudes`` in
+    chunks of at most ``GRID_CHUNK`` phis, one stacked product per
+    chunk.  A chunk that raises is replayed one candidate at a time, so
+    the error raised is the first failing candidate's, as in a loop
+    over candidates.
     """
     n_theta, n_phi = grid
+    try:
+        n_theta, n_phi = operator.index(n_theta), operator.index(n_phi)
+    except TypeError:
+        raise ValueError(f"grid dims must be integers, got {grid}") from None
     if n_theta < 2 or n_phi < 2:
         raise ValueError(f"grid dims must be >= 2, got {grid}")
     if n_theta * n_phi > MAX_GRID_POINTS:
@@ -370,16 +381,28 @@ def best_response_scan(
     phases = [cmath.exp(1j * phi) for phi in phis]
     cb, sb, eb = math.cos(0.5 * b.theta), math.sin(0.5 * b.theta), cmath.exp(1j * b.phi)
     cg, sg = math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
+    chunks = [(phis[index], phases[index]) for index in _chunks(n_phi)]
     best, best_payoff = None, -math.inf
     for theta in thetas:
         ca, sa = math.cos(0.5 * theta), math.sin(0.5 * theta)
-        for phi, ea in zip(phis, phases):
-            k = _k_gamma_step(_k_factor_product(ca, sa, ea, cb, sb, eb), cg, sg)
-            (amplitudes,) = _final_amplitudes(matrix, [k])
-            value = _payoff_of_amplitudes(amplitudes, g.pay, max_norm_defect).alice
-            if value > best_payoff:
-                best, best_payoff = (theta, phi), value
+        for chunk_phis, chunk_phases in chunks:
+            ks = [_k_gamma_step(_k_factor_product(ca, sa, ea, cb, sb, eb), cg, sg)
+                  for ea in chunk_phases]
+            try:
+                values = _alice_payoffs(matrix, ks, g.pay, max_norm_defect)
+            except (ValueError, ArithmeticError):
+                # one candidate at a time, so the error is the first failing candidate's
+                values = [_alice_payoffs(matrix, [k], g.pay, max_norm_defect)[0] for k in ks]
+            for phi, value in zip(chunk_phis, values):
+                if value > best_payoff:
+                    best, best_payoff = (theta, phi), value
     return StrategyParams(*best), best_payoff
+
+
+def _alice_payoffs(matrix, ks, pay, max_norm_defect) -> list[float]:
+    """Alice's payoff for each k-vector of ``ks``, through one ``_final_amplitudes`` call."""
+    amplitudes = _final_amplitudes(matrix, ks)
+    return [_payoff_of_amplitudes(a, pay, max_norm_defect).alice for a in amplitudes]
 
 
 def entanglement_degree(gamma: float) -> float:

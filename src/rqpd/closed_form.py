@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 _HALF_PI = 0.5 * math.pi
@@ -109,6 +110,10 @@ def _linspace(upper: float, n: int) -> list[float]:
 
 def _grid_axis(n: int, name: str, dims: int = 1) -> list[float]:
     """n uniformly spaced angles in [0, pi/2], the axis of an n**dims grid."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
     if n < 2:
         raise ValueError(f"{name} must be >= 2, got {n}")
     if n**dims > MAX_GRID_POINTS:

@@ -462,6 +462,32 @@ def test_grid_sizes_are_capped():
         best_response_scan(rest(0.0), NamedStrategy.Q, grid=(10**5, 10**5))
 
 
+GRID_SIZE_CALLS = {
+    "_grid_axis": lambda n: _grid_axis(n, "n"),
+    "sweep_gamma": lambda n: sweep_gamma(0.3, 0.9, n, Backend.PAPER),
+    "always_classical_scan": lambda n: always_classical_scan(n, Backend.PAPER),
+    "best_response_scan": lambda n: best_response_scan(rest(0.4), NamedStrategy.Q, (n, 3)),
+}
+GRID_SIZE_MESSAGES = {
+    "_grid_axis": "n must be an integer, got ",
+    "sweep_gamma": "n must be an integer, got ",
+    "always_classical_scan": "grid_n must be an integer, got ",
+    "best_response_scan": r"grid dims must be integers, got \(",
+}
+
+
+@pytest.mark.parametrize("call", list(GRID_SIZE_CALLS))
+def test_grid_sizes_must_be_integers(call):
+    for size in (5.0, np.float64(5.0), 1.5, math.nan, "5"):
+        with pytest.raises(ValueError, match="^" + GRID_SIZE_MESSAGES[call]):
+            GRID_SIZE_CALLS[call](size)
+    # numpy integers are integers, with the same result as Python's
+    for size in (np.int64(5), np.int32(5), np.uint8(5)):
+        assert repr(GRID_SIZE_CALLS[call](size)) == repr(GRID_SIZE_CALLS[call](5))
+    with pytest.raises(ValueError, match="must be >= 2"):
+        GRID_SIZE_CALLS[call](np.int64(1))
+
+
 @pytest.mark.parametrize("upper", [HALF_PI, math.pi], ids=["half_pi", "pi"])
 def test_axis_is_numpy_linspace_bit_for_bit(upper):
     for n in [*range(2, 1025), MAX_GRID_POINTS]:

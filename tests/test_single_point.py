@@ -9,8 +9,12 @@ check.  They go from amplitudes to payoffs without the ``KVector`` and
 k-coefficients into strategy-only parts and a gamma step.
 ``best_response_scan`` checks its opponent and each axis value once and
 computes the angle-only factors once per axis value or call, so a
-candidate costs only its k-factor product, the gamma step, the helper
-and the payoff tail.  The UNITARY ``coefficient_map`` builds its
+candidate costs only its k-factor product, the gamma step, its share of
+the helper and the payoff tail.  The scan passes the candidates of each
+theta to the helper in chunks of at most ``GRID_CHUNK``, one stacked
+product per chunk; a chunk that raises is replayed one candidate at a
+time, so the error is the first failing candidate's, as in the loop.
+The UNITARY ``coefficient_map`` builds its
 rotations and entangler unchecked, since ``GameInstance`` has checked
 their angles.  The references below are the loops they replaced: the
 map from the checking ``spin_rotation_pair``, ``np.kron`` and the
@@ -293,6 +297,20 @@ def test_best_response_scan_raises_like_object_loop_on_norm_leak():
     assert got[0] is NumericIntegrityError and got[2] == 0.12100302935704244
 
 
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("grid", [(3, 257), (2, 300)])
+@pytest.mark.parametrize("limit", [1e-6, 1.0])
+def test_best_response_scan_equals_object_loop_across_chunk_edges(grid, backend, limit):
+    # rows longer than GRID_CHUNK split into a full chunk and a short one; on PAPER
+    # a limit of 1e-6 raises at the first candidate that leaks norm
+    assert grid[1] > analysis.GRID_CHUNK
+    g = GameInstance(0.9, 0.3, 1.2, backend=backend)
+    for opponent in (StrategyParams(2.1, 0.4), NamedStrategy.Q):
+        got = outcome(lambda: best_response_scan(g, opponent, grid, limit))
+        assert got == outcome(lambda: reference_best_response_scan(g, opponent, grid, limit))
+        assert isinstance(got, tuple) == (backend is Backend.PAPER and limit < 1.0)
+
+
 def scaled_k_step(scale):
     step = game_core._k_gamma_step
     return lambda *args: [z * scale for z in step(*args)]
@@ -330,6 +348,42 @@ def test_pair_path_errors_match_object_path(monkeypatch, case, backend):
         got = outcome(new)
         assert got == outcome(reference)
         assert isinstance(got, tuple) and message in got[1]
+
+
+def test_best_response_scan_raises_first_failing_candidates_error_within_a_chunk(monkeypatch):
+    # Candidate 0 exceeds the PAPER norm-defect limit and candidate 1, in the same
+    # chunk, fails the KVector check.  The stacked pass checks every k-vector before
+    # any payoff, so it raises candidate 1's error; the scan then replays the chunk
+    # one candidate at a time and raises candidate 0's, as the loop does.
+    g = GameInstance(0.7, 0.4, 1.1, backend=Backend.PAPER)
+    opponent = StrategyParams(1.0, 0.3)
+    step, final_amplitudes, sizes = game_core._k_gamma_step, analysis._final_amplitudes, []
+
+    def recorded(matrix, states):
+        sizes.append(len(states))
+        return final_amplitudes(matrix, states)
+
+    def run(scan, limit):
+        calls = []
+
+        def second_off_unit_norm(*args):
+            calls.append(args)
+            k = step(*args)
+            return [z * (1.0 + 1e-9) for z in k] if len(calls) == 2 else k
+
+        for module in (game_core, analysis):
+            monkeypatch.setattr(module, "_k_gamma_step", second_off_unit_norm)
+        return outcome(lambda: scan(g, opponent, (19, 10), limit))
+
+    monkeypatch.setattr(analysis, "_final_amplitudes", recorded)
+    got = run(best_response_scan, 1e-6)
+    assert sizes == [10, 1]  # the stacked chunk, then candidate 0 on its own
+    assert got == run(reference_best_response_scan, 1e-6)
+    assert got[0] is NumericIntegrityError and got[2] == 0.12100302935704244
+    # under a limit that candidate 0 meets, candidate 1's KVector error comes first
+    lifted = run(best_response_scan, 1.0)
+    assert lifted == run(reference_best_response_scan, 1.0)
+    assert "KVector norm^2 = " in lifted[1]
 
 
 def test_payoffs_raises_like_probability_objects_over_custom_limit():
@@ -381,6 +435,24 @@ def test_single_point_call_builds_one_map(monkeypatch, call, backend, tensor2_ca
     count(qmat, "tensor2")
     SINGLE_POINT_CALLS[call](GameInstance(0.7, 0.4, 1.1, backend=backend))
     assert calls == {"coefficient_map": 1, "tensor2": tensor2_calls}
+
+
+@pytest.mark.parametrize("grid,calls", [((181, 91), 181), ((3, 257), 6), ((2, 300), 4)])
+def test_best_response_scan_stacks_each_chunk_of_a_theta_row(monkeypatch, grid, calls):
+    # one _final_amplitudes call per GRID_CHUNK phis of each theta, in candidate order
+    sizes = []
+    final_amplitudes = analysis._final_amplitudes
+
+    def recorded(matrix, states):
+        sizes.append(len(states))
+        return final_amplitudes(matrix, states)
+
+    monkeypatch.setattr(analysis, "_final_amplitudes", recorded)
+    best_response_scan(GameInstance(0.9, 0.3, 1.2), StrategyParams(2.1, 0.4), grid)
+    n_theta, n_phi = grid
+    chunk = analysis.GRID_CHUNK
+    row = [min(chunk, n_phi - start) for start in range(0, n_phi, chunk)]
+    assert len(sizes) == calls and sizes == row * n_theta
 
 
 # ------------------------------------------------------------------ byte pins
