@@ -14,9 +14,8 @@ the helper and the payoff tail.  The scan passes the candidates of each
 theta to the helper in chunks of at most ``GRID_CHUNK``, one stacked
 product per chunk; a chunk that raises is replayed one candidate at a
 time, so the error is the first failing candidate's, as in the loop.
-The UNITARY ``coefficient_map`` builds its
-rotations and entangler unchecked, since ``GameInstance`` has checked
-their angles.  The references below are the loops they replaced: the
+The UNITARY ``coefficient_map`` builds its rotations and entangler
+unchecked, since ``GameInstance`` has checked their angles.  The references below are the loops they replaced: the
 map from the checking ``spin_rotation_pair``, ``np.kron`` and the
 validating ``adjoint``, the per-profile table with the unsplit closed
 form and the probability objects, a ``StrategyParams`` and
@@ -350,6 +349,18 @@ def test_pair_path_errors_match_object_path(monkeypatch, case, backend):
         assert isinstance(got, tuple) and message in got[1]
 
 
+def record_stack_sizes(monkeypatch):
+    """Make the scan's ``_final_amplitudes`` record how many k-vectors each call gets."""
+    sizes, final_amplitudes = [], analysis._final_amplitudes
+
+    def recorded(matrix, states):
+        sizes.append(len(states))
+        return final_amplitudes(matrix, states)
+
+    monkeypatch.setattr(analysis, "_final_amplitudes", recorded)
+    return sizes
+
+
 def test_best_response_scan_raises_first_failing_candidates_error_within_a_chunk(monkeypatch):
     # Candidate 0 exceeds the PAPER norm-defect limit and candidate 1, in the same
     # chunk, fails the KVector check.  The stacked pass checks every k-vector before
@@ -357,11 +368,7 @@ def test_best_response_scan_raises_first_failing_candidates_error_within_a_chunk
     # one candidate at a time and raises candidate 0's, as the loop does.
     g = GameInstance(0.7, 0.4, 1.1, backend=Backend.PAPER)
     opponent = StrategyParams(1.0, 0.3)
-    step, final_amplitudes, sizes = game_core._k_gamma_step, analysis._final_amplitudes, []
-
-    def recorded(matrix, states):
-        sizes.append(len(states))
-        return final_amplitudes(matrix, states)
+    step = game_core._k_gamma_step
 
     def run(scan, limit):
         calls = []
@@ -375,7 +382,7 @@ def test_best_response_scan_raises_first_failing_candidates_error_within_a_chunk
             monkeypatch.setattr(module, "_k_gamma_step", second_off_unit_norm)
         return outcome(lambda: scan(g, opponent, (19, 10), limit))
 
-    monkeypatch.setattr(analysis, "_final_amplitudes", recorded)
+    sizes = record_stack_sizes(monkeypatch)
     got = run(best_response_scan, 1e-6)
     assert sizes == [10, 1]  # the stacked chunk, then candidate 0 on its own
     assert got == run(reference_best_response_scan, 1e-6)
@@ -440,14 +447,7 @@ def test_single_point_call_builds_one_map(monkeypatch, call, backend, tensor2_ca
 @pytest.mark.parametrize("grid,calls", [((181, 91), 181), ((3, 257), 6), ((2, 300), 4)])
 def test_best_response_scan_stacks_each_chunk_of_a_theta_row(monkeypatch, grid, calls):
     # one _final_amplitudes call per GRID_CHUNK phis of each theta, in candidate order
-    sizes = []
-    final_amplitudes = analysis._final_amplitudes
-
-    def recorded(matrix, states):
-        sizes.append(len(states))
-        return final_amplitudes(matrix, states)
-
-    monkeypatch.setattr(analysis, "_final_amplitudes", recorded)
+    sizes = record_stack_sizes(monkeypatch)
     best_response_scan(GameInstance(0.9, 0.3, 1.2), StrategyParams(2.1, 0.4), grid)
     n_theta, n_phi = grid
     chunk = analysis.GRID_CHUNK
