@@ -17,12 +17,12 @@ thresholds, Q above both, and absent in between (the transition
 region).  A threshold can be absent altogether, in which case the same
 move dominates for every gamma.
 
-Every margin is d0 - S sin^2(gamma), with d0 and S rational in
-cos(omega_a) and cos(omega_b) under either backend and any payoff
-table (:mod:`rqpd.margins`), so each crossing has the closed form
-arcsin(sqrt(d0 / S)) where that ratio lies in [0, 1].  Region maps are
-computed from (d0, S) directly; :func:`thresholds_closed_form` is that
-form for the PAPER backend and the default table.
+Every margin is d0 - S sin^2(gamma), with d0 and S sums of products
+of the half-angle squares of omega_a and omega_b under either backend
+and any payoff table (``closed_form._margin_coefficients``), so each
+crossing has the closed form arcsin(sqrt(d0 / S)) where that ratio
+lies in [0, 1].  Region maps and :func:`thresholds_closed_form`, that
+form for the PAPER backend and the default table, run on these sums.
 :func:`thresholds_numeric` bisects through the full payoff pipeline
 instead and stays the independent oracle for both backends.
 """
@@ -238,7 +238,7 @@ def thresholds_numeric(
     change between gamma = 0 and gamma = pi/2 brackets a unique root;
     no sign change means the crossing is absent.  The crossings of
     both backends also have the closed form arcsin(sqrt(d0 / S)) from
-    the endpoint margins of :mod:`rqpd.margins`; this bisection never
+    ``closed_form._margin_coefficients``; this bisection never
     uses it, so it stays the independent oracle for
     :func:`thresholds_closed_form` and for either backend.
     """
@@ -361,7 +361,10 @@ def best_response_scan(
     the error raised is the first failing candidate's, as in a loop
     over candidates.
     """
-    n_theta, n_phi = grid
+    try:
+        n_theta, n_phi = grid
+    except (TypeError, ValueError):
+        raise ValueError(f"grid must be a pair of integers, got {grid!r}") from None
     try:
         n_theta, n_phi = operator.index(n_theta), operator.index(n_phi)
     except TypeError:

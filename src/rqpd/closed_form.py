@@ -1,4 +1,4 @@
-"""The numpy-free part of the engine: Wigner angles and closed-form thresholds.
+"""The numpy-free part of the engine: Wigner angles and the closed-form margins.
 
 Only :mod:`math` is needed here, so ``wigner`` and closed-form
 ``thresholds``, at one point or on a grid, start without numpy.
@@ -158,43 +158,62 @@ def _arcsin_sqrt_ratio(num: float, den: float) -> float | None:
     return math.asin(math.sqrt(ratio))
 
 
-def thresholds_closed_form(omega_a: float, omega_b: float) -> ThresholdSet:
-    """Closed-form crossing gammas for the default (5, 3, 1, 0) payoffs.
+def _margin_coefficients(backend: Backend, t: float, r: float, p: float, s: float) -> tuple:
+    """Weights (w1, w2, w3, w4) of d0 for a12, a34, b13 and b24, then of S_alice and S_bob.
 
-    Each threshold is arcsin(sqrt(ratio)) of a rational expression in
-    the half-angle squares of the two Wigner angles; the crossing is
-    absent when the ratio falls outside [0, 1] or the denominator is
-    not positive.  Algebraically these are the PAPER-backend crossings.
+    Each is w1 c2a c2b + w2 s2a s2b + w3 c2a s2b + w4 s2a c2b, with c2
+    and s2 the cos^2 and sin^2 of half of omega_a or omega_b, for the
+    payoff table (t, r, p, s).  Alice's margins drop by S_alice by
+    gamma = pi/2, Bob's by S_bob; only the PAPER map's (2,4) and (3,4)
+    entries make S differ between the backends.
+    """
+    ps, tr, ts, pr = p - s, t - r, t - s, p - r
+    if backend is Backend.UNITARY:
+        drops = ((ts, -ts, pr, -pr), (ts, -ts, -pr, pr))
+    else:
+        drops = ((ts, -ts, ts + pr, -pr), (ts, -ts, -ts - pr, pr))
+    return ((ps, -tr, tr, -ps), (tr, -ps, ps, -tr), (ps, -tr, -ps, tr), (tr, -ps, -tr, ps), *drops)
+
+
+_PAPER_DEFAULT = _margin_coefficients(Backend.PAPER, 5.0, 3.0, 1.0, 0.0)
+
+
+def _margin_rows(axis_a: list[float], axis_b: list[float], coefficients: tuple):
+    """Per omega_a, the sums of each weight 4-tuple of ``coefficients`` along axis_b.
+
+    Each weight times c2a or s2a is formed once per row, and each cell
+    adds its four products left to right.
+    """
+    squares_b = [_half_angle_squares(omega) for omega in axis_b]
+    for omega in axis_a:
+        c2a, s2a = _half_angle_squares(omega)
+        row = []
+        for w1, w2, w3, w4 in coefficients:
+            f1, f2, f3, f4 = w1 * c2a, w2 * s2a, w3 * c2a, w4 * s2a
+            row.append([f1 * c2b + f2 * s2b + f3 * s2b + f4 * c2b for c2b, s2b in squares_b])
+        yield row
+
+
+def thresholds_closed_form(omega_a: float, omega_b: float) -> ThresholdSet:
+    """Closed-form crossing gammas for the default (5, 3, 1, 0) payoffs on PAPER.
+
+    Each is arcsin(sqrt(d0 / S)) of its margin (:func:`_margin_coefficients`),
+    absent when that ratio falls outside [0, 1] or S is not positive.
     """
     check_omega(omega_a, "omega_a")
     check_omega(omega_b, "omega_b")
-    c2a, s2a = _half_angle_squares(omega_a)
-    c2b, s2b = _half_angle_squares(omega_b)
-    return ThresholdSet(*_thresholds(c2a, s2a, c2b, s2b))
+    [[cell]] = _threshold_rows([omega_a], [omega_b])
+    return ThresholdSet(*cell)
 
 
-def _threshold_rows(axis: list[float]):
-    """Closed-form (gA12, gA34, gB13, gB24) over the axis x axis omega grid.
+def _threshold_rows(axis_a: list[float], axis_b: list[float] | None = None):
+    """Closed-form (gA12, gA34, gB13, gB24) over the axis_a x axis_b omega grid.
 
-    One list per omega_a, holding one tuple per omega_b.  The axis
-    values must lie in [0, pi/2]; they are not checked here.
+    One list per omega_a, holding one tuple per omega_b; ``axis_b``
+    defaults to ``axis_a``.  The axis values must lie in [0, pi/2];
+    they are not checked here.
     """
-    squares = [_half_angle_squares(omega) for omega in axis]
-    for c2a, s2a in squares:
-        yield [_thresholds(c2a, s2a, c2b, s2b) for c2b, s2b in squares]
-
-
-def _thresholds(c2a: float, s2a: float, c2b: float, s2b: float) -> tuple:
-    """(gA12, gA34, gB13, gB24) from the half-angle squares of omega_a and omega_b."""
-    num_a12 = c2a * c2b - 2 * s2a * s2b + 2 * c2a * s2b - s2a * c2b
-    num_a34 = 2 * c2a * c2b - s2a * s2b + c2a * s2b - 2 * s2a * c2b
-    den_a = 5 * c2a * c2b - 5 * s2a * s2b + 3 * c2a * s2b + 2 * s2a * c2b
-    num_b13 = c2a * c2b - 2 * s2a * s2b - c2a * s2b + 2 * s2a * c2b
-    num_b24 = 2 * c2a * c2b - s2a * s2b - 2 * c2a * s2b + s2a * c2b
-    den_b = 5 * c2a * c2b - 5 * s2a * s2b - 3 * c2a * s2b - 2 * s2a * c2b
-    return (
-        _arcsin_sqrt_ratio(num_a12, den_a),
-        _arcsin_sqrt_ratio(num_a34, den_a),
-        _arcsin_sqrt_ratio(num_b13, den_b),
-        _arcsin_sqrt_ratio(num_b24, den_b),
-    )
+    rows = _margin_rows(axis_a, axis_a if axis_b is None else axis_b, _PAPER_DEFAULT)
+    for a12, a34, b13, b24, s_a, s_b in rows:
+        yield list(zip(map(_arcsin_sqrt_ratio, a12, s_a), map(_arcsin_sqrt_ratio, a34, s_a),
+                       map(_arcsin_sqrt_ratio, b13, s_b), map(_arcsin_sqrt_ratio, b24, s_b)))

@@ -1,16 +1,16 @@
-"""Closed-form {D, Q} dominance margins and the region map built on them.
+"""Payoff tables and the region map built on the closed-form margins.
 
 Every {D, Q} dominance margin is affine in sin^2(gamma):
 
     m(gamma) = d0 - S sin^2(gamma)
 
 where d0 is the margin at gamma = 0 and S its drop by gamma = pi/2.
-Both are rational in x = cos(omega_a) and y = cos(omega_b), for either
-backend and any payoff table, so a region map, which needs only the
-margins at the two ends of the gamma range, runs here in pure
-:mod:`math`, without numpy.  ``game_core``, ``relativity`` and
-``analysis`` re-import these names; the CLI imports this module only
-inside ``region-map``.
+Both are sums of products of the half-angle squares of omega_a and
+omega_b (``closed_form._margin_coefficients``), for either backend and
+any payoff table, so a region map, which needs only the margins at the
+two ends of the gamma range, runs here in pure :mod:`math`, without
+numpy.  ``game_core``, ``relativity`` and ``analysis`` re-import these
+names; the CLI imports this module only inside ``region-map``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .closed_form import Backend, _grid_axis
+from .closed_form import Backend, _grid_axis, _margin_coefficients, _margin_rows
 
 #: Payoff comparisons within this distance count as ties.
 DEFAULT_TIE_TOL = 1e-9
@@ -69,32 +69,6 @@ def _check_pay_and_backend(pay, backend) -> None:
         raise ValueError(f"backend must be a Backend, got {backend!r}")
 
 
-def _margin_form(x: float, y: float, backend: Backend, pay: PayoffParams):
-    """(d0, S) of the margins at x = cos(omega_a) and y = cos(omega_b).
-
-    d0 is the 4-tuple (a12, a34, b13, b24) of margins at gamma = 0, the
-    same under both backends.  S is (S_alice, S_bob): a12 and a34 drop
-    by S_alice by gamma = pi/2, b13 and b24 by S_bob.  Only the PAPER
-    map's (2,4) and (3,4) entries make S differ between the backends.
-    """
-    ps, tr = pay.p - pay.s, pay.t - pay.r
-    ts, pr = pay.t - pay.s, pay.p - pay.r
-    d0 = (
-        x * (ps * (1 + y) + tr * (1 - y)) / 2,
-        x * (tr * (1 + y) + ps * (1 - y)) / 2,
-        y * (ps * (1 + x) + tr * (1 - x)) / 2,
-        y * (tr * (1 + x) + ps * (1 - x)) / 2,
-    )
-    if backend is Backend.UNITARY:
-        slope = ((ts * (x + y) + pr * (x - y)) / 2, (ts * (y + x) + pr * (y - x)) / 2)
-    else:
-        slope = (
-            pr * (x - y) / 2 + ts * (1 + 3 * x + y - x * y) / 4,
-            pr * (y - x) / 2 + ts * (x * y + x + 3 * y - 1) / 4,
-        )
-    return d0, slope
-
-
 @dataclass(frozen=True)
 class RegionMapRow:
     """Dominance-everywhere flags at one (omega_a, omega_b) grid point."""
@@ -129,11 +103,10 @@ def always_classical_scan(
     _check_tolerance(tie_tol, "tie_tol")
     pay = pay if pay is not None else PayoffParams()
     _check_pay_and_backend(pay, backend)
-    cosines = [math.cos(omega) for omega in axis]
+    coefficients = _margin_coefficients(backend, pay.t, pay.r, pay.p, pay.s)
     rows = []
-    for omega_a, x in zip(axis, cosines):
-        for omega_b, y in zip(axis, cosines):
-            (a12, a34, b13, b24), (s_a, s_b) = _margin_form(x, y, backend, pay)
+    for omega_a, row in zip(axis, _margin_rows(axis, axis, coefficients)):
+        for omega_b, a12, a34, b13, b24, s_a, s_b in zip(axis, *row):
             bob_always_d = (
                 b13 > tie_tol and b24 > tie_tol
                 and b13 - s_b > tie_tol and b24 - s_b > tie_tol

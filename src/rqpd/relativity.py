@@ -20,7 +20,7 @@ backends realize the coefficient map:
   every entry except (2,4) and (3,4) (1-indexed), where it carries
   -omega3 and -omega2 instead of -omega3* and +omega2*, and is
   therefore not globally unitary.  It is kept because the closed-form
-  payoff-crossing thresholds in :mod:`rqpd.analysis` are algebraically
+  payoff-crossing thresholds in :mod:`rqpd.closed_form` are algebraically
   consistent with exactly these entries, so figure-style outputs
   default to it.
 

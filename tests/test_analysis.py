@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,7 +21,14 @@ from rqpd.analysis import (
     thresholds_closed_form,
     thresholds_numeric,
 )
-from rqpd.closed_form import _linspace, _threshold_rows
+from rqpd.closed_form import (
+    _PAPER_DEFAULT,
+    _arcsin_sqrt_ratio,
+    _half_angle_squares,
+    _linspace,
+    _margin_coefficients,
+    _threshold_rows,
+)
 from rqpd.game_core import (
     JointProbabilities,
     NamedStrategy,
@@ -503,6 +511,49 @@ def test_closed_form_grid_rows_equal_per_cell_thresholds():
         assert repr(list(_threshold_rows(axis))) == repr(expected)
 
 
+def hand_expanded_thresholds(omega_a, omega_b):
+    """The (5, 3, 1, 0) PAPER crossings as six formulas in the half-angle squares.
+
+    This is the form the coefficient table of ``_margin_coefficients``
+    replaced; it stays here as the reference for its bytes.
+    """
+    c2a, s2a = _half_angle_squares(omega_a)
+    c2b, s2b = _half_angle_squares(omega_b)
+    num_a12 = c2a * c2b - 2 * s2a * s2b + 2 * c2a * s2b - s2a * c2b
+    num_a34 = 2 * c2a * c2b - s2a * s2b + c2a * s2b - 2 * s2a * c2b
+    den_a = 5 * c2a * c2b - 5 * s2a * s2b + 3 * c2a * s2b + 2 * s2a * c2b
+    num_b13 = c2a * c2b - 2 * s2a * s2b - c2a * s2b + 2 * s2a * c2b
+    num_b24 = 2 * c2a * c2b - s2a * s2b - 2 * c2a * s2b + s2a * c2b
+    den_b = 5 * c2a * c2b - 5 * s2a * s2b - 3 * c2a * s2b - 2 * s2a * c2b
+    return ThresholdSet(
+        _arcsin_sqrt_ratio(num_a12, den_a),
+        _arcsin_sqrt_ratio(num_a34, den_a),
+        _arcsin_sqrt_ratio(num_b13, den_b),
+        _arcsin_sqrt_ratio(num_b24, den_b),
+    )
+
+
+def test_closed_form_equals_hand_expanded_formulas_by_repr():
+    axes = [_linspace(HALF_PI, n) for n in range(2, 66)]
+    points = [(a, b) for axis in axes for a in axis for b in axis]
+    rng = random.Random(13)
+    edges = (0.0, HALF_PI)
+    for _ in range(2000):
+        a, b = rng.uniform(0.0, HALF_PI), rng.uniform(0.0, HALF_PI)
+        points += [(a, b), (a, rng.choice(edges)), (rng.choice(edges), b)]
+    for a, b in points:
+        assert repr(thresholds_closed_form(a, b)) == repr(hand_expanded_thresholds(a, b))
+
+
+def test_default_coefficients_are_the_default_paper_table():
+    pay = PayoffParams()
+    assert _PAPER_DEFAULT == _margin_coefficients(Backend.PAPER, pay.t, pay.r, pay.p, pay.s)
+    assert _PAPER_DEFAULT == (
+        (1, -2, 2, -1), (2, -1, 1, -2), (1, -2, -1, 2), (2, -1, -2, 1),
+        (5, -5, 3, 2), (5, -5, -3, -2),
+    )
+
+
 # ------------------------------------------------------------ best response
 
 
@@ -531,6 +582,12 @@ def test_best_response_beats_named_strategies():
 def test_best_response_validates_grid():
     with pytest.raises(ValueError):
         best_response_scan(rest(0.1), NamedStrategy.Q, grid=(1, 5))
+    for grid in (5, None, (181,), (181, 91, 3)):
+        with pytest.raises(ValueError, match=r"^grid must be a pair of integers, got "):
+            best_response_scan(rest(0.1), NamedStrategy.Q, grid=grid)
+    # the grid is checked before the tolerance and the opponent
+    with pytest.raises(ValueError, match=r"^grid must be a pair"):
+        best_response_scan(rest(0.1), "bogus", grid=None, max_norm_defect=math.nan)
 
 
 # ---------------------------------------------------------------- tolerances

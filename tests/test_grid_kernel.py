@@ -2,10 +2,11 @@
 
 Gamma sweeps run on the batched kernel ``relativity.evaluate_batch``
 and must equal the scalar path (``profile_table``, ``payoffs``) bit for
-bit.  Region maps run on the closed-form margins of ``rqpd.margins``
-and must give the same rows as the scalar path's margins at gamma = 0
-and pi/2.  Results must be equal, not close: speed must never change
-output bytes.
+bit.  Region maps run on the closed-form margins of
+``closed_form._margin_coefficients`` and must give the same rows as the
+scalar path's margins at gamma = 0 and pi/2; the crossings of those
+margins must match the bisection oracle.  Results must be equal, not
+close: speed must never change output bytes.
 """
 
 import dataclasses
@@ -22,12 +23,15 @@ from rqpd import cli, relativity
 from rqpd.analysis import (
     GRID_CHUNK,
     RegionMapRow,
+    ThresholdSet,
     always_classical_scan,
     best_response_scan,
     profile_table,
     sds_of,
     sweep_gamma,
+    thresholds_numeric,
 )
+from rqpd.closed_form import _arcsin_sqrt_ratio, _margin_coefficients, _margin_rows
 from rqpd.game_core import (
     DEFAULT_MAX_NORM_DEFECT,
     NumericIntegrityError,
@@ -122,6 +126,58 @@ def test_region_map_equals_scalar_loop(grid_n, backend, pay):
 def test_region_map_65_equals_scalar_loop_by_repr(backend):
     expected = tuple(RegionMapRow(*row) for row in scalar_region_map(65, backend))
     assert repr(always_classical_scan(65, backend)) == repr(expected)
+
+
+def margin_cell(omega_a, omega_b, backend, pay):
+    """(a12, a34, b13, b24, S_alice, S_bob) at one point, from the coefficient table."""
+    coefficients = _margin_coefficients(backend, pay.t, pay.r, pay.p, pay.s)
+    [row] = _margin_rows([omega_a], [omega_b], coefficients)
+    return tuple(column[0] for column in row)
+
+
+def cosine_margin_form(x, y, backend, pay):
+    """The same (d0, S) in x = cos(omega_a) and y = cos(omega_b), the reference form."""
+    ps, tr = pay.p - pay.s, pay.t - pay.r
+    ts, pr = pay.t - pay.s, pay.p - pay.r
+    d0 = (
+        x * (ps * (1 + y) + tr * (1 - y)) / 2,
+        x * (tr * (1 + y) + ps * (1 - y)) / 2,
+        y * (ps * (1 + x) + tr * (1 - x)) / 2,
+        y * (tr * (1 + x) + ps * (1 - x)) / 2,
+    )
+    if backend is Backend.UNITARY:
+        drops = ((ts * (x + y) + pr * (x - y)) / 2, (ts * (y + x) + pr * (y - x)) / 2)
+    else:
+        drops = (
+            pr * (x - y) / 2 + ts * (1 + 3 * x + y - x * y) / 4,
+            pr * (y - x) / 2 + ts * (x * y + x + 3 * y - 1) / 4,
+        )
+    return (*d0, *drops)
+
+
+@settings(max_examples=50, deadline=None)
+@given(angles, angles, backends, payoff_tables())
+def test_margin_sums_equal_cosine_form(omega_a, omega_b, backend, pay):
+    expected = cosine_margin_form(math.cos(omega_a), math.cos(omega_b), backend, pay)
+    assert margin_cell(omega_a, omega_b, backend, pay) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+# the acceptance grid's range; the pi/2 edge is a 0/0 on UNITARY (ROADMAP item 3)
+oracle_angles = st.floats(0.0, 7 * math.pi / 16) | st.sampled_from([0.0, 7 * math.pi / 16])
+dilemma_tables = payoff_tables().filter(lambda pay: not pay.allow_non_dilemma)
+
+
+@settings(max_examples=72, deadline=None)
+@given(oracle_angles, oracle_angles, backends, dilemma_tables)
+def test_margin_crossings_match_bisection(omega_a, omega_b, backend, pay):
+    a12, a34, b13, b24, s_a, s_b = margin_cell(omega_a, omega_b, backend, pay)
+    closed = ThresholdSet(*(_arcsin_sqrt_ratio(d0, s) for d0, s in
+                            ((a12, s_a), (a34, s_a), (b13, s_b), (b24, s_b))))
+    numeric = thresholds_numeric(omega_a, omega_b, backend, pay).as_dict()
+    for key, value in closed.as_dict().items():
+        assert (value is None) == (numeric[key] is None), key
+        if value is not None:
+            assert value == pytest.approx(numeric[key], rel=0, abs=1e-10), key
 
 
 @settings(max_examples=25, deadline=None)
@@ -339,8 +395,13 @@ def test_out_of_domain_omega_message_matches_scalar():
 # ------------------------------------------------------------------ byte pins
 
 # SHA-256 of CLI stdout, recorded from the point-by-point implementation
-# before the grid paths moved onto the batched kernel.
+# before the grid paths moved onto the batched kernel; the thresholds
+# pins from the six hand-expanded formulas, before the coefficient table.
 PINS = [
+    (["thresholds", "--grid-n", "17"],
+     "2b2e0a93d9fe84818e2022d06f9967471b1543ab3bf412d709d0ccfa44f8c73f"),
+    (["thresholds", "--grid-n", "65"],
+     "d1587a1391b80c898aff272481954476cd785101cffc6bc1658723217d1c7bbd"),
     (["region-map", "--grid-n", "17"],
      "bfa759d2352d9dde133847d4eb49cfac9ca0de9fe8673b1670ef1d8d8a0b530d"),
     (["region-map", "--grid-n", "17", "--backend", "unitary"],
