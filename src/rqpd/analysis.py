@@ -302,23 +302,6 @@ _PROFILE_ANGLES = tuple(
     for angle in ("theta", "phi")
 )
 
-def _profile_payoffs(gamma, omega_a, omega_b, backend: Backend, pay: PayoffParams) -> ProfileTable:
-    """Profile table over broadcast angle arrays; entries are payoff arrays.
-
-    The grid form of :func:`profile_table`: the profiles become the last
-    axis of the kernel call, so the iteration order, and with it the
-    first error raised, is (point, profile) as in a loop over points.
-    """
-    ev = evaluate_batch(
-        np.asarray(gamma)[..., None],
-        np.asarray(omega_a)[..., None],
-        np.asarray(omega_b)[..., None],
-        *_PROFILE_ANGLES,
-        backend=backend,
-        pay=pay,
-    )
-    return ProfileTable(*(PayoffPair(ev.alice[..., i], ev.bob[..., i]) for i in range(4)))
-
 
 def _chunks(total: int):
     """Consecutive slices of at most GRID_CHUNK points."""
@@ -333,15 +316,21 @@ def sweep_gamma(
     backend: Backend,
     pay: PayoffParams | None = None,
 ) -> tuple[SweepRow, ...]:
-    """Profile payoffs at n uniformly spaced gammas in [0, pi/2]."""
-    gammas = np.array(_grid_axis(n, "n"))
+    """Profile payoffs at n uniformly spaced gammas in [0, pi/2].
+
+    One ``evaluate_batch`` call per chunk of at most ``GRID_CHUNK``
+    gammas, with the profiles, in ``PROFILES`` order, as its last axis:
+    the first error raised is that of the first failing (gamma, profile)
+    in a loop over the gammas.
+    """
+    gammas = _grid_axis(n, "n")
+    omega_a, omega_b = float(omega_a), float(omega_b)  # a sequence would broadcast
     pay = pay if pay is not None else PayoffParams()
     rows = []
     for index in _chunks(n):
-        t = _profile_payoffs(gammas[index], omega_a, omega_b, backend, pay)
-        columns = (t.dd.alice, t.qd.alice, t.dq.alice, t.qq.alice,
-                   t.dd.bob, t.qd.bob, t.dq.bob, t.qq.bob)
-        rows.extend(map(SweepRow, gammas[index].tolist(), *(c.tolist() for c in columns)))
+        ev = evaluate_batch(np.array(gammas[index])[:, None], omega_a, omega_b,
+                            *_PROFILE_ANGLES, backend=backend, pay=pay)
+        rows.extend(map(SweepRow, gammas[index], *ev.alice.T.tolist(), *ev.bob.T.tolist()))
     return tuple(rows)
 
 

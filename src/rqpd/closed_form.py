@@ -77,6 +77,8 @@ def wigner_angle(alpha: float, delta: float) -> float:
     for name, value in (("alpha", alpha), ("delta", delta)):
         if not math.isfinite(value) or value < 0.0:
             raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    if alpha == 0.0 or delta == 0.0:
+        return 0.0  # +0.0 for a rapidity of -0.0 too
     try:
         ratio = math.sinh(alpha) * math.sinh(delta) / (math.cosh(alpha) + math.cosh(delta))
         if math.isfinite(ratio):

@@ -104,6 +104,13 @@ def always_classical_scan(
     pay = pay if pay is not None else PayoffParams()
     _check_pay_and_backend(pay, backend)
     coefficients = _margin_coefficients(backend, pay.t, pay.r, pay.p, pay.s)
+    # The total bounds every sum below; were it inf, a sum could be inf - inf = nan,
+    # which fails every comparison and so would silently clear the flags.
+    if not math.isfinite(sum(abs(w) for weights in coefficients for w in weights)):
+        raise ValueError(
+            f"payoff table ({pay.t}, {pay.r}, {pay.p}, {pay.s}) is too large: "
+            "its margin weights overflow"
+        )
     rows = []
     for omega_a, row in zip(axis, _margin_rows(axis, axis, coefficients)):
         for omega_b, a12, a34, b13, b24, s_a, s_b in zip(axis, *row):

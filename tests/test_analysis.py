@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from rqpd import analysis
 from rqpd.analysis import (
     _grid_axis,
     MAX_GRID_POINTS,
@@ -23,6 +24,7 @@ from rqpd.analysis import (
 )
 from rqpd.closed_form import (
     _PAPER_DEFAULT,
+    ConvergenceError,
     _arcsin_sqrt_ratio,
     _half_angle_squares,
     _linspace,
@@ -279,6 +281,12 @@ def test_numeric_respects_custom_payoffs():
     assert moved.g_a12 is not None and moved.g_a12 < base.g_a12
 
 
+def test_numeric_refuses_a_bracket_that_does_not_converge(monkeypatch):
+    monkeypatch.setattr(analysis, "BISECTION_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="^no convergence to 1e-11 within 1 bisection steps"):
+        thresholds_numeric(0.3, 1.1, Backend.PAPER)
+
+
 # ------------------------------------------------------------------ regions
 
 
@@ -369,6 +377,12 @@ def test_always_classical_scan_matches_threshold_absence():
             assert ts.g_b13 is None and ts.g_b24 is None
 
 
+OVERFLOWING_TABLE = PayoffParams(1e308, 1.0, 0.0, -1e308)
+OVERFLOW_MESSAGE = (
+    r"payoff table \(1e\+308, 1.0, 0.0, -1e\+308\) is too large: its margin weights overflow"
+)
+
+
 def test_always_classical_scan_validates_grid():
     with pytest.raises(ValueError):
         always_classical_scan(1, Backend.PAPER)
@@ -383,11 +397,20 @@ def test_always_classical_scan_validates_grid():
         ((3, "unitary", (5, 3, 1, 0)), r"pay must be a PayoffParams, got \(5, 3, 1, 0\)"),
         ((1, "unitary", (5, 3, 1, 0), math.nan), "grid_n must be >= 2, got 1"),
         ((3, "unitary", (5, 3, 1, 0), math.nan), "tie_tol must be >= 0, got nan"),
+        # t - s is inf, and inf - inf = nan would turn every flag False
+        ((5, Backend.UNITARY, OVERFLOWING_TABLE), OVERFLOW_MESSAGE),
+        ((5, Backend.PAPER, OVERFLOWING_TABLE), OVERFLOW_MESSAGE),
+        ((5, Backend.PAPER, OVERFLOWING_TABLE, math.nan), "tie_tol must be >= 0, got nan"),
     ],
 )
 def test_always_classical_scan_checks_in_order(args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         always_classical_scan(*args)
+
+
+def test_always_classical_scan_maps_a_table_far_from_overflow():
+    rows = always_classical_scan(5, Backend.PAPER, pay=PayoffParams(1e300, 1.0, 0.0, -1e300))
+    assert sum(r.bob_always_d for r in rows) == 8
 
 
 # The paper's player asymmetry: a "classical latter" keeps D dominant for

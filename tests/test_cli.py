@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqpd import cli
+from rqpd import analysis, cli
 from rqpd.analysis import sweep_gamma
 from rqpd.relativity import Backend
 
@@ -264,6 +264,9 @@ def test_csv_io_error_leaves_no_metadata(tmp_path, capsys):
         ["thresholds", "--omega-a", "-1", "--omega-b", "0"],
         ["wigner", "--alpha", "1"],
         ["wigner", "--alpha-speed", "1.5", "--delta-speed", "0.5"],
+        ["wigner", "--alpha", "1", "--delta-speed", "0.5"],
+        ["wigner", "--alpha-speed", "0.5"],
+        ["wigner", "--delta-speed", "0.5"],
         ["thresholds", "--grid-n", "0"],
         ["thresholds", "--grid-n", "1"],
         ["thresholds", "--grid-n", "2", "--omega-a", "9"],
@@ -312,6 +315,23 @@ def test_wigner_overflow_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("rqpd: numeric failure:")
+
+
+def test_bisection_without_convergence_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "BISECTION_MAX_ITER", 1)
+    argv = ["thresholds", "--omega-a", "0.3", "--omega-b", "1.1", "--numeric"]
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == "rqpd: numeric failure: no convergence to 1e-11 within 1 bisection steps\n"
+
+
+def test_negative_zero_rapidity_gives_positive_zero_omega(capsys):
+    doc, _ = run_json(capsys, ["wigner", "--alpha", "-0.0", "--delta", "1"])
+    assert repr(doc["omega"]) == "0.0"
+    doc, _ = run_json(capsys, ["thresholds", "--alpha-speed", "-0.0", "--delta-a-speed", "0.3",
+                               "--delta-b-speed", "0.9"])
+    assert (repr(doc["metadata"]["omega_a"]), repr(doc["metadata"]["omega_b"])) == ("0.0", "0.0")
 
 
 def test_wigner_beyond_sinh_range(capsys):

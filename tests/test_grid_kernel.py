@@ -275,6 +275,14 @@ def test_grid_paths_reject_bad_input(call):
         call()
 
 
+@pytest.mark.parametrize("omega_a,omega_b,n", [([0.1, 0.2, 0.3, 0.4], 0.5, 4),
+                                               (0.5, [0.1, 0.2, 0.3], 3)])
+def test_sweep_refuses_sequence_omegas(omega_a, omega_b, n):
+    # either would broadcast silently, against the profiles or the gammas
+    with pytest.raises(TypeError):
+        sweep_gamma(omega_a, omega_b, n, Backend.PAPER)
+
+
 def test_kernel_disagreeing_with_scalar_path_returns_no_payoffs(monkeypatch, capsys):
     # Only the kernel's maps are scaled, so the scalar pipeline passes at
     # the failing point; the kernel must then raise, never return payoffs.

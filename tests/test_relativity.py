@@ -82,9 +82,11 @@ def test_speed_rapidity_round_trip(v):
 
 
 def test_wigner_zero_cases():
-    for r in (0.0, 0.5, 2.0, 10.0):
-        assert wigner_angle(0.0, r) == 0.0
-        assert wigner_angle(r, 0.0) == 0.0
+    # +0.0 by repr, for a rapidity of -0.0 too; 800 takes the overflow path
+    for zero in (0.0, -0.0):
+        for r in (0.0, -0.0, 0.5, 2.0, 10.0, 800.0):
+            assert repr(wigner_angle(zero, r)) == "0.0"
+            assert repr(wigner_angle(r, zero)) == "0.0"
 
 
 def test_wigner_value():
@@ -207,6 +209,16 @@ def test_omega1_entry_at_witness_point():
     # entry (1,1) of the map is the first omega amplitude
     m = paper_coefficient_matrix(HALF_PI, math.pi / 3, 2 * math.pi / 3)
     assert m[0, 0] == pytest.approx(OMEGA1_WITNESS, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "omegas,message",
+    [((math.nan, 0.2), "omega_a must be finite, got nan"),
+     ((0.2, -math.inf), "omega_b must be finite, got -inf")],
+)
+def test_paper_coefficient_matrix_refuses_non_finite_omegas(omegas, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        paper_coefficient_matrix(0.3, *omegas)
 
 
 def test_backends_differ_only_in_two_entries():
