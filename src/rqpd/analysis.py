@@ -46,6 +46,7 @@ from .closed_form import (
     ThresholdSet,
     _grid_axis,
     _linspace,
+    check_omega,
     thresholds_closed_form,
 )
 from .game_core import (
@@ -324,7 +325,9 @@ def sweep_gamma(
     in a loop over the gammas.
     """
     gammas = _grid_axis(n, "n")
-    omega_a, omega_b = float(omega_a), float(omega_b)  # a sequence would broadcast
+    # GameInstance's omega checks, which refuse a sequence (it would broadcast) and a string
+    check_omega(omega_a, "omega_a")
+    check_omega(omega_b, "omega_b")
     pay = pay if pay is not None else PayoffParams()
     rows = []
     for index in _chunks(n):

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import qmat
 from .closed_form import _HALF_PI, NumericIntegrityError
-from .margins import _check_tolerance, _require_finite_scalar, PayoffParams
+from .margins import _check_pay, _check_tolerance, _require_finite_scalar, PayoffParams
 
 #: Dust half-width for probability clamping: values this far outside
 #: [0, 1] are attributed to floating-point noise and clamped.
@@ -107,7 +107,20 @@ def _squares_and_sum(amplitudes) -> tuple[tuple[float, ...], float]:
 
 
 def _check_unit_amplitudes(amps) -> None:
-    """The :class:`KVector` checks: finite amplitudes, unit norm within ``qmat.ATOL``."""
+    """The :class:`KVector` checks: finite amplitudes, unit norm within ``qmat.ATOL``.
+
+    A norm sum within the tolerance implies finite amplitudes, so a
+    vector that passes costs one sum.  Any other vector, or one whose
+    squares overflow, takes the checks in their order, finiteness
+    first: (1e200, inf, 0, 0) is refused as not finite, although
+    squaring 1e200 overflows before inf is reached.
+    """
+    try:
+        a0, a1, a2, a3 = amps
+        if abs(((abs(a0) ** 2 + abs(a1) ** 2) + abs(a2) ** 2) + abs(a3) ** 2 - 1.0) <= qmat.ATOL:
+            return
+    except (OverflowError, TypeError):  # a non-number gets its TypeError from the checks below
+        pass
     if not all(map(cmath.isfinite, amps)):
         raise ValueError("KVector amplitudes must be finite")
     _, total = _squares_and_sum(amps)
@@ -261,6 +274,7 @@ def payoff_from_probabilities(
     Raises :class:`NumericIntegrityError` when the recorded norm defect
     exceeds ``max_norm_defect``.
     """
+    _check_pay(pay)
     _check_tolerance(max_norm_defect, "max_norm_defect")
     return _payoff_within(pr.as_tuple(), pr.norm_defect, pay, max_norm_defect)
 
@@ -275,9 +289,23 @@ def _payoff_within(probabilities, norm_defect, pay, max_norm_defect) -> PayoffPa
 
 
 def _payoff_of_amplitudes(amplitudes, pay, max_norm_defect=DEFAULT_MAX_NORM_DEFECT) -> PayoffPair:
-    """``payoff_from_probabilities`` of ``JointProbabilities._from_finite``, objects left out."""
-    raw, total = _squares_and_sum(amplitudes)
-    norm_defect = abs(total - 1.0)
+    """``payoff_from_probabilities`` of ``JointProbabilities._from_finite``, objects left out.
+
+    Probabilities already in [0, 1] with a defect within the limit pass
+    every check unchanged (their defect is then finite), so they go to
+    the payoff sums in one pass; any other vector takes the checks.
+    """
+    a0, a1, a2, a3 = amplitudes
+    p_cc, p_cd, p_dc, p_dd = abs(a0) ** 2, abs(a1) ** 2, abs(a2) ** 2, abs(a3) ** 2
+    norm_defect = abs(((p_cc + p_cd) + p_dc) + p_dd - 1.0)
+    if (norm_defect <= max_norm_defect and 0.0 <= p_cc <= 1.0 and 0.0 <= p_cd <= 1.0
+            and 0.0 <= p_dc <= 1.0 and 0.0 <= p_dd <= 1.0):
+        # the sums of _payoff_within, term for term, so both round alike
+        return PayoffPair(
+            pay.r * p_cc + pay.p * p_dd + pay.t * p_dc + pay.s * p_cd,
+            pay.r * p_cc + pay.p * p_dd + pay.s * p_dc + pay.t * p_cd,
+        )
+    raw = (p_cc, p_cd, p_dc, p_dd)
     return _payoff_within(_clamped(raw, norm_defect), norm_defect, pay, max_norm_defect)
 
 
@@ -286,6 +314,7 @@ def classical_table(pay: PayoffParams) -> dict[tuple[str, str], PayoffPair]:
 
     Sanity anchor for the gamma = 0, omega = 0 limit of the quantum game.
     """
+    _check_pay(pay)
     return {
         ("C", "C"): PayoffPair(pay.r, pay.r),
         ("C", "D"): PayoffPair(pay.s, pay.t),

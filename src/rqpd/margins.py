@@ -61,10 +61,15 @@ class PayoffParams:
             )
 
 
-def _check_pay_and_backend(pay, backend) -> None:
-    """Refuse a payoff table or a backend of the wrong type, the table first."""
+def _check_pay(pay) -> None:
+    """Refuse a payoff table that is not a :class:`PayoffParams`."""
     if not isinstance(pay, PayoffParams):
         raise ValueError(f"pay must be a PayoffParams, got {pay!r}")
+
+
+def _check_pay_and_backend(pay, backend) -> None:
+    """Refuse a payoff table or a backend of the wrong type, the table first."""
+    _check_pay(pay)
     if not isinstance(backend, Backend):
         raise ValueError(f"backend must be a Backend, got {backend!r}")
 

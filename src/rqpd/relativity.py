@@ -31,7 +31,6 @@ which is recorded (never hidden) in ``JointProbabilities.norm_defect``.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -344,10 +343,10 @@ def _final_amplitudes(matrix: np.ndarray, states) -> list[list[complex]]:
     for k in states:
         _check_unit_amplitudes(k)
     # A stacked product runs the same matrix-vector product per k as ``M @ k``.
-    amplitudes = (matrix @ np.array(states)[..., None])[..., 0].tolist()
-    if not all(all(map(cmath.isfinite, a)) for a in amplitudes):
+    amplitudes = (matrix @ np.array(states)[..., None])[..., 0]
+    if not np.isfinite(amplitudes).all():
         raise ValueError("state4 contains non-finite entries")
-    return amplitudes
+    return amplitudes.tolist()
 
 
 def joint_probabilities(

@@ -247,6 +247,22 @@ def test_payoff_params_ordering_enforced():
     assert pay.t == 1.0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pay: payoff_from_probabilities(
+            JointProbabilities(1.0, 0.0, 0.0, 0.0, norm_defect=0.0), pay
+        ),
+        classical_table,
+    ],
+    ids=["payoff_from_probabilities", "classical_table"],
+)
+def test_payoff_functions_refuse_a_table_that_is_not_payoff_params(call):
+    # GameInstance's message; a tuple used to fail later with AttributeError
+    with pytest.raises(ValueError, match=r"^pay must be a PayoffParams, got \(5, 3, 1, 0\)$"):
+        call((5, 3, 1, 0))
+
+
 def test_classical_table_standard_values():
     table = classical_table(PayoffParams())
     assert table[("D", "D")] == PayoffPair(1.0, 1.0)

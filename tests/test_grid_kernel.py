@@ -400,6 +400,22 @@ def test_out_of_domain_omega_message_matches_scalar():
     assert str(batched.value) == str(scalar.value)
 
 
+@pytest.mark.parametrize(
+    "omega_a,omega_b",
+    [("0.3", "1.1"), (0.3, "1.1"), (math.nan, 0.0), (0.2, math.inf), (-0.1, 0.0), (0.2, 9.0)],
+)
+def test_sweep_refuses_omegas_as_game_instance_does(omega_a, omega_b):
+    # strings used to be converted by float() and give rows
+    def error(call):
+        with pytest.raises((TypeError, ValueError)) as info:
+            call()
+        return type(info.value), str(info.value)
+
+    expected = error(lambda: GameInstance(0.0, omega_a, omega_b))
+    assert error(lambda: sweep_gamma(omega_a, omega_b, 3, Backend.PAPER)) == expected
+    assert error(lambda: thresholds_numeric(omega_a, omega_b, Backend.PAPER)) == expected
+
+
 # ------------------------------------------------------------------ byte pins
 
 # SHA-256 of CLI stdout, recorded from the point-by-point implementation

@@ -6,7 +6,11 @@ helper, ``relativity._final_amplitudes``: the ``KVector`` checks on each
 k-vector, one stacked ``M @ k`` product and ``state4``'s finiteness
 check.  They go from amplitudes to payoffs without the ``KVector`` and
 ``JointProbabilities`` objects, and ``profile_table`` factors its
-k-coefficients into strategy-only parts and a gamma step.
+k-coefficients into strategy-only parts and a gamma step.  A k-vector
+or amplitude vector that passes its checks costs one norm sum or one
+inline payoff pass; the tests below also send vectors past that pass
+onto the checks (a clamped probability, limits of 0 and 1e-16, an
+overflowing square) and compare the errors too.
 ``best_response_scan`` checks its opponent and each axis value once and
 computes the angle-only factors once per axis value or call, so a
 candidate costs only its k-factor product, the gamma step, its share of
@@ -204,6 +208,25 @@ def test_profile_table_errors_match_reference(monkeypatch, case, backend):
     assert isinstance(got, tuple) and message in got[1]
 
 
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("scale", [[1.0, 1.0, 1.0, 1.0 + 2e-13], [1.0 + 2e-13] * 4],
+                         ids=["dd row", "whole map"])
+def test_profile_table_clamps_like_reference(monkeypatch, scale, backend):
+    # |1 + 2e-13|^2 lies above 1 within the dust: such a probability is clamped to 1,
+    # so its profile leaves the one-pass tail for the checks
+    matrix = scaled_rows(scale)
+    assert abs(complex(matrix[3, 3])) ** 2 > 1.0
+    g = GameInstance(0.0, 0.0, 0.0, PayoffParams(7.0, 2.5, 0.5, -1.0), backend)
+    cmap = dataclasses.replace(coefficient_map(g), matrix=matrix)
+    monkeypatch.setattr(analysis, "coefficient_map", lambda g: cmap)
+    monkeypatch.setattr(relativity, "coefficient_map", lambda g: cmap)
+    got = profile_table(g)
+    assert repr(got) == repr(reference_profile_table(g, matrix))
+    assert got.dd == (0.5, 0.5)  # p, from a probability of exactly 1
+    d = NamedStrategy.D
+    assert repr(payoffs(g, d, d)) == repr(object_payoffs(g, d, d))
+
+
 # ---------------------------------------------------- scalar pair references
 #
 # The object paths the scalar pair path replaced: the map is read through
@@ -325,6 +348,8 @@ PAIR_ERRORS = {
     "nan map": ("coefficient_map", lambda g: NAN_MAP, "state4 contains non-finite entries"),
     "k not finite": ("_k_gamma_step", scaled_k_step(math.nan), "amplitudes must be finite"),
     "k off unit norm": ("_k_gamma_step", scaled_k_step(1.0 + 1e-9), "KVector norm^2 = "),
+    # OverflowError's message is the platform's text for ERANGE
+    "k overflows": ("_k_gamma_step", scaled_k_step(1e200), ""),
 }
 
 
@@ -391,6 +416,47 @@ def test_best_response_scan_raises_first_failing_candidates_error_within_a_chunk
     lifted = run(best_response_scan, 1.0)
     assert lifted == run(reference_best_response_scan, 1.0)
     assert "KVector norm^2 = " in lifted[1]
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("limit", [0.0, 1e-16])
+def test_payoffs_at_tight_limits_equal_probability_objects(backend, limit):
+    # at or near a limit of 0 a defect of one rounding decides between payoffs and
+    # NumericIntegrityError, so both outcomes occur
+    outcomes = []
+    for point in [(0.0, 0.0, 0.0), (0.9, 0.3, 1.2), (0.3, 0.2, 0.9), (HALF_PI,) * 3]:
+        g = GameInstance(*point, backend=backend)
+        for a in (NamedStrategy.D, NamedStrategy.Q, StrategyParams(1.1, 0.3)):
+            for b in (NamedStrategy.D, NamedStrategy.Q):
+                got = outcome(lambda: payoffs(g, a, b, limit))
+                assert got == outcome(lambda: object_payoffs(g, a, b, limit))
+                outcomes.append(isinstance(got, tuple))
+    assert any(outcomes) and not all(outcomes)
+
+
+def reference_kvector_checks(amplitudes):
+    """The ``KVector`` checks as they ran before the one-sum pass: finiteness, then norm."""
+    if not all(map(cmath.isfinite, amplitudes)):
+        raise ValueError("KVector amplitudes must be finite")
+    a0, a1, a2, a3 = amplitudes
+    total = ((abs(a0) ** 2 + abs(a1) ** 2) + abs(a2) ** 2) + abs(a3) ** 2
+    if abs(total - 1.0) > qmat.ATOL:
+        raise ValueError(f"KVector norm^2 = {total!r}, expected 1 within {qmat.ATOL}")
+
+
+@pytest.mark.parametrize(
+    "amplitudes,error,message",
+    [
+        # squaring 1e200 overflows before inf is reached; finiteness is still checked first
+        ((1e200, math.inf, 0.0, 0.0), ValueError, "KVector amplitudes must be finite"),
+        ((1e200, 0.0, 0.0, 0.0), OverflowError, ""),  # the platform's text for ERANGE
+        ((1.0 + 1e-9, 0.0, 0.0, 0.0), ValueError, "KVector norm^2 = "),
+    ],
+)
+def test_kvector_checks_keep_their_order(amplitudes, error, message):
+    got = outcome(lambda: KVector(*amplitudes))
+    assert got == outcome(lambda: reference_kvector_checks(amplitudes))
+    assert got[0] is error and message in got[1]
 
 
 def test_payoffs_raises_like_probability_objects_over_custom_limit():
