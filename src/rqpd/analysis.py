@@ -33,7 +33,6 @@ import cmath
 import enum
 import math
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +43,7 @@ from .closed_form import (
     RATIO_DUST,
     ConvergenceError,
     ThresholdSet,
+    _Record,
     _grid_axis,
     _linspace,
     check_omega,
@@ -67,6 +67,7 @@ from .margins import (
     PayoffParams,
     RegionMapRow,
     _check_tolerance,
+    _check_type,
     always_classical_scan,
 )
 from .relativity import _final_amplitudes, Backend, GameInstance, coefficient_map, evaluate_batch
@@ -91,8 +92,7 @@ class Region(enum.Enum):
     QUANTUM = "quantum"
 
 
-@dataclass(frozen=True)
-class ProfileTable:
+class ProfileTable(_Record):
     """Payoff pairs for the four profiles over S = {D, Q}."""
 
     dd: PayoffPair
@@ -123,8 +123,7 @@ class SdsMargins(NamedTuple):
     b24: float  # bob(QD) - bob(QQ)
 
 
-@dataclass(frozen=True)
-class SdsReport:
+class SdsReport(_Record):
     """Strictly dominant strategy per player: "D", "Q" or None."""
 
     alice: str | None
@@ -132,24 +131,21 @@ class SdsReport:
     margins: SdsMargins
 
 
-@dataclass(frozen=True)
-class NashReport:
+class NashReport(_Record):
     """Nash equilibria over S, in canonical profile order."""
 
     equilibria: tuple[str, ...]
     tie_tolerance: float
 
 
-@dataclass(frozen=True)
-class RegionLabel:
+class RegionLabel(_Record):
     """Per-player game region at one parameter point."""
 
     alice: Region
     bob: Region
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(_Record):
     """Both players' profile payoffs at one gamma."""
 
     gamma: float
@@ -185,6 +181,7 @@ def sds_of(table: ProfileTable, tie_tol: float = DEFAULT_TIE_TOL) -> SdsReport:
     opponent's moves, beyond the tie tolerance.
     """
     _check_tolerance(tie_tol, "tie_tol")
+    _check_type(table, ProfileTable, "table")
     margins = _margins(table)
     alice = _dominant(margins.a12, margins.a34, tie_tol)
     bob = _dominant(margins.b13, margins.b24, tie_tol)
@@ -216,6 +213,7 @@ def nash_set(table: ProfileTable, tie_tol: float = DEFAULT_TIE_TOL) -> NashRepor
     report both neighboring profiles.
     """
     _check_tolerance(tie_tol, "tie_tol")
+    _check_type(table, ProfileTable, "table")
     other = {"D": "Q", "Q": "D"}
     equilibria = []
     for profile in PROFILES:

@@ -3,6 +3,8 @@
 Only :mod:`math` is needed here, so ``wigner`` and closed-form
 ``thresholds``, at one point or on a grid, start without numpy.
 ``relativity``, ``analysis`` and ``game_core`` re-import these names.
+Every value class of the package derives from :class:`_Record`, a
+frozen dataclass without the cost of importing and running ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
 
 _HALF_PI = 0.5 * math.pi
 
@@ -123,8 +124,54 @@ def _grid_axis(n: int, name: str, dims: int = 1) -> list[float]:
     return _linspace(_HALF_PI, n)
 
 
-@dataclass(frozen=True)
-class ThresholdSet:
+class _Record:
+    """An immutable value class, as ``@dataclass(frozen=True)`` would make it.
+
+    A subclass's annotated names are its fields, in order (kept as
+    ``__match_args__``), and a value given to one in the class body is
+    its default (defaults come last).  Its ``__init__`` sets the fields,
+    then calls ``__post_init__`` if the class has one; it is compiled
+    once per class, so an instance costs what a dataclass instance does.
+    ``repr``, ``==``, ``hash`` and pickling follow the field tuple, and
+    no attribute can be set or deleted.
+    """
+
+    def __init_subclass__(cls):
+        fields = cls.__match_args__ = tuple(cls.__annotations__)
+        body = "".join(f"\n _set(self, {name!r}, {name})" for name in fields)
+        if hasattr(cls, "__post_init__"):
+            body += "\n self.__post_init__()"
+        namespace = {"_set": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
+        init = cls.__init__ = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__defaults__ = tuple(cls.__dict__[name] for name in fields if name in cls.__dict__)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class ThresholdSet(_Record):
     """The four crossing gammas; None marks an absent crossing."""
 
     g_a12: float | None

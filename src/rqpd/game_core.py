@@ -23,14 +23,13 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import qmat
-from .closed_form import _HALF_PI, NumericIntegrityError
-from .margins import _check_pay, _check_tolerance, _require_finite_scalar, PayoffParams
+from .closed_form import _HALF_PI, NumericIntegrityError, _Record
+from .margins import _check_tolerance, _check_type, _require_finite_scalar, PayoffParams
 
 #: Dust half-width for probability clamping: values this far outside
 #: [0, 1] are attributed to floating-point noise and clamped.
@@ -41,8 +40,7 @@ PROBABILITY_DUST = 1e-12
 DEFAULT_MAX_NORM_DEFECT = 1e-6
 
 
-@dataclass(frozen=True)
-class StrategyParams:
+class StrategyParams(_Record):
     """Angles (theta, phi) of a strategy unitary, range-checked."""
 
     theta: float
@@ -83,8 +81,7 @@ class PayoffPair(NamedTuple):
     bob: float
 
 
-@dataclass(frozen=True)
-class KVector:
+class KVector(_Record):
     """Post-move amplitudes (k_cc, k_cd, k_dc, k_dd); unit norm."""
 
     k_cc: complex
@@ -143,8 +140,7 @@ def _clamped(raw, norm_defect: float) -> list[float]:
     return [_clamp_probability(p) for p in raw]
 
 
-@dataclass(frozen=True)
-class JointProbabilities:
+class JointProbabilities(_Record):
     """Measurement probabilities over (CC, CD, DC, DD) plus norm defect.
 
     ``norm_defect`` is |sum - 1| recorded before the dust clamp, so a
@@ -274,8 +270,9 @@ def payoff_from_probabilities(
     Raises :class:`NumericIntegrityError` when the recorded norm defect
     exceeds ``max_norm_defect``.
     """
-    _check_pay(pay)
+    _check_type(pay, PayoffParams, "pay")
     _check_tolerance(max_norm_defect, "max_norm_defect")
+    _check_type(pr, JointProbabilities, "pr")
     return _payoff_within(pr.as_tuple(), pr.norm_defect, pay, max_norm_defect)
 
 
@@ -314,7 +311,7 @@ def classical_table(pay: PayoffParams) -> dict[tuple[str, str], PayoffPair]:
 
     Sanity anchor for the gamma = 0, omega = 0 limit of the quantum game.
     """
-    _check_pay(pay)
+    _check_type(pay, PayoffParams, "pay")
     return {
         ("C", "C"): PayoffPair(pay.r, pay.r),
         ("C", "D"): PayoffPair(pay.s, pay.t),

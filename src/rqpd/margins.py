@@ -16,9 +16,8 @@ names; the CLI imports this module only inside ``region-map``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .closed_form import Backend, _grid_axis, _margin_coefficients, _margin_rows
+from .closed_form import Backend, _Record, _grid_axis, _margin_coefficients, _margin_rows
 
 #: Payoff comparisons within this distance count as ties.
 DEFAULT_TIE_TOL = 1e-9
@@ -35,8 +34,7 @@ def _check_tolerance(value: float, name: str) -> None:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
-@dataclass(frozen=True)
-class PayoffParams:
+class PayoffParams(_Record):
     """Payoff table (t, r, p, s); default (5, 3, 1, 0).
 
     The dilemma ordering t > r > p > s is enforced unless
@@ -61,21 +59,19 @@ class PayoffParams:
             )
 
 
-def _check_pay(pay) -> None:
-    """Refuse a payoff table that is not a :class:`PayoffParams`."""
-    if not isinstance(pay, PayoffParams):
-        raise ValueError(f"pay must be a PayoffParams, got {pay!r}")
+def _check_type(value, cls: type, name: str) -> None:
+    """Refuse an argument that is not a ``cls``, by name: "pay must be a PayoffParams"."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 def _check_pay_and_backend(pay, backend) -> None:
     """Refuse a payoff table or a backend of the wrong type, the table first."""
-    _check_pay(pay)
-    if not isinstance(backend, Backend):
-        raise ValueError(f"backend must be a Backend, got {backend!r}")
+    _check_type(pay, PayoffParams, "pay")
+    _check_type(backend, Backend, "backend")
 
 
-@dataclass(frozen=True)
-class RegionMapRow:
+class RegionMapRow(_Record):
     """Dominance-everywhere flags at one (omega_a, omega_b) grid point."""
 
     omega_a: float

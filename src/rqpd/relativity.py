@@ -32,7 +32,6 @@ which is recorded (never hidden) in ``JointProbabilities.norm_defect``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +41,7 @@ from .closed_form import (
     _HALF_PI,
     Backend,
     NumericIntegrityError,
+    _Record,
     check_omega,
     rapidity_from_speed,
     speed_from_rapidity,
@@ -62,7 +62,7 @@ from .game_core import (
     StrategyParams,
     check_gamma,
 )
-from .margins import _check_pay_and_backend, _check_tolerance, PayoffParams
+from .margins import _check_pay_and_backend, _check_tolerance, _check_type, PayoffParams
 
 
 def spin_rotation_pair(omega_a: float, omega_b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -87,14 +87,13 @@ def _rotation_entries(omega_a: float, omega_b: float):
     return [[ca, -sa], [sa, ca]], [[cb, sb], [-sb, cb]]
 
 
-@dataclass(frozen=True)
-class GameInstance:
+class GameInstance(_Record):
     """One fully specified game: angles, payoff table, backend."""
 
     gamma: float
     omega_a: float
     omega_b: float
-    pay: PayoffParams = field(default_factory=PayoffParams)
+    pay: PayoffParams = PayoffParams()
     backend: Backend = Backend.UNITARY
 
     def __post_init__(self):
@@ -104,15 +103,20 @@ class GameInstance:
         _check_pay_and_backend(self.pay, self.backend)
 
 
-@dataclass(frozen=True, eq=False)
-class CoefficientMap:
-    """The 4x4 map from k-coefficients to final amplitudes, tagged."""
+class CoefficientMap(_Record):
+    """The 4x4 map from k-coefficients to final amplitudes, tagged.
+
+    Compared and hashed by identity, as an ndarray field cannot be.
+    """
 
     matrix: np.ndarray
     backend: Backend
     omega_a: float
     omega_b: float
     gamma: float
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 def paper_coefficient_matrix(gamma: float, omega_a: float, omega_b: float) -> np.ndarray:
@@ -147,6 +151,7 @@ def paper_coefficient_matrix(gamma: float, omega_a: float, omega_b: float) -> np
 
 def coefficient_map(g: GameInstance) -> CoefficientMap:
     """Coefficient map for a game instance under its selected backend."""
+    _check_type(g, GameInstance, "g")
     if g.backend is Backend.UNITARY:
         # GameInstance has checked the angles; tensor2 checks the rotations
         # and mat4 the product, so the factors are built unchecked

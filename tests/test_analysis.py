@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from rqpd.game_core import (
     payoff_from_probabilities,
     strategy_unitary,
 )
-from rqpd.relativity import Backend, GameInstance, joint_probabilities, payoffs
+from rqpd.relativity import Backend, GameInstance, coefficient_map, joint_probabilities, payoffs
 
 HALF_PI = 0.5 * math.pi
 
@@ -671,6 +672,57 @@ def test_strategy_arguments_must_be_strategies(call, value):
         f(value)
     f(NamedStrategy.Q)
     f(MIXED)
+
+
+D = NamedStrategy.D
+TABLE = profile_table(rest(0.3))
+PROBABILITIES = joint_probabilities(rest(0.3), D, D)
+
+# (argument name, a value of its type, the call) for each engine argument
+# that must be one of the value classes
+TYPED_CALLS = {
+    "sds_of": ("table", TABLE, sds_of),
+    "nash_set": ("table", TABLE, nash_set),
+    "profile_table": ("g", rest(0.3), profile_table),
+    "coefficient_map": ("g", rest(0.3), coefficient_map),
+    "region_classify": ("g", rest(0.3), region_classify),
+    "payoffs": ("g", rest(0.3), lambda g: payoffs(g, D, D)),
+    "joint_probabilities": ("g", rest(0.3), lambda g: joint_probabilities(g, D, D)),
+    "best_response_scan": ("g", rest(0.3), lambda g: best_response_scan(g, D, (3, 2))),
+    "payoff_from_probabilities": (
+        "pr", PROBABILITIES, lambda pr: payoff_from_probabilities(pr, PayoffParams())
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [(0.1, 0.2, 0.3), (1, 2, 3, 4), {}, None])
+@pytest.mark.parametrize("call", list(TYPED_CALLS))
+def test_value_class_arguments_must_have_their_class(call, value):
+    # these died with an AttributeError on the first field read
+    name, valid, f = TYPED_CALLS[call]
+    message = f"{name} must be a {type(valid).__name__}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        f(value)
+    f(valid)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: sds_of(None, -1.0), "tie_tol must be >= 0"),
+        (lambda: nash_set(None, math.nan), "tie_tol must be >= 0"),
+        (lambda: payoffs(None, D, D, -1.0), "max_norm_defect must be >= 0"),
+        (lambda: best_response_scan(None, D, (1, 2)), "grid dims must be >= 2"),
+        (lambda: best_response_scan(None, D, (3, 2), -1.0), "max_norm_defect must be >= 0"),
+        (lambda: best_response_scan(None, "D", (3, 2)), "opponent must be a StrategyParams"),
+        (lambda: payoff_from_probabilities(None, None), "pay must be a PayoffParams"),
+        (lambda: payoff_from_probabilities(None, PayoffParams(), -1.0),
+         "max_norm_defect must be >= 0"),
+    ],
+)
+def test_value_class_checks_keep_the_earlier_errors_first(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
 
 
 # -------------------------------------------------------------- entanglement

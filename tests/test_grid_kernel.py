@@ -9,7 +9,6 @@ margins must match the bisection oracle.  Results must be equal, not
 close: speed must never change output bytes.
 """
 
-import dataclasses
 import hashlib
 import math
 
@@ -38,7 +37,14 @@ from rqpd.game_core import (
     PayoffParams,
     StrategyParams,
 )
-from rqpd.relativity import Backend, GameInstance, evaluate_batch, joint_probabilities, payoffs
+from rqpd.relativity import (
+    Backend,
+    CoefficientMap,
+    GameInstance,
+    evaluate_batch,
+    joint_probabilities,
+    payoffs,
+)
 
 HALF_PI = 0.5 * math.pi
 
@@ -241,7 +247,8 @@ def test_kernel_clamps_dust_and_rejects_beyond_it(monkeypatch, factor):
 
     def scaled_map(g):
         cmap = scalar_map(g)
-        return dataclasses.replace(cmap, matrix=cmap.matrix * factor)
+        return CoefficientMap(cmap.matrix * factor, cmap.backend, cmap.omega_a, cmap.omega_b,
+                              cmap.gamma)
 
     monkeypatch.setattr(relativity, "coefficient_map", scaled_map)
     with pytest.raises(ValueError) as batched:

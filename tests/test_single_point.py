@@ -29,7 +29,6 @@ speed must never change output bytes.
 """
 
 import cmath
-import dataclasses
 import hashlib
 import math
 
@@ -63,6 +62,7 @@ from rqpd.game_core import (
 )
 from rqpd.relativity import (
     Backend,
+    CoefficientMap,
     GameInstance,
     coefficient_map,
     joint_probabilities,
@@ -181,6 +181,11 @@ def outcome(f):
         return type(exc), str(exc), getattr(exc, "defect", None)
 
 
+def with_matrix(cmap, matrix):
+    """``cmap`` with its matrix replaced."""
+    return CoefficientMap(matrix, cmap.backend, cmap.omega_a, cmap.omega_b, cmap.gamma)
+
+
 def scaled_rows(scale):
     # At gamma = omega = 0 both maps are the identity, and DD, QD, DQ, QQ
     # land on basis states DD, CD, DC, CC: row i scales one profile.
@@ -201,7 +206,7 @@ ERROR_MAPS = {
 def test_profile_table_errors_match_reference(monkeypatch, case, backend):
     matrix, message = ERROR_MAPS[case]
     g = GameInstance(0.0, 0.0, 0.0, backend=backend)
-    cmap = dataclasses.replace(coefficient_map(g), matrix=matrix)
+    cmap = with_matrix(coefficient_map(g), matrix)
     monkeypatch.setattr(analysis, "coefficient_map", lambda g: cmap)
     got = outcome(lambda: profile_table(g))
     assert got == outcome(lambda: reference_profile_table(g, matrix))
@@ -217,7 +222,7 @@ def test_profile_table_clamps_like_reference(monkeypatch, scale, backend):
     matrix = scaled_rows(scale)
     assert abs(complex(matrix[3, 3])) ** 2 > 1.0
     g = GameInstance(0.0, 0.0, 0.0, PayoffParams(7.0, 2.5, 0.5, -1.0), backend)
-    cmap = dataclasses.replace(coefficient_map(g), matrix=matrix)
+    cmap = with_matrix(coefficient_map(g), matrix)
     monkeypatch.setattr(analysis, "coefficient_map", lambda g: cmap)
     monkeypatch.setattr(relativity, "coefficient_map", lambda g: cmap)
     got = profile_table(g)
@@ -338,8 +343,7 @@ def scaled_k_step(scale):
     return lambda *args: [z * scale for z in step(*args)]
 
 
-NAN_MAP = dataclasses.replace(coefficient_map(GameInstance(0.0, 0.0, 0.0)),
-                              matrix=ERROR_MAPS["nan"][0])
+NAN_MAP = with_matrix(coefficient_map(GameInstance(0.0, 0.0, 0.0)), ERROR_MAPS["nan"][0])
 
 # (name to patch, replacement, the error all must raise), for the checks
 # that in-domain angles never trip: a non-finite map, and k-coefficients

@@ -1,4 +1,4 @@
-"""Start-up contract: the numpy-free commands and the lazy package exports."""
+"""Start-up contract: the numpy-free commands, no ``dataclasses``, and the lazy exports."""
 
 import importlib
 import os
@@ -13,7 +13,8 @@ import rqpd
 SRC = str(Path(rqpd.__file__).resolve().parent.parent)
 
 # Runs the CLI in a fresh interpreter, then reports on stderr whether numpy
-# was loaded; with BLOCK_NUMPY first, any import of numpy fails instead.
+# was loaded; with BLOCK_NUMPY first, any import of numpy fails instead, and
+# with BLOCK_DATACLASSES any import of dataclasses, which no command needs.
 RUN_CLI = """
 import sys
 from rqpd.cli import main
@@ -23,6 +24,7 @@ print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
 sys.exit(code)
 """
 BLOCK_NUMPY = 'import sys; sys.modules["numpy"] = None\n'
+BLOCK_DATACLASSES = 'import sys; sys.modules["dataclasses"] = None\n'
 
 NUMPY_FREE = [
     (["wigner", "--alpha", "1.25", "--delta", "0.5"], 0),
@@ -58,8 +60,27 @@ def test_command_starts_without_numpy(argv, exit_code):
     normal = run_child(RUN_CLI, argv)
     assert normal.returncode == exit_code, normal.stderr
     assert normal.stderr.endswith(b"numpy loaded: False\n")
-    blocked = run_child(BLOCK_NUMPY + RUN_CLI, argv)
-    assert blocked.returncode == exit_code, blocked.stderr
+    for block in (BLOCK_NUMPY, BLOCK_DATACLASSES):
+        blocked = run_child(block + RUN_CLI, argv)
+        assert blocked.returncode == exit_code, blocked.stderr
+        assert blocked.stdout == normal.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nash", "--gamma", "0.55", "--omega-a", "0.3", "--omega-b", "1.1"],
+        ["sweep", "--omega-a", "0.3", "--omega-b", "1.1", "--n", "5", "--backend", "paper"],
+    ],
+    ids=["nash", "sweep"],
+)
+def test_numpy_command_starts_without_dataclasses(argv):
+    # the controls: numpy itself does not import dataclasses either
+    normal = run_child(RUN_CLI, argv)
+    assert normal.returncode == 0, normal.stderr
+    assert normal.stderr.endswith(b"numpy loaded: True\n")
+    blocked = run_child(BLOCK_DATACLASSES + RUN_CLI, argv)
+    assert blocked.returncode == 0, blocked.stderr
     assert blocked.stdout == normal.stdout
 
 
