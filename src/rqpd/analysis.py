@@ -54,7 +54,7 @@ from .game_core import (
     _k_factor_product,
     _k_factors,
     _k_gamma_step,
-    _payoff_of_amplitudes,
+    _payoffs_of_amplitudes,
     _strategy_params,
     DEFAULT_MAX_NORM_DEFECT,
     NamedStrategy,
@@ -170,8 +170,7 @@ def profile_table(g: GameInstance) -> ProfileTable:
     matrix = coefficient_map(g).matrix
     cg, sg = math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
     states = [_k_gamma_step(factors, cg, sg) for factors in _PROFILE_K_FACTORS]
-    amplitudes = _final_amplitudes(matrix, states)
-    return ProfileTable(*(_payoff_of_amplitudes(a, g.pay) for a in amplitudes))
+    return ProfileTable(*_payoffs_of_amplitudes(_final_amplitudes(matrix, states), g.pay))
 
 
 def sds_of(table: ProfileTable, tie_tol: float = DEFAULT_TIE_TOL) -> SdsReport:
@@ -188,14 +187,18 @@ def sds_of(table: ProfileTable, tie_tol: float = DEFAULT_TIE_TOL) -> SdsReport:
     return SdsReport(alice=alice, bob=bob, margins=margins)
 
 
+# Each dominance margin of a table, in SdsMargins field order.
+_MARGIN_OF = (
+    lambda table: table.dd.alice - table.qd.alice,  # a12
+    lambda table: table.dq.alice - table.qq.alice,  # a34
+    lambda table: table.dd.bob - table.dq.bob,  # b13
+    lambda table: table.qd.bob - table.qq.bob,  # b24
+)
+
+
 def _margins(table: ProfileTable) -> SdsMargins:
     """The four dominance margins."""
-    return SdsMargins(
-        a12=table.dd.alice - table.qd.alice,
-        a34=table.dq.alice - table.qq.alice,
-        b13=table.dd.bob - table.dq.bob,
-        b24=table.qd.bob - table.qq.bob,
-    )
+    return SdsMargins(*(margin_of(table) for margin_of in _MARGIN_OF))
 
 
 def _dominant(vs_d: float, vs_q: float, tie_tol: float) -> str | None:
@@ -243,12 +246,13 @@ def thresholds_numeric(
     """
     pay = pay if pay is not None else PayoffParams()
 
-    def margin(key: str, gamma: float) -> float:
-        table = profile_table(GameInstance(gamma, omega_a, omega_b, pay, backend))
-        return getattr(_margins(table), key)
+    def crossing(margin_of) -> float | None:
+        def margin(gamma: float) -> float:
+            return margin_of(profile_table(GameInstance(gamma, omega_a, omega_b, pay, backend)))
 
-    found = [_bisect_crossing(lambda x, k=key: margin(k, x)) for key in SdsMargins._fields]
-    return ThresholdSet(*found)
+        return _bisect_crossing(margin)
+
+    return ThresholdSet(*map(crossing, _MARGIN_OF))
 
 
 def _bisect_crossing(f) -> float | None:
@@ -394,8 +398,8 @@ def best_response_scan(
 
 def _alice_payoffs(matrix, ks, pay, max_norm_defect) -> list[float]:
     """Alice's payoff for each k-vector of ``ks``, through one ``_final_amplitudes`` call."""
-    amplitudes = _final_amplitudes(matrix, ks)
-    return [_payoff_of_amplitudes(a, pay, max_norm_defect).alice for a in amplitudes]
+    pairs = _payoffs_of_amplitudes(_final_amplitudes(matrix, ks), pay, max_norm_defect)
+    return [pair.alice for pair in pairs]
 
 
 def entanglement_degree(gamma: float) -> float:

@@ -116,6 +116,8 @@ def _resolve_omegas(args: argparse.Namespace) -> tuple[float, float]:
 
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
+        if sys.stdout is None:  # Python started with file descriptor 1 closed
+            raise OSError("standard output is closed")
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -285,25 +285,47 @@ def _payoff_within(probabilities, norm_defect, pay, max_norm_defect) -> PayoffPa
     return PayoffPair(alice, bob)
 
 
-def _payoff_of_amplitudes(amplitudes, pay, max_norm_defect=DEFAULT_MAX_NORM_DEFECT) -> PayoffPair:
-    """``payoff_from_probabilities`` of ``JointProbabilities._from_finite``, objects left out.
+def _check_finite_amplitudes(vectors) -> None:
+    """``qmat.state4``'s finiteness check, with its message, on each amplitude vector."""
+    if not all(cmath.isfinite(z) for amplitudes in vectors for z in amplitudes):
+        raise ValueError("state4 contains non-finite entries")
 
-    Probabilities already in [0, 1] with a defect within the limit pass
-    every check unchanged (their defect is then finite), so they go to
-    the payoff sums in one pass; any other vector takes the checks.
+
+def _payoffs_of_amplitudes(vectors, pay, max_norm_defect=DEFAULT_MAX_NORM_DEFECT):
+    """The payoffs of each amplitude vector, objects left out.
+
+    Each is ``payoff_from_probabilities`` of
+    ``JointProbabilities.from_amplitudes``.  Probabilities already in
+    [0, 1] with a defect within the limit pass every check unchanged
+    (the amplitudes are then finite), so when every vector passes, all
+    go to the payoff sums in one pass.  Otherwise, or when a square
+    overflows, the checks run in their order: ``state4``'s finiteness
+    on every vector, then per vector the dust clamp and the defect limit.
     """
-    a0, a1, a2, a3 = amplitudes
-    p_cc, p_cd, p_dc, p_dd = abs(a0) ** 2, abs(a1) ** 2, abs(a2) ** 2, abs(a3) ** 2
-    norm_defect = abs(((p_cc + p_cd) + p_dc) + p_dd - 1.0)
-    if (norm_defect <= max_norm_defect and 0.0 <= p_cc <= 1.0 and 0.0 <= p_cd <= 1.0
-            and 0.0 <= p_dc <= 1.0 and 0.0 <= p_dd <= 1.0):
-        # the sums of _payoff_within, term for term, so both round alike
-        return PayoffPair(
-            pay.r * p_cc + pay.p * p_dd + pay.t * p_dc + pay.s * p_cd,
-            pay.r * p_cc + pay.p * p_dd + pay.s * p_dc + pay.t * p_cd,
-        )
-    raw = (p_cc, p_cd, p_dc, p_dd)
-    return _payoff_within(_clamped(raw, norm_defect), norm_defect, pay, max_norm_defect)
+    pairs = []
+    try:
+        for a0, a1, a2, a3 in vectors:
+            p_cc, p_cd, p_dc, p_dd = abs(a0) ** 2, abs(a1) ** 2, abs(a2) ** 2, abs(a3) ** 2
+            if not (abs(((p_cc + p_cd) + p_dc) + p_dd - 1.0) <= max_norm_defect
+                    and 0.0 <= p_cc <= 1.0 and 0.0 <= p_cd <= 1.0
+                    and 0.0 <= p_dc <= 1.0 and 0.0 <= p_dd <= 1.0):
+                break
+            # the sums of _payoff_within, term for term, so both round alike
+            pairs.append(PayoffPair(
+                pay.r * p_cc + pay.p * p_dd + pay.t * p_dc + pay.s * p_cd,
+                pay.r * p_cc + pay.p * p_dd + pay.s * p_dc + pay.t * p_cd,
+            ))
+        else:
+            return pairs
+    except OverflowError:
+        pass
+    _check_finite_amplitudes(vectors)
+    pairs = []
+    for amplitudes in vectors:
+        raw, total = _squares_and_sum(amplitudes)
+        norm_defect = abs(total - 1.0)
+        pairs.append(_payoff_within(_clamped(raw, norm_defect), norm_defect, pay, max_norm_defect))
+    return pairs
 
 
 def classical_table(pay: PayoffParams) -> dict[tuple[str, str], PayoffPair]:

@@ -12,6 +12,8 @@ silently.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 #: Frozen two-qubit basis order used throughout the package.
@@ -26,8 +28,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    # entry by entry in Python: on these few entries, cheaper than np.isfinite
+    return all(map(cmath.isfinite, arr.ravel().tolist()))
+
+
 def _require_finite(arr: np.ndarray, name: str) -> None:
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise ValueError(f"{name} contains non-finite entries")
 
 
@@ -71,8 +78,19 @@ def tensor2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two 2x2 matrices in the frozen basis order.
 
     Satisfies the mixed-product property ``(a (x) b)(x (x) y) = ax (x) by``.
+    Both factors are converted and checked in one pass; factors that
+    fail it take the per-factor checks, left first, for their messages.
     """
-    a = _as_matrix(a, 2, "tensor2 left factor")
-    b = _as_matrix(b, 2, "tensor2 right factor")
+    try:
+        ab = np.array((a, b), dtype=complex)
+        passed = ab.shape == (2, 2, 2) and _all_finite(ab)
+    except (ValueError, TypeError, OverflowError):  # raised again below by the factor at fault
+        passed = False
+    if passed:
+        a, b = ab
+    else:
+        a = _as_matrix(a, 2, "tensor2 left factor")
+        b = _as_matrix(b, 2, "tensor2 right factor")
     # the broadcast product np.kron forms internally, without its generality
-    return _frozen((a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4))
+    # frozen before the reshape, so the array behind the returned view is read-only too
+    return _frozen(a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)

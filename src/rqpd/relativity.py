@@ -31,6 +31,7 @@ which is recorded (never hidden) in ``JointProbabilities.norm_defect``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -50,10 +51,11 @@ from .closed_form import (
 from .game_core import (
     _DXD,
     _EYE4,
+    _check_finite_amplitudes,
     _check_unit_amplitudes,
     _entangler_entries,
     _k_amplitudes,
-    _payoff_of_amplitudes,
+    _payoffs_of_amplitudes,
     DEFAULT_MAX_NORM_DEFECT,
     PROBABILITY_DUST,
     JointProbabilities,
@@ -138,15 +140,21 @@ def paper_coefficient_matrix(gamma: float, omega_a: float, omega_b: float) -> np
     w2 = cg * ca * sb + 1j * sg * sa * cb
     w3 = cg * sa * cb + 1j * sg * ca * sb
     w4 = cg * sa * sb + 1j * sg * ca * cb
+    # qmat.mat4's check: every entry is one of these up to sign and conjugation
+    if not (cmath.isfinite(w1) and cmath.isfinite(w2) and cmath.isfinite(w3)
+            and cmath.isfinite(w4)):
+        raise ValueError("mat4 contains non-finite entries")
     w2c, w3c = w2.conjugate(), w3.conjugate()
-    return qmat.mat4(
+    entries = np.array(
         [
-            [w1, w2c, -w3c, -w4],
-            [-w2c, w1, w4, -w3],
-            [w3c, w4, w1, -w2],
-            [-w4, w3c, -w2c, w1],
-        ]
+            w1, w2c, -w3c, -w4,
+            -w2c, w1, w4, -w3,
+            w3c, w4, w1, -w2,
+            -w4, w3c, -w2c, w1,
+        ],
+        dtype=complex,
     )
+    return qmat._frozen(entries).reshape(4, 4)
 
 
 def coefficient_map(g: GameInstance) -> CoefficientMap:
@@ -344,14 +352,16 @@ def _sum4(x: np.ndarray) -> np.ndarray:
 
 
 def _final_amplitudes(matrix: np.ndarray, states) -> list[list[complex]]:
-    """Each ``matrix @ k`` of ``states`` as a list, with the ``KVector`` and ``state4`` checks."""
+    """Each ``matrix @ k`` of ``states`` as a list, after the ``KVector`` checks.
+
+    The products are not checked here: ``state4``'s finiteness check
+    runs in the payoff tail, ``game_core._payoffs_of_amplitudes``, or
+    before the probabilities in :func:`joint_probabilities`.
+    """
     for k in states:
         _check_unit_amplitudes(k)
     # A stacked product runs the same matrix-vector product per k as ``M @ k``.
-    amplitudes = (matrix @ np.array(states)[..., None])[..., 0]
-    if not np.isfinite(amplitudes).all():
-        raise ValueError("state4 contains non-finite entries")
-    return amplitudes.tolist()
+    return (matrix @ np.array(states)[..., None])[..., 0].tolist()
 
 
 def joint_probabilities(
@@ -364,8 +374,9 @@ def joint_probabilities(
     A norm defect (possible under ``Backend.PAPER`` away from the named
     strategy set) is recorded on the result, not raised here.
     """
-    (amplitudes,) = _final_amplitudes(coefficient_map(g).matrix, [_k_amplitudes(a, b, g.gamma)])
-    return JointProbabilities._from_finite(amplitudes)
+    vectors = _final_amplitudes(coefficient_map(g).matrix, [_k_amplitudes(a, b, g.gamma)])
+    _check_finite_amplitudes(vectors)
+    return JointProbabilities._from_finite(vectors[0])
 
 
 def payoffs(
@@ -376,5 +387,6 @@ def payoffs(
 ) -> PayoffPair:
     """Expected payoffs for a strategy pair under an instance."""
     _check_tolerance(max_norm_defect, "max_norm_defect")
-    (amplitudes,) = _final_amplitudes(coefficient_map(g).matrix, [_k_amplitudes(a, b, g.gamma)])
-    return _payoff_of_amplitudes(amplitudes, g.pay, max_norm_defect)
+    vectors = _final_amplitudes(coefficient_map(g).matrix, [_k_amplitudes(a, b, g.gamma)])
+    (pair,) = _payoffs_of_amplitudes(vectors, g.pay, max_norm_defect)
+    return pair

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -245,6 +247,34 @@ def test_csv_io_error_leaves_no_metadata(tmp_path, capsys):
     assert out == ""
     assert err.startswith("rqpd: i/o error:")
     assert len(err.splitlines()) == 1
+
+
+CLOSED_STDOUT_ARGV = {
+    "json": ["wigner", "--alpha", "1", "--delta", "2"],
+    "csv": ["region-map", "--grid-n", "2"],
+}
+
+
+@pytest.mark.parametrize("kind", list(CLOSED_STDOUT_ARGV))
+def test_closed_stdout_is_an_io_error(monkeypatch, capsys, kind):
+    # Python sets sys.stdout to None when it starts with file descriptor 1 closed
+    monkeypatch.setattr(sys, "stdout", None)
+    code = cli.main(CLOSED_STDOUT_ARGV[kind])
+    assert code == 4
+    assert capsys.readouterr().err == "rqpd: i/o error: standard output is closed\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor in the child")
+def test_closed_stdout_exits_4_in_a_process():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rqpd.cli", *CLOSED_STDOUT_ARGV["json"]],
+        env=env, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=60, check=False,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr == b"rqpd: i/o error: standard output is closed\n"
 
 
 # ------------------------------------------------------------- exit codes

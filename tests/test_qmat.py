@@ -149,3 +149,76 @@ def test_outputs_are_read_only():
     m = qmat.tensor2(identity(2), identity(2))
     with pytest.raises(ValueError):
         m[0, 0] = 2.0
+
+
+def reference_tensor2(a, b):
+    """``tensor2`` as it checked before the one-pass conversion: each factor on its own."""
+    a = qmat._as_matrix(a, 2, "tensor2 left factor")
+    b = qmat._as_matrix(b, 2, "tensor2 right factor")
+    return qmat._frozen(np.kron(a, b))
+
+
+def refusal(f):
+    with pytest.raises(Exception) as info:
+        f()
+    return info.type, str(info.value)
+
+
+EYE2 = [[1, 0], [0, 1]]
+NAN2 = [[math.nan, 0], [0, 1]]
+
+# (left, right, the exception and message both give); None: a conversion error
+# raised by numpy, with numpy's text
+TENSOR2_REFUSALS = {
+    "left 3x3": (np.eye(3), EYE2,
+                 (ValueError, "tensor2 left factor must be 2x2, got shape (3, 3)")),
+    "right 3x3": (EYE2, np.eye(3),
+                  (ValueError, "tensor2 right factor must be 2x2, got shape (3, 3)")),
+    "left vector": ([1, 0], EYE2, (ValueError, "tensor2 left factor must be 2x2, got shape (2,)")),
+    "right 1x2": (EYE2, [[1, 0]], (ValueError, "tensor2 right factor must be 2x2, got shape (1, 2)")),
+    "left scalar": (1.0, EYE2, (ValueError, "tensor2 left factor must be 2x2, got shape ()")),
+    "left nan": (NAN2, EYE2, (ValueError, "tensor2 left factor contains non-finite entries")),
+    "right nan": (EYE2, NAN2, (ValueError, "tensor2 right factor contains non-finite entries")),
+    "left inf": ([[1, math.inf], [0, 1]], EYE2,
+                 (ValueError, "tensor2 left factor contains non-finite entries")),
+    "right -inf": (EYE2, [[1, 0], [complex(0, -math.inf), 1]],
+                   (ValueError, "tensor2 right factor contains non-finite entries")),
+    # the left factor's error comes first, whatever it is
+    "left nan, right 3x3": (NAN2, np.eye(3),
+                            (ValueError, "tensor2 left factor contains non-finite entries")),
+    "left 3x3, right nan": (np.eye(3), NAN2,
+                            (ValueError, "tensor2 left factor must be 2x2, got shape (3, 3)")),
+    "right None (nan)": (EYE2, [[1, None], [0, 1]],
+                         (ValueError, "tensor2 right factor contains non-finite entries")),
+    "ragged left": ([[1, 0], [0]], EYE2, None),
+    "ragged right": (EYE2, [[1], [0, 1]], None),
+    "non-numeric left": ([["a", 0], [0, 1]], EYE2, None),
+    "non-numeric right": (EYE2, [[1, object()], [0, 1]], None),
+    "non-numeric left, right nan": ([["a", 0], [0, 1]], NAN2, None),
+    "left int overflows": ([[10**400, 0], [0, 1]], EYE2, None),
+}
+
+
+@pytest.mark.parametrize("case", list(TENSOR2_REFUSALS))
+def test_tensor2_refuses_like_per_factor_checks(case):
+    left, right, expected = TENSOR2_REFUSALS[case]
+    got = refusal(lambda: qmat.tensor2(left, right))
+    assert got == refusal(lambda: reference_tensor2(left, right))
+    if expected is not None:
+        assert got == expected
+
+
+@pytest.mark.parametrize("left,right", [
+    (EYE2, EYE2),
+    (qmat.mat2([[0.6, -0.8j], [0.8, 0.6j]]), [[0.0, -1.0], [1.0, -0.0]]),
+    (np.array([[1e300, -0.0], [2.5, -1e-300]]), np.array([[1e-10, 3j], [-0.0j, 7]])),
+])
+def test_tensor2_equals_kron_bit_for_bit_and_is_read_only(left, right):
+    # read-only also through .base, which a reshaped view exposes
+    got = qmat.tensor2(left, right)
+    assert got.tobytes() == reference_tensor2(left, right).tobytes()  # -0.0 included
+    assert got.shape == (4, 4) and got.dtype == complex
+    assert not got.flags.writeable
+    assert got.base is None or not got.base.flags.writeable
+    with pytest.raises(ValueError):
+        got[1, 2] = 0.0

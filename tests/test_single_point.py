@@ -3,14 +3,18 @@
 ``profile_table``, ``payoffs``, ``joint_probabilities`` and each
 candidate of ``best_response_scan`` get their final amplitudes from one
 helper, ``relativity._final_amplitudes``: the ``KVector`` checks on each
-k-vector, one stacked ``M @ k`` product and ``state4``'s finiteness
-check.  They go from amplitudes to payoffs without the ``KVector`` and
+k-vector and one stacked ``M @ k`` product.  ``state4``'s finiteness
+check on the products runs next, in the payoff tail
+``game_core._payoffs_of_amplitudes`` or in ``joint_probabilities``.
+They go from amplitudes to payoffs without the ``KVector`` and
 ``JointProbabilities`` objects, and ``profile_table`` factors its
 k-coefficients into strategy-only parts and a gamma step.  A k-vector
-or amplitude vector that passes its checks costs one norm sum or one
-inline payoff pass; the tests below also send vectors past that pass
-onto the checks (a clamped probability, limits of 0 and 1e-16, an
-overflowing square) and compare the errors too.
+that passes its checks costs one norm sum, and a list of amplitude
+vectors that all pass costs one inline payoff pass; the tests below
+also send vectors past that pass onto the checks (a clamped
+probability, limits of 0 and 1e-16, an overflowing square, a product
+that is not finite after an earlier vector's failure) and compare the
+errors too.
 ``best_response_scan`` checks its opponent and each axis value once and
 computes the angle-only factors once per axis value or call, so a
 candidate costs only its k-factor product, the gamma step, its share of
@@ -20,8 +24,9 @@ product per chunk; a chunk that raises is replayed one candidate at a
 time, so the error is the first failing candidate's, as in the loop.
 The UNITARY ``coefficient_map`` builds its rotations and entangler
 unchecked, since ``GameInstance`` has checked their angles.  The references below are the loops they replaced: the
-map from the checking ``spin_rotation_pair``, ``np.kron`` and the
-validating ``adjoint``, the per-profile table with the unsplit closed
+UNITARY map from the checking ``spin_rotation_pair``, ``np.kron`` and
+the validating ``adjoint``, the PAPER map as a nested list through
+``qmat.mat4``, the per-profile table with the unsplit closed
 form and the probability objects, a ``StrategyParams`` and
 ``k_coefficients`` per scan candidate, and the object paths of the pair
 functions.  Results, and the errors raised, must be equal, not close:
@@ -102,9 +107,29 @@ def reference_k(a, b, gamma):
     )
 
 
+def reference_paper_map(gamma, omega_a, omega_b):
+    """The PAPER map as a nested list through ``qmat.mat4``, with its checks."""
+    cg, sg = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
+    ca, sa = math.cos(0.5 * omega_a), math.sin(0.5 * omega_a)
+    cb, sb = math.cos(0.5 * omega_b), math.sin(0.5 * omega_b)
+    w1 = cg * ca * cb + 1j * sg * sa * sb
+    w2 = cg * ca * sb + 1j * sg * sa * cb
+    w3 = cg * sa * cb + 1j * sg * ca * sb
+    w4 = cg * sa * sb + 1j * sg * ca * cb
+    w2c, w3c = w2.conjugate(), w3.conjugate()
+    return qmat.mat4(
+        [
+            [w1, w2c, -w3c, -w4],
+            [-w2c, w1, w4, -w3],
+            [w3c, w4, w1, -w2],
+            [-w4, w3c, -w2c, w1],
+        ]
+    )
+
+
 def reference_map(g):
     if g.backend is Backend.PAPER:
-        return paper_coefficient_matrix(g.gamma, g.omega_a, g.omega_b)
+        return reference_paper_map(g.gamma, g.omega_a, g.omega_b)
     d = strategy_unitary(NamedStrategy.D)
     j = math.cos(0.5 * g.gamma) * np.eye(4, dtype=complex) + 1j * math.sin(0.5 * g.gamma) * (
         np.kron(d, d)
@@ -138,6 +163,23 @@ def test_coefficient_map_equals_reference_map(gamma, omega_a, omega_b, backend):
     got, expected = coefficient_map(g).matrix, reference_map(g)
     assert repr(got) == repr(expected)
     assert got.tobytes() == expected.tobytes()  # every bit, -0.0 included
+
+
+# the PAPER map also serves as a diagnostic object off the game's omega domain
+wide_omegas = st.floats(-50.0, 50.0) | st.sampled_from([-math.pi, math.pi, 2 * math.pi, -0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(angles, wide_omegas, wide_omegas)
+def test_paper_coefficient_matrix_equals_nested_list_build(gamma, omega_a, omega_b):
+    got = paper_coefficient_matrix(gamma, omega_a, omega_b)
+    expected = reference_paper_map(gamma, omega_a, omega_b)
+    assert got.tobytes() == expected.tobytes()  # every bit, -0.0 included
+    assert got.shape == (4, 4) and got.dtype == complex
+    assert not got.flags.writeable
+    assert got.base is None or not got.base.flags.writeable
+    with pytest.raises(ValueError):
+        got[0, 0] = 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -376,6 +418,95 @@ def test_pair_path_errors_match_object_path(monkeypatch, case, backend):
         got = outcome(new)
         assert got == outcome(reference)
         assert isinstance(got, tuple) and message in got[1]
+
+
+def reference_profile_table_finite_first(g, matrix):
+    """The per-profile object path, with ``state4``'s check on all four products first.
+
+    The order of the checks in ``profile_table`` and in each chunk of
+    the scan: finiteness of every product comes before any probability.
+    """
+    amplitudes = []
+    for name in PROFILES:
+        a, b = NamedStrategy[name[0]].params, NamedStrategy[name[1]].params
+        amplitudes.append(qmat.state4(matrix @ reference_k(a, b, g.gamma)))
+    pairs = [payoff_from_probabilities(JointProbabilities.from_amplitudes(x), g.pay)
+             for x in amplitudes]
+    return ProfileTable(*pairs)
+
+
+# Entries that make a product non-finite (nan), a square overflow (1e200), a
+# probability clamp (1 + 2e-13) or leave the dust (1.1), or put a profile over
+# the norm-defect limit (0.999, 0.5j).  The inputs avoid inf and products
+# that overflow, on which the matrix product warns on every path alike.
+special_entries = st.sampled_from(
+    [math.nan, complex(0.0, math.nan), 1e200, 1.0 + 2e-13, 1.1, 0.999, 0.5j, 0.0]
+)
+edits = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), special_entries), min_size=0, max_size=3
+)
+
+
+def edited_map(g, changes):
+    matrix = np.array(reference_map(g))
+    for i, j, value in changes:
+        matrix[i, j] = value
+    return qmat._frozen(matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(angles, angles, angles, backends, pay_tables, edits, named | explicit, limits)
+def test_moved_finiteness_check_keeps_each_first_error(
+    gamma, omega_a, omega_b, backend, pay, changes, a, limit
+):
+    # the products' finiteness is checked in the payoff tail, after the KVector
+    # checks; on a map edited to fail any of the checks, each single-point call
+    # must raise the error the object paths raise first
+    g = GameInstance(gamma, omega_a, omega_b, pay, backend)
+    matrix = edited_map(g, changes)
+    cmap = with_matrix(coefficient_map(g), matrix)
+    q = NamedStrategy.Q
+    pairs = [
+        (lambda: profile_table(g), lambda: reference_profile_table_finite_first(g, matrix)),
+        (lambda: payoffs(g, a, q, limit), lambda: object_payoffs(g, a, q, limit)),
+        (lambda: joint_probabilities(g, a, q), lambda: reference_joint_probabilities(g, a, q)),
+        # (3, 3) is one chunk per theta: the stacked pass, and on failure the replay
+        (lambda: best_response_scan(g, q, (3, 3), limit),
+         lambda: reference_best_response_scan(g, q, (3, 3), limit)),
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "coefficient_map", lambda g: cmap)
+        patch.setattr(relativity, "coefficient_map", lambda g: cmap)
+        for new, reference in pairs:
+            assert outcome(new) == outcome(reference)
+
+
+def reference_stacked_tail(vectors, pay, limit=1e-6):
+    """The checks on a stack of products in their order: ``state4`` on all, then per vector."""
+    states = [qmat.state4(v) for v in vectors]
+    return [payoff_from_probabilities(JointProbabilities.from_amplitudes(v), pay, limit)
+            for v in states]
+
+
+FINE = [0.6, 0.8j, 0.0, 0.0]
+OFF_DUST = [1.1, 0.0, 0.0, 0.0]
+OVERFLOWS = [1e200, 0.0, 0.0, 0.0]
+NOT_FINITE = [0.6, complex(0.0, math.nan), 0.0, 0.0]
+
+
+@pytest.mark.parametrize("vectors,error,message", [
+    ([FINE, OFF_DUST, FINE, NOT_FINITE], ValueError, "state4 contains non-finite entries"),
+    ([OVERFLOWS, FINE, NOT_FINITE], ValueError, "state4 contains non-finite entries"),
+    ([FINE, OVERFLOWS, OFF_DUST], OverflowError, ""),
+    ([FINE, OFF_DUST, OVERFLOWS], ValueError, "outside [0, 1] beyond dust tolerance"),
+], ids=["nan after dust", "nan after overflow", "overflow before dust", "dust before overflow"])
+def test_payoff_tail_checks_every_product_first(vectors, error, message):
+    # a NaN map entry reaches every product of a stack, so a stack whose only
+    # non-finite product is a later one needs a product that overflows in the
+    # matrix product, which warns; the tail is therefore called directly
+    got = outcome(lambda: game_core._payoffs_of_amplitudes(vectors, PayoffParams()))
+    assert got == outcome(lambda: reference_stacked_tail(vectors, PayoffParams()))
+    assert got[0] is error and message in got[1]
 
 
 def record_stack_sizes(monkeypatch):
