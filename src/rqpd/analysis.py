@@ -163,13 +163,19 @@ class SweepRow(_Record):
 _PROFILE_K_FACTORS = tuple(
     _k_factors(NamedStrategy[p[0]].params, NamedStrategy[p[1]].params) for p in PROFILES
 )
+# The same factors as two (profile, amplitude) arrays, the A and the B of
+# _k_gamma_step: numpy's complex-by-real products round as Python's do.
+_PROFILE_K_COS, _PROFILE_K_SIN = (
+    np.array([[pair[i] for pair in factors] for factors in _PROFILE_K_FACTORS], dtype=complex)
+    for i in (0, 1)
+)
 
 
 def profile_table(g: GameInstance) -> ProfileTable:
     """Payoffs of all four S-profiles under the instance's backend."""
     matrix = coefficient_map(g).matrix
     cg, sg = math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
-    states = [_k_gamma_step(factors, cg, sg) for factors in _PROFILE_K_FACTORS]
+    states = _PROFILE_K_COS * cg + _PROFILE_K_SIN * sg
     return ProfileTable(*_payoffs_of_amplitudes(_final_amplitudes(matrix, states), g.pay))
 
 

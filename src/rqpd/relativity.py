@@ -162,9 +162,13 @@ def coefficient_map(g: GameInstance) -> CoefficientMap:
     _check_type(g, GameInstance, "g")
     if g.backend is Backend.UNITARY:
         # GameInstance has checked the angles; tensor2 checks the rotations
-        # and mat4 the product, so the factors are built unchecked
+        # and mat4's checks run on the product, so the factors are built unchecked.
+        # The fresh entries are conjugated in place; through their .T view the
+        # product is the same transposed-operand BLAS call as conj().T @ kron.
         kron = qmat.tensor2(*_rotation_entries(g.omega_a, g.omega_b))
-        matrix = qmat.mat4(_entangler_entries(g.gamma).conj().T @ kron)
+        j = _entangler_entries(g.gamma)
+        np.conjugate(j, out=j)
+        matrix = qmat._checked_matrix(j.T @ kron, 4, "mat4")
     else:
         matrix = paper_coefficient_matrix(g.gamma, g.omega_a, g.omega_b)
     return CoefficientMap(
@@ -354,14 +358,16 @@ def _sum4(x: np.ndarray) -> np.ndarray:
 def _final_amplitudes(matrix: np.ndarray, states) -> list[list[complex]]:
     """Each ``matrix @ k`` of ``states`` as a list, after the ``KVector`` checks.
 
-    The products are not checked here: ``state4``'s finiteness check
-    runs in the payoff tail, ``game_core._payoffs_of_amplitudes``, or
-    before the probabilities in :func:`joint_probabilities`.
+    ``states`` is a list of k-vectors or an (n, 4) complex array; the
+    checks read an array's rows as Python complexes.  The products are
+    not checked here: ``state4``'s finiteness check runs in the payoff
+    tail, ``game_core._payoffs_of_amplitudes``, or before the
+    probabilities in :func:`joint_probabilities`.
     """
-    for k in states:
+    for k in states if isinstance(states, list) else states.tolist():
         _check_unit_amplitudes(k)
     # A stacked product runs the same matrix-vector product per k as ``M @ k``.
-    return (matrix @ np.array(states)[..., None])[..., 0].tolist()
+    return (matrix @ np.asarray(states)[..., None])[..., 0].tolist()
 
 
 def joint_probabilities(

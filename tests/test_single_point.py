@@ -8,7 +8,8 @@ check on the products runs next, in the payoff tail
 ``game_core._payoffs_of_amplitudes`` or in ``joint_probabilities``.
 They go from amplitudes to payoffs without the ``KVector`` and
 ``JointProbabilities`` objects, and ``profile_table`` factors its
-k-coefficients into strategy-only parts and a gamma step.  A k-vector
+k-coefficients into strategy-only parts and a gamma step, taken for
+all four profiles at once on two constant factor arrays.  A k-vector
 that passes its checks costs one norm sum, and a list of amplitude
 vectors that all pass costs one inline payoff pass; the tests below
 also send vectors past that pass onto the checks (a clamped
@@ -23,7 +24,9 @@ theta to the helper in chunks of at most ``GRID_CHUNK``, one stacked
 product per chunk; a chunk that raises is replayed one candidate at a
 time, so the error is the first failing candidate's, as in the loop.
 The UNITARY ``coefficient_map`` builds its rotations and entangler
-unchecked, since ``GameInstance`` has checked their angles.  The references below are the loops they replaced: the
+unchecked, since ``GameInstance`` has checked their angles, and runs
+``mat4``'s checks on its product without ``mat4``'s copy.  The
+references below are the loops they replaced: the
 UNITARY map from the checking ``spin_rotation_pair``, ``np.kron`` and
 the validating ``adjoint``, the PAPER map as a nested list through
 ``qmat.mat4``, the per-profile table with the unsplit closed
@@ -37,7 +40,7 @@ import cmath
 import hashlib
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
@@ -145,7 +148,8 @@ def reference_profile_table(g, matrix=None):
         a = NamedStrategy[name[0]].params
         b = NamedStrategy[name[1]].params
         amplitudes = qmat.state4(matrix @ reference_k(a, b, g.gamma))
-        raw = [float(abs(z) ** 2) for z in amplitudes]
+        # squared as Python floats: a numpy scalar warns where the engine raises OverflowError
+        raw = [abs(z) ** 2 for z in amplitudes.tolist()]
         # left to right, as the builtin sum adds before Python 3.12
         defect = abs(((raw[0] + raw[1]) + raw[2]) + raw[3] - 1.0)
         pr = JointProbabilities(*raw, norm_defect=defect)
@@ -163,6 +167,9 @@ def test_coefficient_map_equals_reference_map(gamma, omega_a, omega_b, backend):
     got, expected = coefficient_map(g).matrix, reference_map(g)
     assert repr(got) == repr(expected)
     assert got.tobytes() == expected.tobytes()  # every bit, -0.0 included
+    # the UNITARY product is frozen in place, so nothing behind it is writable either
+    assert not got.flags.writeable
+    assert got.base is None or not got.base.flags.writeable
 
 
 # the PAPER map also serves as a diagnostic object off the game's omega domain
@@ -200,6 +207,29 @@ def test_profile_table_domain_corners(gamma, omega_a, omega_b, backend):
     assert repr(profile_table(g)) == repr(reference_profile_table(g))
 
 
+@settings(max_examples=200, deadline=None)
+@given(angles)
+@example(0.0)
+@example(HALF_PI)
+def test_profile_k_vectors_equal_gamma_step_lists(gamma):
+    # profile_table builds its four k-vectors as one array from two constant factor
+    # arrays; each must be _k_gamma_step's list, bit for bit
+    got, final_amplitudes = [], analysis._final_amplitudes
+
+    def recorded(matrix, states):
+        got.append(states)
+        return final_amplitudes(matrix, states)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_final_amplitudes", recorded)
+        profile_table(GameInstance(gamma, 0.4, 1.1))
+    (states,) = got
+    cg, sg = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
+    expected = [game_core._k_gamma_step(factors, cg, sg) for factors in analysis._PROFILE_K_FACTORS]
+    assert states.shape == (4, 4) and states.dtype == complex
+    assert states.tobytes() == np.array(expected).tobytes()  # every bit, -0.0 included
+
+
 @settings(max_examples=6, deadline=None)
 @given(angles, angles, backends, pay_tables)
 def test_thresholds_numeric_equals_reference_bisection(omega_a, omega_b, backend, pay):
@@ -234,25 +264,30 @@ def scaled_rows(scale):
     return qmat.mat4(np.diag(scale) @ reference_map(GameInstance(0.0, 0.0, 0.0)))
 
 
-# (map, the error both must raise); profiles are hit in DD, QD, DQ, QQ order
+# (map, the error both must raise and its message); profiles are hit in
+# DD, QD, DQ, QQ order
 ERROR_MAPS = {
     "nan": (qmat._frozen(np.where(np.eye(4) == 1, np.nan, 0.0).astype(complex)),
-            "state4 contains non-finite entries"),
-    "dq beyond dust": (scaled_rows([1.0, 1.0, 1.1, 1.0]), "beyond dust tolerance"),
-    "dd over limit, dq beyond dust": (scaled_rows([1.0, 1.0, 1.1, 0.999]), "norm defect"),
+            ValueError, "state4 contains non-finite entries"),
+    "dq beyond dust": (scaled_rows([1.0, 1.0, 1.1, 1.0]), ValueError, "beyond dust tolerance"),
+    "dd over limit, dq beyond dust": (scaled_rows([1.0, 1.0, 1.1, 0.999]),
+                                      NumericIntegrityError, "norm defect"),
+    # one 1e200 entry: the product is finite and its square overflows; OverflowError's
+    # message is the platform's text for ERANGE
+    "qq square overflows": (scaled_rows([1e200, 1.0, 1.0, 1.0]), OverflowError, ""),
 }
 
 
 @pytest.mark.parametrize("backend", list(Backend))
 @pytest.mark.parametrize("case", list(ERROR_MAPS))
 def test_profile_table_errors_match_reference(monkeypatch, case, backend):
-    matrix, message = ERROR_MAPS[case]
+    matrix, error, message = ERROR_MAPS[case]
     g = GameInstance(0.0, 0.0, 0.0, backend=backend)
     cmap = with_matrix(coefficient_map(g), matrix)
     monkeypatch.setattr(analysis, "coefficient_map", lambda g: cmap)
     got = outcome(lambda: profile_table(g))
     assert got == outcome(lambda: reference_profile_table(g, matrix))
-    assert isinstance(got, tuple) and message in got[1]
+    assert isinstance(got, tuple) and got[0] is error and message in got[1]
 
 
 @pytest.mark.parametrize("backend", list(Backend))
@@ -594,6 +629,26 @@ def test_kvector_checks_keep_their_order(amplitudes, error, message):
     assert got[0] is error and message in got[1]
 
 
+@pytest.mark.parametrize("bad", [
+    [complex(math.nan, 0.0), 0.0, 0.0, 0.0],
+    [1.0 + 1e-9, 0.0, 0.0, 0.0],
+    [1e200, 0.0, 0.0, 0.0],  # the square overflows: OverflowError, not a numpy warning
+    [1e200, math.inf, 0.0, 0.0],
+], ids=["not finite", "off unit norm", "overflows", "overflows before inf"])
+def test_final_amplitudes_checks_an_array_as_its_list(bad):
+    # profile_table passes its k-vectors as an (n, 4) array; the KVector checks read
+    # its rows as Python complexes, so they raise as on the list
+    matrix = coefficient_map(GameInstance(0.3, 0.2, 0.9)).matrix
+    fine = [0.6, 0.8j, 0.0, 0.0]
+    for states in ([fine, bad], [bad, fine]):
+        got = outcome(lambda: relativity._final_amplitudes(matrix, np.array(states, dtype=complex)))
+        assert got == outcome(lambda: relativity._final_amplitudes(matrix, states))
+        assert got == outcome(lambda: KVector(*bad))
+    stack = np.array([fine, [0.0, 0.0, 0.0, 1.0]], dtype=complex)
+    got = relativity._final_amplitudes(matrix, stack)
+    assert repr(got) == repr(relativity._final_amplitudes(matrix, stack.tolist()))
+
+
 def test_payoffs_raises_like_probability_objects_over_custom_limit():
     g = GameInstance(HALF_PI, HALF_PI, HALF_PI, backend=Backend.PAPER)
     mixed = StrategyParams(HALF_PI, 0.0)
@@ -626,8 +681,9 @@ SINGLE_POINT_CALLS = {
 @pytest.mark.parametrize("call", list(SINGLE_POINT_CALLS))
 def test_single_point_call_builds_one_map(monkeypatch, call, backend, tensor2_calls):
     # for profile_table, the bisection oracle's per-table cost as the benchmark's smoke
-    # pins count it; the scan builds its map once, not once per candidate
-    calls = {"coefficient_map": 0, "tensor2": 0}
+    # pins count it; the scan builds its map once, not once per candidate.  Neither map
+    # goes through mat4, which would copy it: mat4's checks run on the array built.
+    calls = {"coefficient_map": 0, "tensor2": 0, "mat4": 0}
 
     def count(module, name):
         inner = getattr(module, name)
@@ -641,8 +697,9 @@ def test_single_point_call_builds_one_map(monkeypatch, call, backend, tensor2_ca
     count(analysis, "coefficient_map")
     count(relativity, "coefficient_map")
     count(qmat, "tensor2")
+    count(qmat, "mat4")
     SINGLE_POINT_CALLS[call](GameInstance(0.7, 0.4, 1.1, backend=backend))
-    assert calls == {"coefficient_map": 1, "tensor2": tensor2_calls}
+    assert calls == {"coefficient_map": 1, "tensor2": tensor2_calls, "mat4": 0}
 
 
 @pytest.mark.parametrize("grid,calls", [((181, 91), 181), ((3, 257), 6), ((2, 300), 4)])
