@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+from itertools import compress
 import math
 import operator
 from typing import NamedTuple
@@ -70,7 +71,13 @@ from .margins import (
     _check_type,
     always_classical_scan,
 )
-from .relativity import _final_amplitudes, Backend, GameInstance, coefficient_map, evaluate_batch
+from .relativity import (
+    _coefficient_matrix,
+    _final_amplitudes,
+    Backend,
+    GameInstance,
+    evaluate_batch,
+)
 
 #: Canonical profile order (Alice's move first); also the G1..G4 order.
 PROFILES = ("DD", "QD", "DQ", "QQ")
@@ -173,7 +180,7 @@ _PROFILE_K_COS, _PROFILE_K_SIN = (
 
 def profile_table(g: GameInstance) -> ProfileTable:
     """Payoffs of all four S-profiles under the instance's backend."""
-    matrix = coefficient_map(g).matrix
+    matrix = _coefficient_matrix(g)
     cg, sg = math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
     states = _PROFILE_K_COS * cg + _PROFILE_K_SIN * sg
     return ProfileTable(*_payoffs_of_amplitudes(_final_amplitudes(matrix, states), g.pay))
@@ -223,15 +230,16 @@ def nash_set(table: ProfileTable, tie_tol: float = DEFAULT_TIE_TOL) -> NashRepor
     """
     _check_tolerance(tie_tol, "tie_tol")
     _check_type(table, ProfileTable, "table")
-    other = {"D": "Q", "Q": "D"}
-    equilibria = []
-    for profile in PROFILES:
-        a, b = profile[0], profile[1]
-        alice_ok = table.alice(profile) >= table.alice(other[a] + b) - tie_tol
-        bob_ok = table.bob(profile) >= table.bob(a + other[b]) - tie_tol
-        if alice_ok and bob_ok:
-            equilibria.append(profile)
-    return NashReport(equilibria=tuple(equilibria), tie_tolerance=tie_tol)
+    (a_dd, b_dd), (a_qd, b_qd), (a_dq, b_dq), (a_qq, b_qq) = table.dd, table.qd, table.dq, table.qq
+    # per profile, in PROFILES order: Alice gains nothing by switching her move,
+    # which changes its first letter, and Bob nothing by switching his, the second
+    stable = (
+        a_dd >= a_qd - tie_tol and b_dd >= b_dq - tie_tol,
+        a_qd >= a_dd - tie_tol and b_qd >= b_qq - tie_tol,
+        a_dq >= a_qq - tie_tol and b_dq >= b_dd - tie_tol,
+        a_qq >= a_dq - tie_tol and b_qq >= b_qd - tie_tol,
+    )
+    return NashReport(equilibria=tuple(compress(PROFILES, stable)), tie_tolerance=tie_tol)
 
 
 def thresholds_numeric(
@@ -377,7 +385,7 @@ def best_response_scan(
         )
     _check_tolerance(max_norm_defect, "max_norm_defect")
     b = _strategy_params(opponent, "opponent")
-    matrix = coefficient_map(g).matrix
+    matrix = _coefficient_matrix(g)
     # StrategyParams' checks, once per axis value rather than once per candidate
     thetas = [StrategyParams(x, 0.0).theta for x in _linspace(math.pi, n_theta)]
     phis = [StrategyParams(0.0, x).phi for x in _linspace(_HALF_PI, n_phi)]

@@ -1,7 +1,11 @@
 """Command-line interface: payoffs, sweeps, thresholds, region maps, Wigner angles.
 
 Every run is a pure function of its flags; identical invocations emit
-identical bytes.  JSON subcommands (payoff, nash, thresholds, wigner)
+identical bytes.  Where the 4x4 complex products go through BLAS
+(payoff, nash, sweep, and thresholds with --numeric or --backend
+unitary), that holds within OpenBLAS's Haswell/SkylakeX kernel family
+only: other kernels round those products differently in the last bit.
+JSON subcommands (payoff, nash, thresholds, wigner)
 write a single document with a metadata block to stdout or --output.
 CSV subcommands (sweep, thresholds --grid-n, region-map) write a bare
 header-plus-rows payload there and then, once it is written, echo their

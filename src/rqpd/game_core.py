@@ -203,12 +203,7 @@ def entangler(gamma: float) -> np.ndarray:
     D (x) D and is unitary for every gamma.
     """
     check_gamma(gamma)
-    return qmat.mat4(_entangler_entries(gamma))
-
-
-def _entangler_entries(gamma: float) -> np.ndarray:
-    """:func:`entangler` before its checks: neither gamma nor the result is validated."""
-    return math.cos(0.5 * gamma) * _EYE4 + 1j * math.sin(0.5 * gamma) * _DXD
+    return qmat.mat4(math.cos(0.5 * gamma) * _EYE4 + 1j * math.sin(0.5 * gamma) * _DXD)
 
 
 def check_gamma(gamma: float) -> float:

@@ -29,9 +29,13 @@ def _require_finite_scalar(value: float, name: str) -> None:
 
 
 def _check_tolerance(value: float, name: str) -> None:
-    """A tolerance must be >= 0; +inf turns its check off, NaN is refused."""
-    if not value >= 0.0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    """A tolerance must be a real number >= 0; +inf turns its check off, NaN is refused."""
+    try:
+        if value >= 0.0:
+            return
+    except TypeError:  # None, a string, a complex number
+        raise TypeError(f"{name} must be a real number, got {value!r}") from None
+    raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 class PayoffParams(_Record):

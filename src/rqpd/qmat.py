@@ -90,11 +90,8 @@ def tensor2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         passed = ab.shape == (2, 2, 2) and _all_finite(ab)
     except (ValueError, TypeError, OverflowError):  # raised again below by the factor at fault
         passed = False
-    if passed:
-        a, b = ab
-    else:
-        a = _as_matrix(a, 2, "tensor2 left factor")
-        b = _as_matrix(b, 2, "tensor2 right factor")
+    if not passed:
+        ab = _as_matrix(a, 2, "tensor2 left factor"), _as_matrix(b, 2, "tensor2 right factor")
     # the broadcast product np.kron forms internally, without its generality
     # frozen before the reshape, so the array behind the returned view is read-only too
-    return _frozen(a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    return _frozen(ab[0].reshape(2, 1, 2, 1) * ab[1].reshape(1, 2, 1, 2)).reshape(4, 4)

@@ -53,7 +53,6 @@ from .game_core import (
     _EYE4,
     _check_finite_amplitudes,
     _check_unit_amplitudes,
-    _entangler_entries,
     _k_amplitudes,
     _payoffs_of_amplitudes,
     DEFAULT_MAX_NORM_DEFECT,
@@ -159,25 +158,34 @@ def paper_coefficient_matrix(gamma: float, omega_a: float, omega_b: float) -> np
 
 def coefficient_map(g: GameInstance) -> CoefficientMap:
     """Coefficient map for a game instance under its selected backend."""
+    return CoefficientMap(_coefficient_matrix(g), g.backend, g.omega_a, g.omega_b, g.gamma)
+
+
+# The conjugated entangler conj(J(gamma)) = cos(gamma/2) I - i sin(gamma/2) (D (x) D)
+# is -cos * _NEG_EYE4 - (1j * sin) * _DXD_REAL: entry for entry what np.conjugate
+# makes of the entangler's cos * I + (1j * sin) * (D (x) D), signed zeros included.
+# -cos times -I gives every imaginary part -0.0, and where sin * (D (x) D) vanishes,
+# subtracting the +0.0 it leaves there keeps that -0.0.
+_NEG_EYE4 = (-np.eye(4)).astype(complex)
+_DXD_REAL = _DXD.real.astype(complex)
+
+
+def _coefficient_matrix(g: GameInstance) -> np.ndarray:
+    """The read-only matrix of :func:`coefficient_map`, with every check, without the record.
+
+    The single-point functions read only the matrix, so they call this.
+    """
     _check_type(g, GameInstance, "g")
-    if g.backend is Backend.UNITARY:
-        # GameInstance has checked the angles; tensor2 checks the rotations
-        # and mat4's checks run on the product, so the factors are built unchecked.
-        # The fresh entries are conjugated in place; through their .T view the
-        # product is the same transposed-operand BLAS call as conj().T @ kron.
-        kron = qmat.tensor2(*_rotation_entries(g.omega_a, g.omega_b))
-        j = _entangler_entries(g.gamma)
-        np.conjugate(j, out=j)
-        matrix = qmat._checked_matrix(j.T @ kron, 4, "mat4")
-    else:
-        matrix = paper_coefficient_matrix(g.gamma, g.omega_a, g.omega_b)
-    return CoefficientMap(
-        matrix=matrix,
-        backend=g.backend,
-        omega_a=g.omega_a,
-        omega_b=g.omega_b,
-        gamma=g.gamma,
-    )
+    if g.backend is Backend.PAPER:
+        return paper_coefficient_matrix(g.gamma, g.omega_a, g.omega_b)
+    # GameInstance has checked the angles; tensor2 checks the rotations
+    # and mat4's checks run on the product, so the factors are built unchecked.
+    # Through the .T view of the fresh conj(J) the product is the same
+    # transposed-operand BLAS call as conj().T @ kron.
+    kron = qmat.tensor2(*_rotation_entries(g.omega_a, g.omega_b))
+    half = 0.5 * g.gamma
+    j = -math.cos(half) * _NEG_EYE4 - (1j * math.sin(half)) * _DXD_REAL
+    return qmat._checked_matrix(j.T @ kron, 4, "mat4")
 
 
 # ------------------------------------------------------------ batched kernel
@@ -380,7 +388,7 @@ def joint_probabilities(
     A norm defect (possible under ``Backend.PAPER`` away from the named
     strategy set) is recorded on the result, not raised here.
     """
-    vectors = _final_amplitudes(coefficient_map(g).matrix, [_k_amplitudes(a, b, g.gamma)])
+    vectors = _final_amplitudes(_coefficient_matrix(g), [_k_amplitudes(a, b, g.gamma)])
     _check_finite_amplitudes(vectors)
     return JointProbabilities._from_finite(vectors[0])
 
@@ -393,6 +401,6 @@ def payoffs(
 ) -> PayoffPair:
     """Expected payoffs for a strategy pair under an instance."""
     _check_tolerance(max_norm_defect, "max_norm_defect")
-    vectors = _final_amplitudes(coefficient_map(g).matrix, [_k_amplitudes(a, b, g.gamma)])
+    vectors = _final_amplitudes(_coefficient_matrix(g), [_k_amplitudes(a, b, g.gamma)])
     (pair,) = _payoffs_of_amplitudes(vectors, g.pay, max_norm_defect)
     return pair

@@ -2,6 +2,8 @@ import math
 import random
 import re
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from rqpd.analysis import (
     _grid_axis,
     MAX_GRID_POINTS,
     PROFILES,
+    NashReport,
+    ProfileTable,
     Region,
     ThresholdSet,
     always_classical_scan,
@@ -35,6 +39,7 @@ from rqpd.closed_form import (
 from rqpd.game_core import (
     JointProbabilities,
     NamedStrategy,
+    PayoffPair,
     PayoffParams,
     StrategyParams,
     k_coefficients,
@@ -190,6 +195,55 @@ def test_nash_contains_sds_combination():
         report = sds_of(t)
         if report.alice is not None and report.bob is not None:
             assert nash_set(t).equilibria == (report.alice + report.bob,)
+
+
+def reference_nash_set(table, tie_tol):
+    """``nash_set``'s former loop: profile strings and 16 table lookups."""
+    other = {"D": "Q", "Q": "D"}
+    equilibria = []
+    for profile in PROFILES:
+        a, b = profile[0], profile[1]
+        alice_ok = table.alice(profile) >= table.alice(other[a] + b) - tie_tol
+        bob_ok = table.bob(profile) >= table.bob(a + other[b]) - tie_tol
+        if alice_ok and bob_ok:
+            equilibria.append(profile)
+    return NashReport(equilibria=tuple(equilibria), tie_tolerance=tie_tol)
+
+
+tie_tols = st.sampled_from([0.0, math.inf, 1e-9, 0.25]) | st.floats(0.0, 2.0)
+# One deviation of a table: the better payoff x, and the other payoff sitting
+# exactly at x - tie_tol or one float step inside or outside of it
+deviations = st.tuples(st.floats(-10.0, 10.0), st.sampled_from([-1, 0, 1]), st.booleans())
+
+
+def nudged(x, step):
+    return x if step == 0 else math.nextafter(x, step * math.inf)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tie_tols, st.lists(deviations, min_size=4, max_size=4))
+def test_nash_set_matches_string_loop_at_the_tie_tolerance(tie_tol, devs):
+    # the four deviations: Alice's DD/QD and DQ/QQ, Bob's DD/DQ and QD/QQ;
+    # every payoff of the table belongs to one deviation of each player
+    pairs = []
+    for x, step, swap in devs:
+        pair = (x, nudged(x - tie_tol, step))
+        pairs.append(pair[::-1] if swap else pair)
+    (a_dd, a_qd), (a_dq, a_qq), (b_dd, b_dq), (b_qd, b_qq) = pairs
+    table = ProfileTable(PayoffPair(a_dd, b_dd), PayoffPair(a_qd, b_qd),
+                         PayoffPair(a_dq, b_dq), PayoffPair(a_qq, b_qq))
+    assert repr(nash_set(table, tie_tol)) == repr(reference_nash_set(table, tie_tol))
+
+
+def test_nash_set_tie_is_weak_at_the_tolerance():
+    tol = 0.25
+    for step, stable in ((0, True), (1, True), (-1, False)):
+        # Alice's QD payoff at, one step inside, one step beyond 1 - tol below DD
+        a_qd = nudged(1.0 - tol, step)
+        table = ProfileTable(PayoffPair(1.0, 0.0), PayoffPair(a_qd, 0.0),
+                             PayoffPair(0.0, 0.0), PayoffPair(0.0, 0.0))
+        assert ("QD" in nash_set(table, tol).equilibria) is stable
+        assert nash_set(table, tol) == reference_nash_set(table, tol)
 
 
 # -------------------------------------------------------------- thresholds
@@ -648,6 +702,16 @@ def test_tolerances_must_be_non_negative(call, value):
     with pytest.raises(ValueError, match=f"^{name} must be >= 0, got {value!r}$"):
         f(value)
     f(math.inf)  # an infinite tolerance stays allowed
+
+
+@pytest.mark.parametrize("value", [None, "x", 1j])
+@pytest.mark.parametrize("call", list(TOLERANCE_CALLS))
+def test_tolerances_must_be_real_numbers(call, value):
+    # these died comparing the value with 0.0, in a message that named no argument
+    name, f = TOLERANCE_CALLS[call]
+    message = f"{name} must be a real number, got {value!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        f(value)
 
 
 STRATEGY_CALLS = {

@@ -39,7 +39,6 @@ from rqpd.game_core import (
 )
 from rqpd.relativity import (
     Backend,
-    CoefficientMap,
     GameInstance,
     evaluate_batch,
     joint_probabilities,
@@ -243,14 +242,8 @@ def test_kernel_clamps_dust_and_rejects_beyond_it(monkeypatch, factor):
     assert 0.0 < float(got.norm_defect) < 1e-12
 
     monkeypatch.setattr(relativity, "_coefficient_maps", lambda *a: build(*a) * factor)
-    scalar_map = relativity.coefficient_map
-
-    def scaled_map(g):
-        cmap = scalar_map(g)
-        return CoefficientMap(cmap.matrix * factor, cmap.backend, cmap.omega_a, cmap.omega_b,
-                              cmap.gamma)
-
-    monkeypatch.setattr(relativity, "coefficient_map", scaled_map)
+    scalar_matrix = relativity._coefficient_matrix
+    monkeypatch.setattr(relativity, "_coefficient_matrix", lambda g: scalar_matrix(g) * factor)
     with pytest.raises(ValueError) as batched:
         evaluate_batch(*args)
     raw = float(np.float_power(np.hypot(factor, 0.0), 2.0))

@@ -23,9 +23,12 @@ the helper and the payoff tail.  The scan passes the candidates of each
 theta to the helper in chunks of at most ``GRID_CHUNK``, one stacked
 product per chunk; a chunk that raises is replayed one candidate at a
 time, so the error is the first failing candidate's, as in the loop.
-The UNITARY ``coefficient_map`` builds its rotations and entangler
-unchecked, since ``GameInstance`` has checked their angles, and runs
-``mat4``'s checks on its product without ``mat4``'s copy.  The
+The UNITARY ``coefficient_map`` builds its rotations and its conjugated
+entangler unchecked, since ``GameInstance`` has checked their angles,
+and runs ``mat4``'s checks on its product without ``mat4``'s copy.  The
+four functions take that checked matrix from
+``relativity._coefficient_matrix``, without the ``CoefficientMap``
+record, and the tests below inject their maps there.  The
 references below are the loops they replaced: the
 UNITARY map from the checking ``spin_rotation_pair``, ``np.kron`` and
 the validating ``adjoint``, the PAPER map as a nested list through
@@ -70,7 +73,6 @@ from rqpd.game_core import (
 )
 from rqpd.relativity import (
     Backend,
-    CoefficientMap,
     GameInstance,
     coefficient_map,
     joint_probabilities,
@@ -253,11 +255,6 @@ def outcome(f):
         return type(exc), str(exc), getattr(exc, "defect", None)
 
 
-def with_matrix(cmap, matrix):
-    """``cmap`` with its matrix replaced."""
-    return CoefficientMap(matrix, cmap.backend, cmap.omega_a, cmap.omega_b, cmap.gamma)
-
-
 def scaled_rows(scale):
     # At gamma = omega = 0 both maps are the identity, and DD, QD, DQ, QQ
     # land on basis states DD, CD, DC, CC: row i scales one profile.
@@ -283,8 +280,7 @@ ERROR_MAPS = {
 def test_profile_table_errors_match_reference(monkeypatch, case, backend):
     matrix, error, message = ERROR_MAPS[case]
     g = GameInstance(0.0, 0.0, 0.0, backend=backend)
-    cmap = with_matrix(coefficient_map(g), matrix)
-    monkeypatch.setattr(analysis, "coefficient_map", lambda g: cmap)
+    monkeypatch.setattr(analysis, "_coefficient_matrix", lambda g: matrix)
     got = outcome(lambda: profile_table(g))
     assert got == outcome(lambda: reference_profile_table(g, matrix))
     assert isinstance(got, tuple) and got[0] is error and message in got[1]
@@ -299,9 +295,8 @@ def test_profile_table_clamps_like_reference(monkeypatch, scale, backend):
     matrix = scaled_rows(scale)
     assert abs(complex(matrix[3, 3])) ** 2 > 1.0
     g = GameInstance(0.0, 0.0, 0.0, PayoffParams(7.0, 2.5, 0.5, -1.0), backend)
-    cmap = with_matrix(coefficient_map(g), matrix)
-    monkeypatch.setattr(analysis, "coefficient_map", lambda g: cmap)
-    monkeypatch.setattr(relativity, "coefficient_map", lambda g: cmap)
+    monkeypatch.setattr(analysis, "_coefficient_matrix", lambda g: matrix)
+    monkeypatch.setattr(relativity, "_coefficient_matrix", lambda g: matrix)
     got = profile_table(g)
     assert repr(got) == repr(reference_profile_table(g, matrix))
     assert got.dd == (0.5, 0.5)  # p, from a probability of exactly 1
@@ -312,8 +307,8 @@ def test_profile_table_clamps_like_reference(monkeypatch, scale, backend):
 # ---------------------------------------------------- scalar pair references
 #
 # The object paths the scalar pair path replaced: the map is read through
-# the module attribute, so a patched ``relativity.coefficient_map`` reaches
-# them too.
+# ``relativity.coefficient_map``, which builds its matrix with the module
+# attribute, so a patched ``relativity._coefficient_matrix`` reaches them too.
 
 
 def reference_final_amplitudes(g, a, b):
@@ -420,13 +415,12 @@ def scaled_k_step(scale):
     return lambda *args: [z * scale for z in step(*args)]
 
 
-NAN_MAP = with_matrix(coefficient_map(GameInstance(0.0, 0.0, 0.0)), ERROR_MAPS["nan"][0])
-
 # (name to patch, replacement, the error all must raise), for the checks
 # that in-domain angles never trip: a non-finite map, and k-coefficients
 # that fail the KVector checks
 PAIR_ERRORS = {
-    "nan map": ("coefficient_map", lambda g: NAN_MAP, "state4 contains non-finite entries"),
+    "nan map": ("_coefficient_matrix", lambda g: ERROR_MAPS["nan"][0],
+                "state4 contains non-finite entries"),
     "k not finite": ("_k_gamma_step", scaled_k_step(math.nan), "amplitudes must be finite"),
     "k off unit norm": ("_k_gamma_step", scaled_k_step(1.0 + 1e-9), "KVector norm^2 = "),
     # OverflowError's message is the platform's text for ERANGE
@@ -499,7 +493,6 @@ def test_moved_finiteness_check_keeps_each_first_error(
     # must raise the error the object paths raise first
     g = GameInstance(gamma, omega_a, omega_b, pay, backend)
     matrix = edited_map(g, changes)
-    cmap = with_matrix(coefficient_map(g), matrix)
     q = NamedStrategy.Q
     pairs = [
         (lambda: profile_table(g), lambda: reference_profile_table_finite_first(g, matrix)),
@@ -510,8 +503,8 @@ def test_moved_finiteness_check_keeps_each_first_error(
          lambda: reference_best_response_scan(g, q, (3, 3), limit)),
     ]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis, "coefficient_map", lambda g: cmap)
-        patch.setattr(relativity, "coefficient_map", lambda g: cmap)
+        patch.setattr(analysis, "_coefficient_matrix", lambda g: matrix)
+        patch.setattr(relativity, "_coefficient_matrix", lambda g: matrix)
         for new, reference in pairs:
             assert outcome(new) == outcome(reference)
 
@@ -683,7 +676,7 @@ def test_single_point_call_builds_one_map(monkeypatch, call, backend, tensor2_ca
     # for profile_table, the bisection oracle's per-table cost as the benchmark's smoke
     # pins count it; the scan builds its map once, not once per candidate.  Neither map
     # goes through mat4, which would copy it: mat4's checks run on the array built.
-    calls = {"coefficient_map": 0, "tensor2": 0, "mat4": 0}
+    calls = {"_coefficient_matrix": 0, "tensor2": 0, "mat4": 0}
 
     def count(module, name):
         inner = getattr(module, name)
@@ -694,12 +687,25 @@ def test_single_point_call_builds_one_map(monkeypatch, call, backend, tensor2_ca
 
         monkeypatch.setattr(module, name, wrapper)
 
-    count(analysis, "coefficient_map")
-    count(relativity, "coefficient_map")
+    count(analysis, "_coefficient_matrix")
+    count(relativity, "_coefficient_matrix")
     count(qmat, "tensor2")
     count(qmat, "mat4")
     SINGLE_POINT_CALLS[call](GameInstance(0.7, 0.4, 1.1, backend=backend))
-    assert calls == {"coefficient_map": 1, "tensor2": tensor2_calls, "mat4": 0}
+    assert calls == {"_coefficient_matrix": 1, "tensor2": tensor2_calls, "mat4": 0}
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("call", list(SINGLE_POINT_CALLS))
+def test_single_point_call_builds_no_record(monkeypatch, call, backend):
+    # only coefficient_map wraps the matrix in a CoefficientMap
+    def refuse(*args, **kwargs):
+        raise AssertionError("CoefficientMap built")
+
+    monkeypatch.setattr(relativity, "CoefficientMap", refuse)
+    SINGLE_POINT_CALLS[call](GameInstance(0.7, 0.4, 1.1, backend=backend))
+    with pytest.raises(AssertionError, match="CoefficientMap built"):
+        coefficient_map(GameInstance(0.7, 0.4, 1.1, backend=backend))
 
 
 @pytest.mark.parametrize("grid,calls", [((181, 91), 181), ((3, 257), 6), ((2, 300), 4)])
