@@ -43,6 +43,7 @@ from .closed_form import (
     MAX_GRID_POINTS,
     RATIO_DUST,
     ConvergenceError,
+    NumericIntegrityError,
     ThresholdSet,
     _Record,
     _grid_axis,
@@ -58,6 +59,7 @@ from .game_core import (
     _payoffs_of_amplitudes,
     _strategy_params,
     DEFAULT_MAX_NORM_DEFECT,
+    PROBABILITY_DUST,
     NamedStrategy,
     PayoffPair,
     StrategyParams,
@@ -72,11 +74,12 @@ from .margins import (
     always_classical_scan,
 )
 from .relativity import (
+    _coefficient_maps,
     _coefficient_matrix,
     _final_amplitudes,
+    _half_cos_sin,
     Backend,
     GameInstance,
-    evaluate_batch,
 )
 
 #: Canonical profile order (Alice's move first); also the G1..G4 order.
@@ -184,6 +187,86 @@ def profile_table(g: GameInstance) -> ProfileTable:
     cg, sg = math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
     states = _PROFILE_K_COS * cg + _PROFILE_K_SIN * sg
     return ProfileTable(*_payoffs_of_amplitudes(_final_amplitudes(matrix, states), g.pay))
+
+
+# ------------------------------------------------------------ batched kernel
+#
+# The grid paths evaluate the four profiles over whole arrays of points.
+# The maps come from relativity._coefficient_maps and the k-vectors from
+# the constants profile_table uses, and every float operation repeats the
+# scalar path's, so a batch is bit-for-bit a profile_table loop:
+#
+# * |a|^2 is pow(hypot(re, im), 2), as the scalar ``abs(a) ** 2`` computes
+#   it (``np.abs`` on complex arrays and ``x * x`` each differ from it in
+#   the last ulp on some inputs; ``np.float_power`` calls pow), and the
+#   four are summed left to right, as Python's ``sum``;
+# * a map is applied as ``M @ k[..., None]``, the same BLAS matrix-vector
+#   product as the scalar ``M @ k`` (``k @ M.T`` is not).
+#
+# The kernel only detects failing points; profile_table, called at the
+# first of them, raises the error, so each error message and the order of
+# the checks exist once.  The scalar finiteness and k-norm checks need no
+# predicate: in-range angles give finite maps and unit k, and a NaN
+# anywhere fails the dust and defect predicates.
+
+
+class BatchPayoffs(NamedTuple):
+    """Kernel results over the broadcast shape of the angles, then the profile axis."""
+
+    alice: np.ndarray
+    bob: np.ndarray
+    probabilities: np.ndarray  # (..., 4, 4) over (CC, CD, DC, DD), dust-clamped
+    norm_defect: np.ndarray
+
+
+def evaluate_batch(gamma, omega_a, omega_b, backend: Backend, pay: PayoffParams) -> BatchPayoffs:
+    """The four profiles' payoffs at each point of ``(gamma, omega_a, omega_b)``.
+
+    The batch form of :func:`profile_table` over array arguments that
+    broadcast against each other; each result has a last axis over the
+    profiles, in ``PROFILES`` order.  Maps are built over the broadcast
+    of the three angles and k-vectors over gamma alone.  Results are
+    bit-for-bit the scalar ones.
+
+    The angle domains, the backend, the payoff table, the probability
+    dust and the norm defect are checked once per batch, as a predicate
+    per point.  When points fail, the kernel calls
+    ``profile_table(GameInstance(gamma, omega_a, omega_b, pay, backend))``
+    at the first failing point in C order of the broadcast shape, so the
+    error raised is the one a point-by-point loop raises first, with its
+    message.  Should that call return, kernel and scalar path disagree,
+    and :class:`NumericIntegrityError` with the kernel's defect at that
+    point is raised instead of payoffs.
+    """
+    angles = tuple(np.asarray(x, dtype=float) for x in (gamma, omega_a, omega_b))
+    # Failing points are found after the arithmetic, which therefore runs
+    # on them too; NaN and inf inputs must not warn.
+    with np.errstate(invalid="ignore"):
+        maps = _coefficient_maps(*angles, backend)
+        cg, sg = (x[..., None, None] for x in _half_cos_sin(angles[0]))
+        k = _PROFILE_K_COS * cg + _PROFILE_K_SIN * sg
+        amplitudes = (maps[..., None, :, :] @ k[..., None])[..., 0]
+        raw = np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2.0)
+        defect = np.abs(((raw[..., 0] + raw[..., 1]) + raw[..., 2]) + raw[..., 3] - 1.0)
+    ok = (
+        ((raw >= -PROBABILITY_DUST) & (raw <= 1.0 + PROBABILITY_DUST)).all(-1)
+        & (defect <= DEFAULT_MAX_NORM_DEFECT)
+        & isinstance(backend, Backend)
+        & isinstance(pay, PayoffParams)
+    )
+    for values in angles:
+        ok &= ((values >= 0.0) & (values <= _HALF_PI))[..., None]  # NaN fails both
+    if not ok.all():
+        i = int(np.argmax(~ok))
+        point = [float(np.broadcast_to(x, ok.shape[:-1]).flat[i // 4]) for x in angles]
+        profile_table(GameInstance(*point, pay, backend))
+        raise NumericIntegrityError(float(defect.flat[i]), DEFAULT_MAX_NORM_DEFECT)
+
+    probabilities = np.clip(raw, 0.0, 1.0)
+    p_cc, p_cd, p_dc, p_dd = np.moveaxis(probabilities, -1, 0)
+    alice = pay.r * p_cc + pay.p * p_dd + pay.t * p_dc + pay.s * p_cd
+    bob = pay.r * p_cc + pay.p * p_dd + pay.s * p_dc + pay.t * p_cd
+    return BatchPayoffs(alice, bob, probabilities, defect)
 
 
 def sds_of(table: ProfileTable, tie_tol: float = DEFAULT_TIE_TOL) -> SdsReport:
@@ -312,14 +395,6 @@ def region_classify(g: GameInstance, tie_tol: float = DEFAULT_TIE_TOL) -> Region
     )
 
 
-# Strategy angles (theta_a, phi_a, theta_b, phi_b) of the profiles, in PROFILES order.
-_PROFILE_ANGLES = tuple(
-    np.array([getattr(NamedStrategy[p[player]].params, angle) for p in PROFILES])
-    for player in (0, 1)
-    for angle in ("theta", "phi")
-)
-
-
 def _chunks(total: int):
     """Consecutive slices of at most GRID_CHUNK points."""
     for start in range(0, total, GRID_CHUNK):
@@ -336,9 +411,8 @@ def sweep_gamma(
     """Profile payoffs at n uniformly spaced gammas in [0, pi/2].
 
     One ``evaluate_batch`` call per chunk of at most ``GRID_CHUNK``
-    gammas, with the profiles, in ``PROFILES`` order, as its last axis:
-    the first error raised is that of the first failing (gamma, profile)
-    in a loop over the gammas.
+    gammas: the rows, and the first error raised, are those of a
+    ``profile_table`` loop over the gammas.
     """
     gammas = _grid_axis(n, "n")
     # GameInstance's omega checks, which refuse a sequence (it would broadcast) and a string
@@ -347,8 +421,7 @@ def sweep_gamma(
     pay = pay if pay is not None else PayoffParams()
     rows = []
     for index in _chunks(n):
-        ev = evaluate_batch(np.array(gammas[index])[:, None], omega_a, omega_b,
-                            *_PROFILE_ANGLES, backend=backend, pay=pay)
+        ev = evaluate_batch(np.array(gammas[index]), omega_a, omega_b, backend, pay)
         rows.extend(map(SweepRow, gammas[index], *ev.alice.T.tolist(), *ev.bob.T.tolist()))
     return tuple(rows)
 

@@ -31,17 +31,14 @@ which is recorded (never hidden) in ``JointProbabilities.norm_defect``.
 
 from __future__ import annotations
 
-import cmath
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from . import qmat
 from .closed_form import (
-    _HALF_PI,
     Backend,
-    NumericIntegrityError,
+    NumericIntegrityError,  # imported from here before it moved; kept importable
     _Record,
     check_omega,
     rapidity_from_speed,
@@ -56,7 +53,6 @@ from .game_core import (
     _k_amplitudes,
     _payoffs_of_amplitudes,
     DEFAULT_MAX_NORM_DEFECT,
-    PROBABILITY_DUST,
     JointProbabilities,
     NamedStrategy,
     PayoffPair,
@@ -139,10 +135,6 @@ def paper_coefficient_matrix(gamma: float, omega_a: float, omega_b: float) -> np
     w2 = cg * ca * sb + 1j * sg * sa * cb
     w3 = cg * sa * cb + 1j * sg * ca * sb
     w4 = cg * sa * sb + 1j * sg * ca * cb
-    # qmat.mat4's check: every entry is one of these up to sign and conjugation
-    if not (cmath.isfinite(w1) and cmath.isfinite(w2) and cmath.isfinite(w3)
-            and cmath.isfinite(w4)):
-        raise ValueError("mat4 contains non-finite entries")
     w2c, w3c = w2.conjugate(), w3.conjugate()
     entries = np.array(
         [
@@ -188,28 +180,14 @@ def _coefficient_matrix(g: GameInstance) -> np.ndarray:
     return qmat._checked_matrix(j.T @ kron, 4, "mat4")
 
 
-# ------------------------------------------------------------ batched kernel
+# ------------------------------------------------------------ map stack
 #
-# The grid paths evaluate the pipeline over whole arrays of points.  Every
-# float operation below repeats, in the same order, the one the scalar
-# path performs at a single point, so a batch is bit-for-bit the scalar
-# result:
-#
-# * complex products that Python evaluates on scalars are spelled out as
-#   real/imaginary float arithmetic in Python's evaluation order (numpy's
-#   vectorised complex multiply rounds differently);
-# * |a|^2 is pow(hypot(re, im), 2), as the scalar ``abs(a) ** 2`` computes
-#   it (``np.abs`` on complex arrays and ``x * x`` each differ from it in
-#   the last ulp on some inputs; ``np.float_power`` calls pow);
-# * a map is applied as ``M @ k[..., None]``, the same BLAS matrix-vector
-#   product as the scalar ``M @ k`` (``k @ M.T`` is not);
-# * the UNITARY map reuses ``game_core._DXD`` with its cos(pi/2) dust.
-#
-# The kernel only detects failing points; the scalar pipeline, called at
-# the first of them, raises the error, so each error message and the order
-# of the checks exist once.  The scalar finiteness and k-norm checks need
-# no predicate: in-range angles give finite maps and unit k, and a NaN
-# anywhere fails the dust and defect predicates.
+# ``analysis.evaluate_batch`` evaluates the {D, Q} profiles over whole
+# arrays of points on a stack of maps.  Every float operation below
+# repeats, in the same order, the one :func:`_coefficient_matrix`
+# performs at a single point, so each map of the stack is bit-for-bit
+# the scalar one; the UNITARY maps reuse ``game_core._DXD`` with its
+# cos(pi/2) dust.
 
 # PAPER map entry (i, j) is w, conj(w), -conj(w) or -w for
 # w = (w1, w2, w3, w4)[_PAPER_W[i, j]], as in paper_coefficient_matrix.
@@ -220,86 +198,6 @@ _PAPER_SIGN_RE = np.array(
 _PAPER_SIGN_IM = np.array(
     [[1, -1, 1, -1], [1, 1, 1, -1], [-1, 1, 1, -1], [-1, -1, 1, 1]], dtype=float
 )
-
-# Upper ends of the [0, upper] domains of (gamma, omega_a, omega_b, theta_a,
-# phi_a, theta_b, phi_b), the argument order of evaluate_batch.
-_ANGLE_UPPER = (_HALF_PI, _HALF_PI, _HALF_PI, math.pi, _HALF_PI, math.pi, _HALF_PI)
-
-
-class BatchPayoffs(NamedTuple):
-    """Kernel results; every array has the broadcast shape of the inputs."""
-
-    alice: np.ndarray
-    bob: np.ndarray
-    probabilities: np.ndarray  # (..., 4) over (CC, CD, DC, DD), dust-clamped
-    norm_defect: np.ndarray
-
-
-def evaluate_batch(
-    gamma,
-    omega_a,
-    omega_b,
-    theta_a,
-    phi_a,
-    theta_b,
-    phi_b,
-    backend: Backend,
-    pay: PayoffParams,
-) -> BatchPayoffs:
-    """Payoffs of Alice's (theta_a, phi_a) against Bob's (theta_b, phi_b).
-
-    The batch form of :func:`payoffs` over array arguments that
-    broadcast against each other.  Coefficient maps are built over the
-    broadcast of ``(gamma, omega_a, omega_b)`` only and k-coefficients
-    over that of gamma and the strategy angles: points that differ only
-    in their strategies share one map, and points that differ only in
-    their omegas share one set of k-coefficients.  Results are
-    bit-for-bit the scalar ones.
-
-    The angle domains, the backend, the payoff table, the probability
-    dust and the norm defect are checked once per batch, as a predicate
-    per point.  When points fail, the kernel calls
-    ``payoffs(GameInstance(gamma, omega_a, omega_b, pay, backend),
-    StrategyParams(theta_a, phi_a), StrategyParams(theta_b, phi_b))`` at
-    the first failing point in C order of the broadcast shape, so the
-    error raised is the one a point-by-point loop raises first, with its
-    message.  Should that call return, kernel and scalar path disagree,
-    and :class:`NumericIntegrityError` with the kernel's defect at that
-    point is raised instead of payoffs.
-    """
-    angles = tuple(
-        np.asarray(x, dtype=float)
-        for x in (gamma, omega_a, omega_b, theta_a, phi_a, theta_b, phi_b)
-    )
-    gamma, omega_a, omega_b, theta_a, phi_a, theta_b, phi_b = angles
-    # Failing points are found after the arithmetic, which therefore runs
-    # on them too; NaN and inf inputs must not warn.
-    with np.errstate(invalid="ignore"):
-        maps = _coefficient_maps(gamma, omega_a, omega_b, backend)
-        k = _k_coefficient_array(gamma, theta_a, phi_a, theta_b, phi_b)
-        amplitudes = (maps @ k[..., None])[..., 0]
-        raw = _abs2(amplitudes)
-        defect = np.abs(_sum4(raw) - 1.0)
-    ok = (
-        ((raw >= -PROBABILITY_DUST) & (raw <= 1.0 + PROBABILITY_DUST)).all(-1)
-        & (defect <= DEFAULT_MAX_NORM_DEFECT)
-        & isinstance(backend, Backend)
-        & isinstance(pay, PayoffParams)
-    )
-    for values, upper in zip(angles, _ANGLE_UPPER):
-        ok &= (values >= 0.0) & (values <= upper)  # NaN fails both
-    if not ok.all():
-        i = int(np.argmax(~ok))
-        point = [float(np.broadcast_to(x, ok.shape).flat[i]) for x in angles]
-        game = GameInstance(*point[:3], pay, backend)
-        payoffs(game, StrategyParams(*point[3:5]), StrategyParams(*point[5:]))
-        raise NumericIntegrityError(float(defect.flat[i]), DEFAULT_MAX_NORM_DEFECT)
-
-    probabilities = np.clip(raw, 0.0, 1.0)
-    p_cc, p_cd, p_dc, p_dd = np.moveaxis(probabilities, -1, 0)
-    alice = pay.r * p_cc + pay.p * p_dd + pay.t * p_dc + pay.s * p_cd
-    bob = pay.r * p_cc + pay.p * p_dd + pay.s * p_dc + pay.t * p_cd
-    return BatchPayoffs(alice, bob, probabilities, defect)
 
 
 def _half_cos_sin(angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,41 +224,6 @@ def _coefficient_maps(gamma, omega_a, omega_b, backend: Backend) -> np.ndarray:
     maps.real = w_re[..., _PAPER_W] * _PAPER_SIGN_RE
     maps.imag = w_im[..., _PAPER_W] * _PAPER_SIGN_IM
     return maps
-
-
-def _k_coefficient_array(gamma, theta_a, phi_a, theta_b, phi_b) -> np.ndarray:
-    """(..., 4) k-coefficients, the batch form of :func:`game_core.k_coefficients`."""
-    ca, sa = _half_cos_sin(theta_a)
-    cb, sb = _half_cos_sin(theta_b)
-    cg, sg = _half_cos_sin(gamma)
-    ear, eai = np.cos(phi_a), np.sin(phi_a)  # cmath.exp(1j * phi) is (cos, sin)
-    ebr, ebi = np.cos(phi_b), np.sin(phi_b)
-    tr, ti = ear * ebr - eai * ebi, ear * ebi + eai * ebr  # ea * eb
-    parts = (
-        # ea * eb * ca * cb * cg + 1j * sa * sb * sg
-        (tr * ca * cb * cg, ti * ca * cb * cg + sa * sb * sg),
-        # -ea * ca * sb * cg + 1j * eb.conjugate() * sa * cb * sg
-        (-ear * ca * sb * cg + ebi * sa * cb * sg, -eai * ca * sb * cg + ebr * sa * cb * sg),
-        # -eb * sa * cb * cg + 1j * ea.conjugate() * ca * sb * sg
-        (-ebr * sa * cb * cg + eai * ca * sb * sg, -ebi * sa * cb * cg + ear * ca * sb * sg),
-        # sa * sb * cg + 1j * (ea * eb).conjugate() * ca * cb * sg
-        (sa * sb * cg + ti * ca * cb * sg, tr * ca * cb * sg),
-    )
-    shape = np.broadcast_shapes(*(np.shape(x) for part in parts for x in part))
-    k = np.empty(shape + (4,), dtype=complex)
-    for i, (re, im) in enumerate(parts):
-        k.real[..., i] = re
-        k.imag[..., i] = im
-    return k
-
-
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return np.float_power(np.hypot(z.real, z.imag), 2.0)
-
-
-def _sum4(x: np.ndarray) -> np.ndarray:
-    """Left-to-right sum over the last axis of length 4, as Python's ``sum``."""
-    return ((x[..., 0] + x[..., 1]) + x[..., 2]) + x[..., 3]
 
 
 def _final_amplitudes(matrix: np.ndarray, states) -> list[list[complex]]:

@@ -122,6 +122,15 @@ def test_wigner_finite_beyond_sinh_range():
     assert wigner_angle(1e308, 1e308) == HALF_PI
 
 
+@pytest.mark.parametrize("bad", [-0.5, -1e-300, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["alpha", "delta"])
+def test_wigner_refuses_each_bad_rapidity_by_name(name, bad):
+    args = {"alpha": 1.0, "delta": 1.0, name: bad}
+    with pytest.raises(ValueError) as info:
+        wigner_angle(**args)
+    assert str(info.value) == f"{name} must be finite and >= 0, got {bad!r}"
+
+
 @pytest.mark.parametrize("delta", [1e-300, 1e-8, 0.5, 1.0, 3.0, 20.0, 300.0, 705.0, 710.4, 800.0])
 def test_wigner_monotone_across_overflow_switch(delta):
     # The product of the sinh terms overflows once alpha + delta passes

@@ -388,7 +388,7 @@ def test_best_response_scan_ties_break_toward_smallest_angles():
 
 
 def test_best_response_scan_raises_like_object_loop_on_norm_leak():
-    # the PAPER case of test_kernel_raises_at_first_offending_point
+    # PAPER leaks norm off {D, Q}: the first failing candidate in C order raises
     g = GameInstance(0.7, 0.4, 1.1, backend=Backend.PAPER)
     opponent = StrategyParams(1.0, 0.3)
     got = outcome(lambda: best_response_scan(g, opponent, grid=(19, 10)))
