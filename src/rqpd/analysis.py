@@ -69,6 +69,7 @@ from .margins import (
     DEFAULT_TIE_TOL,
     PayoffParams,
     RegionMapRow,
+    _check_pay_and_backend,
     _check_tolerance,
     _check_type,
     always_classical_scan,
@@ -203,11 +204,12 @@ def profile_table(g: GameInstance) -> ProfileTable:
 # * a map is applied as ``M @ k[..., None]``, the same BLAS matrix-vector
 #   product as the scalar ``M @ k`` (``k @ M.T`` is not).
 #
-# The kernel only detects failing points; profile_table, called at the
-# first of them, raises the error, so each error message and the order of
-# the checks exist once.  The scalar finiteness and k-norm checks need no
-# predicate: in-range angles give finite maps and unit k, and a NaN
-# anywhere fails the dust and defect predicates.
+# The kernel checks the backend and the payoff table once per call, then
+# only detects failing points; profile_table, called at the first of them,
+# raises the error, so each error message and the order of the checks
+# exist once.  Neither path checks its maps or k-vectors: in-domain angles
+# give finite maps and unit k, and a NaN anywhere fails the dust and
+# defect predicates.
 
 
 class BatchPayoffs(NamedTuple):
@@ -228,9 +230,10 @@ def evaluate_batch(gamma, omega_a, omega_b, backend: Backend, pay: PayoffParams)
     of the three angles and k-vectors over gamma alone.  Results are
     bit-for-bit the scalar ones.
 
-    The angle domains, the backend, the payoff table, the probability
-    dust and the norm defect are checked once per batch, as a predicate
-    per point.  When points fail, the kernel calls
+    The payoff table and the backend are checked once per call, before
+    any point, even in an empty batch.  The angle domains, the
+    probability dust and the norm defect are checked once per batch, as
+    a predicate per point.  When points fail, the kernel calls
     ``profile_table(GameInstance(gamma, omega_a, omega_b, pay, backend))``
     at the first failing point in C order of the broadcast shape, so the
     error raised is the one a point-by-point loop raises first, with its
@@ -238,6 +241,7 @@ def evaluate_batch(gamma, omega_a, omega_b, backend: Backend, pay: PayoffParams)
     and :class:`NumericIntegrityError` with the kernel's defect at that
     point is raised instead of payoffs.
     """
+    _check_pay_and_backend(pay, backend)
     angles = tuple(np.asarray(x, dtype=float) for x in (gamma, omega_a, omega_b))
     # Failing points are found after the arithmetic, which therefore runs
     # on them too; NaN and inf inputs must not warn.
@@ -248,12 +252,8 @@ def evaluate_batch(gamma, omega_a, omega_b, backend: Backend, pay: PayoffParams)
         amplitudes = (maps[..., None, :, :] @ k[..., None])[..., 0]
         raw = np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2.0)
         defect = np.abs(((raw[..., 0] + raw[..., 1]) + raw[..., 2]) + raw[..., 3] - 1.0)
-    ok = (
-        ((raw >= -PROBABILITY_DUST) & (raw <= 1.0 + PROBABILITY_DUST)).all(-1)
-        & (defect <= DEFAULT_MAX_NORM_DEFECT)
-        & isinstance(backend, Backend)
-        & isinstance(pay, PayoffParams)
-    )
+    ok = ((raw >= -PROBABILITY_DUST) & (raw <= 1.0 + PROBABILITY_DUST)).all(-1)
+    ok &= defect <= DEFAULT_MAX_NORM_DEFECT
     for values in angles:
         ok &= ((values >= 0.0) & (values <= _HALF_PI))[..., None]  # NaN fails both
     if not ok.all():
@@ -342,10 +342,12 @@ def thresholds_numeric(
     :func:`thresholds_closed_form` and for either backend.
     """
     pay = pay if pay is not None else PayoffParams()
+    # every argument is checked here, once; bisection keeps gamma inside [0, pi/2]
+    game = GameInstance(0.0, omega_a, omega_b, pay, backend)
 
     def crossing(margin_of) -> float | None:
         def margin(gamma: float) -> float:
-            return margin_of(profile_table(GameInstance(gamma, omega_a, omega_b, pay, backend)))
+            return margin_of(profile_table(game._replace(gamma=gamma)))
 
         return _bisect_crossing(margin)
 
@@ -438,9 +440,10 @@ def best_response_scan(
     smallest theta, then the smallest phi, so results are deterministic.
     The candidates of each theta go through ``_final_amplitudes`` in
     chunks of at most ``GRID_CHUNK`` phis, one stacked product per
-    chunk.  A chunk that raises is replayed one candidate at a time, so
-    the error raised is the first failing candidate's, as in a loop
-    over candidates.
+    chunk.  The payoff tail checks a chunk's products in candidate
+    order, so the error raised is the first failing candidate's, as in
+    a loop over candidates; only a non-finite product, which in-domain
+    angles never give, would be reported before an earlier candidate's.
     """
     try:
         n_theta, n_phi = grid
@@ -459,9 +462,8 @@ def best_response_scan(
     _check_tolerance(max_norm_defect, "max_norm_defect")
     b = _strategy_params(opponent, "opponent")
     matrix = _coefficient_matrix(g)
-    # StrategyParams' checks, once per axis value rather than once per candidate
-    thetas = [StrategyParams(x, 0.0).theta for x in _linspace(math.pi, n_theta)]
-    phis = [StrategyParams(0.0, x).phi for x in _linspace(_HALF_PI, n_phi)]
+    # both axes lie in StrategyParams' domain by construction
+    thetas, phis = _linspace(math.pi, n_theta), _linspace(_HALF_PI, n_phi)
     phases = [cmath.exp(1j * phi) for phi in phis]
     cb, sb, eb = math.cos(0.5 * b.theta), math.sin(0.5 * b.theta), cmath.exp(1j * b.phi)
     cg, sg = math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
@@ -472,21 +474,11 @@ def best_response_scan(
         for chunk_phis, chunk_phases in chunks:
             ks = [_k_gamma_step(_k_factor_product(ca, sa, ea, cb, sb, eb), cg, sg)
                   for ea in chunk_phases]
-            try:
-                values = _alice_payoffs(matrix, ks, g.pay, max_norm_defect)
-            except (ValueError, ArithmeticError):
-                # one candidate at a time, so the error is the first failing candidate's
-                values = [_alice_payoffs(matrix, [k], g.pay, max_norm_defect)[0] for k in ks]
-            for phi, value in zip(chunk_phis, values):
-                if value > best_payoff:
-                    best, best_payoff = (theta, phi), value
+            pairs = _payoffs_of_amplitudes(_final_amplitudes(matrix, ks), g.pay, max_norm_defect)
+            for phi, (alice, _) in zip(chunk_phis, pairs):
+                if alice > best_payoff:
+                    best, best_payoff = (theta, phi), alice
     return StrategyParams(*best), best_payoff
-
-
-def _alice_payoffs(matrix, ks, pay, max_norm_defect) -> list[float]:
-    """Alice's payoff for each k-vector of ``ks``, through one ``_final_amplitudes`` call."""
-    pairs = _payoffs_of_amplitudes(_final_amplitudes(matrix, ks), pay, max_norm_defect)
-    return [pair.alice for pair in pairs]
 
 
 def entanglement_degree(gamma: float) -> float:

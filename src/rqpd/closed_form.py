@@ -52,10 +52,26 @@ class ConvergenceError(ArithmeticError):
     """Bisection failed to bracket a crossing to tolerance."""
 
 
+def _finite(value, name: str) -> bool:
+    """``math.isfinite(value)``; the one type rule of every real argument.
+
+    A value that ``math.isfinite`` does not read as a real number (None, a string,
+    a complex number, a sequence, an array) raises a ``TypeError`` naming ``name``.
+    """
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        raise TypeError(f"{name} must be a real number, got {value!r}") from None
+
+
+def _require_finite_scalar(value: float, name: str) -> None:
+    if not _finite(value, name):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def rapidity_from_speed(v: float) -> float:
     """Rapidity artanh(v) for a speed v in [0, 1) (fraction of c)."""
-    if not math.isfinite(v):
-        raise ValueError(f"speed must be finite, got {v!r}")
+    _require_finite_scalar(v, "speed")
     if not 0.0 <= v < 1.0:
         raise ValueError(f"speed must be in [0, 1), got {v}")
     return math.atanh(v)
@@ -63,7 +79,7 @@ def rapidity_from_speed(v: float) -> float:
 
 def speed_from_rapidity(rapidity: float) -> float:
     """Inverse of :func:`rapidity_from_speed`."""
-    if not math.isfinite(rapidity) or rapidity < 0.0:
+    if not _finite(rapidity, "rapidity") or rapidity < 0.0:
         raise ValueError(f"rapidity must be finite and >= 0, got {rapidity!r}")
     return math.tanh(rapidity)
 
@@ -76,7 +92,7 @@ def wigner_angle(alpha: float, delta: float) -> float:
     Finite for every finite rapidity; it tends to pi/2 as both grow.
     """
     for name, value in (("alpha", alpha), ("delta", delta)):
-        if not math.isfinite(value) or value < 0.0:
+        if not _finite(value, name) or value < 0.0:
             raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     if alpha == 0.0 or delta == 0.0:
         return 0.0  # +0.0 for a rapidity of -0.0 too
@@ -94,8 +110,7 @@ def wigner_angle(alpha: float, delta: float) -> float:
 
 def check_omega(omega: float, name: str = "omega") -> float:
     """Validate a Wigner angle in [0, pi/2]."""
-    if not math.isfinite(omega):
-        raise ValueError(f"{name} must be finite, got {omega!r}")
+    _require_finite_scalar(omega, name)
     if not 0.0 <= omega <= _HALF_PI:
         raise ValueError(f"{name} must be in [0, pi/2], got {omega}")
     return omega
@@ -146,6 +161,12 @@ class _Record:
         init = cls.__init__ = namespace["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         init.__defaults__ = tuple(cls.__dict__[name] for name in fields if name in cls.__dict__)
+
+    def _replace(self, **changes):
+        """A copy with ``changes``, built without ``__post_init__``: for checked values only."""
+        copy = object.__new__(type(self))
+        vars(copy).update(vars(self), **changes)
+        return copy
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)

@@ -28,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmat
-from .closed_form import _HALF_PI, NumericIntegrityError, _Record
-from .margins import _check_tolerance, _check_type, _require_finite_scalar, PayoffParams
+from .closed_form import _HALF_PI, NumericIntegrityError, _Record, _finite, _require_finite_scalar
+from .margins import _check_tolerance, _check_type, PayoffParams
 
 #: Dust half-width for probability clamping: values this far outside
 #: [0, 1] are attributed to floating-point noise and clamped.
@@ -90,7 +90,12 @@ class KVector(_Record):
     k_dd: complex
 
     def __post_init__(self):
-        _check_unit_amplitudes((self.k_cc, self.k_cd, self.k_dc, self.k_dd))
+        amplitudes = (self.k_cc, self.k_cd, self.k_dc, self.k_dd)
+        if not all(map(cmath.isfinite, amplitudes)):
+            raise ValueError("KVector amplitudes must be finite")
+        _, total = _squares_and_sum(amplitudes)
+        if abs(total - 1.0) > qmat.ATOL:
+            raise ValueError(f"KVector norm^2 = {total!r}, expected 1 within {qmat.ATOL}")
 
     def as_state(self) -> np.ndarray:
         return qmat.state4((self.k_cc, self.k_cd, self.k_dc, self.k_dd))
@@ -101,28 +106,6 @@ def _squares_and_sum(amplitudes) -> tuple[tuple[float, ...], float]:
     a0, a1, a2, a3 = amplitudes
     p = (abs(a0) ** 2, abs(a1) ** 2, abs(a2) ** 2, abs(a3) ** 2)
     return p, ((p[0] + p[1]) + p[2]) + p[3]
-
-
-def _check_unit_amplitudes(amps) -> None:
-    """The :class:`KVector` checks: finite amplitudes, unit norm within ``qmat.ATOL``.
-
-    A norm sum within the tolerance implies finite amplitudes, so a
-    vector that passes costs one sum.  Any other vector, or one whose
-    squares overflow, takes the checks in their order, finiteness
-    first: (1e200, inf, 0, 0) is refused as not finite, although
-    squaring 1e200 overflows before inf is reached.
-    """
-    try:
-        a0, a1, a2, a3 = amps
-        if abs(((abs(a0) ** 2 + abs(a1) ** 2) + abs(a2) ** 2) + abs(a3) ** 2 - 1.0) <= qmat.ATOL:
-            return
-    except (OverflowError, TypeError):  # a non-number gets its TypeError from the checks below
-        pass
-    if not all(map(cmath.isfinite, amps)):
-        raise ValueError("KVector amplitudes must be finite")
-    _, total = _squares_and_sum(amps)
-    if abs(total - 1.0) > qmat.ATOL:
-        raise ValueError(f"KVector norm^2 = {total!r}, expected 1 within {qmat.ATOL}")
 
 
 def _clamp_probability(value: float) -> float:
@@ -155,8 +138,10 @@ class JointProbabilities(_Record):
     norm_defect: float
 
     def __post_init__(self):
-        clean = _clamped(self.as_tuple(), self.norm_defect)
-        for name, value in zip(("p_cc", "p_cd", "p_dc", "p_dd"), clean):
+        names = ("p_cc", "p_cd", "p_dc", "p_dd")
+        for name, value in zip(names, self.as_tuple()):
+            _finite(value, name)
+        for name, value in zip(names, _clamped(self.as_tuple(), self.norm_defect)):
             object.__setattr__(self, name, value)
 
     @classmethod

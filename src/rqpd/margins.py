@@ -17,25 +17,18 @@ from __future__ import annotations
 
 import math
 
-from .closed_form import Backend, _Record, _grid_axis, _margin_coefficients, _margin_rows
+from .closed_form import Backend, _Record, _finite, _grid_axis, _require_finite_scalar
+from .closed_form import _margin_coefficients, _margin_rows
 
 #: Payoff comparisons within this distance count as ties.
 DEFAULT_TIE_TOL = 1e-9
 
 
-def _require_finite_scalar(value: float, name: str) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 def _check_tolerance(value: float, name: str) -> None:
     """A tolerance must be a real number >= 0; +inf turns its check off, NaN is refused."""
-    try:
-        if value >= 0.0:
-            return
-    except TypeError:  # None, a string, a complex number
-        raise TypeError(f"{name} must be a real number, got {value!r}") from None
-    raise ValueError(f"{name} must be >= 0, got {value!r}")
+    _finite(value, name)  # the type rule only: +inf passes
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 class PayoffParams(_Record):

@@ -39,11 +39,7 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
 
 
 def _as_matrix(entries, dim: int, name: str) -> np.ndarray:
-    return _checked_matrix(np.array(entries, dtype=complex), dim, name)
-
-
-def _checked_matrix(m: np.ndarray, dim: int, name: str) -> np.ndarray:
-    """``_as_matrix``'s checks on a complex array the caller owns, frozen in place."""
+    m = np.array(entries, dtype=complex)
     if m.shape != (dim, dim):
         raise ValueError(f"{name} must be {dim}x{dim}, got shape {m.shape}")
     _require_finite(m, name)

@@ -40,6 +40,7 @@ from .closed_form import (
     Backend,
     NumericIntegrityError,  # imported from here before it moved; kept importable
     _Record,
+    _require_finite_scalar,
     check_omega,
     rapidity_from_speed,
     speed_from_rapidity,
@@ -49,7 +50,6 @@ from .game_core import (
     _DXD,
     _EYE4,
     _check_finite_amplitudes,
-    _check_unit_amplitudes,
     _k_amplitudes,
     _payoffs_of_amplitudes,
     DEFAULT_MAX_NORM_DEFECT,
@@ -125,9 +125,13 @@ def paper_coefficient_matrix(gamma: float, omega_a: float, omega_b: float) -> np
     outside the game's [0, pi/2] omega domain.
     """
     check_gamma(gamma)
-    for name, value in (("omega_a", omega_a), ("omega_b", omega_b)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    _require_finite_scalar(omega_a, "omega_a")
+    _require_finite_scalar(omega_b, "omega_b")
+    return _paper_matrix(gamma, omega_a, omega_b)
+
+
+def _paper_matrix(gamma: float, omega_a: float, omega_b: float) -> np.ndarray:
+    """:func:`paper_coefficient_matrix` without its checks, for angles already checked."""
     cg, sg = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
     ca, sa = math.cos(0.5 * omega_a), math.sin(0.5 * omega_a)
     cb, sb = math.cos(0.5 * omega_b), math.sin(0.5 * omega_b)
@@ -163,21 +167,21 @@ _DXD_REAL = _DXD.real.astype(complex)
 
 
 def _coefficient_matrix(g: GameInstance) -> np.ndarray:
-    """The read-only matrix of :func:`coefficient_map`, with every check, without the record.
+    """The read-only matrix of :func:`coefficient_map`, without the record.
 
     The single-point functions read only the matrix, so they call this.
+    Only ``g``'s type is checked: its angles are checked, so every map
+    entry is a finite product of their cosines and sines.
     """
     _check_type(g, GameInstance, "g")
     if g.backend is Backend.PAPER:
-        return paper_coefficient_matrix(g.gamma, g.omega_a, g.omega_b)
-    # GameInstance has checked the angles; tensor2 checks the rotations
-    # and mat4's checks run on the product, so the factors are built unchecked.
+        return _paper_matrix(g.gamma, g.omega_a, g.omega_b)
     # Through the .T view of the fresh conj(J) the product is the same
     # transposed-operand BLAS call as conj().T @ kron.
     kron = qmat.tensor2(*_rotation_entries(g.omega_a, g.omega_b))
     half = 0.5 * g.gamma
     j = -math.cos(half) * _NEG_EYE4 - (1j * math.sin(half)) * _DXD_REAL
-    return qmat._checked_matrix(j.T @ kron, 4, "mat4")
+    return qmat._frozen(j.T @ kron)
 
 
 # ------------------------------------------------------------ map stack
@@ -227,16 +231,15 @@ def _coefficient_maps(gamma, omega_a, omega_b, backend: Backend) -> np.ndarray:
 
 
 def _final_amplitudes(matrix: np.ndarray, states) -> list[list[complex]]:
-    """Each ``matrix @ k`` of ``states`` as a list, after the ``KVector`` checks.
+    """Each ``matrix @ k`` of ``states`` (k-vectors, as lists or an (n, 4) array), as lists.
 
-    ``states`` is a list of k-vectors or an (n, 4) complex array; the
-    checks read an array's rows as Python complexes.  The products are
-    not checked here: ``state4``'s finiteness check runs in the payoff
-    tail, ``game_core._payoffs_of_amplitudes``, or before the
-    probabilities in :func:`joint_probabilities`.
+    Nothing is checked here.  The k-vectors come from checked angles, so
+    each has |k|^2 = 1 within a few ulps, far inside the ``KVector``
+    tolerance ``qmat.ATOL``.  The products meet ``state4``'s finiteness
+    check, the dust clamp and the norm-defect limit in the payoff tail,
+    ``game_core._payoffs_of_amplitudes``, or the finiteness check before
+    the probabilities in :func:`joint_probabilities`.
     """
-    for k in states if isinstance(states, list) else states.tolist():
-        _check_unit_amplitudes(k)
     # A stacked product runs the same matrix-vector product per k as ``M @ k``.
     return (matrix @ np.asarray(states)[..., None])[..., 0].tolist()
 

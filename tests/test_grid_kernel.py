@@ -38,6 +38,7 @@ from rqpd.game_core import (
     NumericIntegrityError,
     PayoffParams,
 )
+from rqpd.margins import _check_pay_and_backend
 from rqpd.relativity import Backend, GameInstance, joint_probabilities
 
 HALF_PI = 0.5 * math.pi
@@ -273,6 +274,17 @@ def test_grid_paths_reject_bad_input(call):
         call()
 
 
+@pytest.mark.parametrize("backend,pay,message", [
+    (Backend.PAPER, (5, 3, 1, 0), "pay must be a PayoffParams, got (5, 3, 1, 0)"),
+    ("paper", PayoffParams(), "backend must be a Backend, got 'paper'"),
+], ids=["tuple pay", "string backend"])
+def test_kernel_checks_types_of_an_empty_batch(backend, pay, message):
+    # an empty batch has no point to fail, but its types are still checked
+    with pytest.raises(ValueError) as info:
+        evaluate_batch(np.array([]), 0.0, 0.0, backend, pay)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("omega_a,omega_b,n", [([0.1, 0.2, 0.3, 0.4], 0.5, 4),
                                                (0.5, [0.1, 0.2, 0.3], 3)])
 def test_sweep_refuses_sequence_omegas(omega_a, omega_b, n):
@@ -299,7 +311,11 @@ def test_kernel_disagreeing_with_scalar_path_returns_no_payoffs(monkeypatch, cap
 
 
 def scalar_tables(gamma, omega_a, omega_b, backend, pay=PayoffParams()):
-    """Profile tables of a point-by-point loop in C order; raises what the loop raises first."""
+    """Profile tables of a point-by-point loop in C order; raises what the loop raises first.
+
+    The loop checks the payoff table and the backend once, before any point.
+    """
+    _check_pay_and_backend(pay, backend)
     points = np.broadcast_arrays(gamma, omega_a, omega_b)
     return [
         profile_table(GameInstance(*point, pay, backend))
@@ -315,10 +331,9 @@ def scalar_tables(gamma, omega_a, omega_b, backend, pay=PayoffParams()):
         # at one point: gamma before omega_a, omega_a before omega_b
         (2.0, [0.1, 3.0], 0.0, Backend.UNITARY),
         (0.1, [[0.0], [float("nan")]], [0.0, -1.0], Backend.PAPER),
-        # the angles before the backend
+        # the backend and the payoff table before any angle, the table first
         (0.1, [0.0, 2.0], 0.0, "paper"),
         (float("inf"), 0.0, 0.0, "paper"),
-        # a payoff table that is not a PayoffParams: after the angles, before the backend
         (0.1, [0.0, 0.2], 0.0, Backend.PAPER, (5, 3, 1, 0)),
         (0.1, [2.0, 0.2], 0.0, Backend.PAPER, (5, 3, 1, 0)),
         ([0.0, -0.0, float("nan")], 0.0, 0.0, "paper", None),

@@ -2,10 +2,11 @@
 
 ``profile_table``, ``payoffs``, ``joint_probabilities`` and each
 candidate of ``best_response_scan`` get their final amplitudes from one
-helper, ``relativity._final_amplitudes``: the ``KVector`` checks on each
-k-vector and one stacked ``M @ k`` product.  ``state4``'s finiteness
-check on the products runs next, in the payoff tail
-``game_core._payoffs_of_amplitudes`` or in ``joint_probabilities``.
+helper, ``relativity._final_amplitudes``: one stacked ``M @ k`` product.
+The k-vectors come from checked angles, so the helper does not check
+them; ``state4``'s finiteness check on the products runs next, in the
+payoff tail ``game_core._payoffs_of_amplitudes`` or in
+``joint_probabilities``.
 They go from amplitudes to payoffs without the ``KVector`` and
 ``JointProbabilities`` objects, and ``profile_table`` factors its
 k-coefficients into strategy-only parts and a gamma step, taken for
@@ -21,12 +22,13 @@ computes the angle-only factors once per axis value or call, so a
 candidate costs only its k-factor product, the gamma step, its share of
 the helper and the payoff tail.  The scan passes the candidates of each
 theta to the helper in chunks of at most ``GRID_CHUNK``, one stacked
-product per chunk; a chunk that raises is replayed one candidate at a
-time, so the error is the first failing candidate's, as in the loop.
-The UNITARY ``coefficient_map`` builds its rotations and its conjugated
-entangler unchecked, since ``GameInstance`` has checked their angles,
-and runs ``mat4``'s checks on its product without ``mat4``'s copy.  The
-four functions take that checked matrix from
+product per chunk; the payoff tail checks the chunk's products in
+candidate order, so the error is the first failing candidate's, as in
+the loop.
+The ``coefficient_map`` of either backend is built from angles that
+``GameInstance`` has checked, so the map itself is not checked; the
+UNITARY map is the product of ``tensor2``'s checked rotations and the
+conjugated entangler, frozen in place.  The four functions take that matrix from
 ``relativity._coefficient_matrix``, without the ``CoefficientMap``
 record, and the tests below inject their maps there.  The
 references below are the loops they replaced: the
@@ -415,14 +417,12 @@ def scaled_k_step(scale):
     return lambda *args: [z * scale for z in step(*args)]
 
 
-# (name to patch, replacement, the error all must raise), for the checks
-# that in-domain angles never trip: a non-finite map, and k-coefficients
-# that fail the KVector checks
+# (name to patch, replacement, the error all must raise), for values that
+# in-domain angles never give: a non-finite map, and k-coefficients whose
+# squares overflow, in the KVector checks and in the payoff tail alike
 PAIR_ERRORS = {
     "nan map": ("_coefficient_matrix", lambda g: ERROR_MAPS["nan"][0],
                 "state4 contains non-finite entries"),
-    "k not finite": ("_k_gamma_step", scaled_k_step(math.nan), "amplitudes must be finite"),
-    "k off unit norm": ("_k_gamma_step", scaled_k_step(1.0 + 1e-9), "KVector norm^2 = "),
     # OverflowError's message is the platform's text for ERANGE
     "k overflows": ("_k_gamma_step", scaled_k_step(1e200), ""),
 }
@@ -447,6 +447,34 @@ def test_pair_path_errors_match_object_path(monkeypatch, case, backend):
         got = outcome(new)
         assert got == outcome(reference)
         assert isinstance(got, tuple) and message in got[1]
+
+
+# k-coefficients that no checked angles give (scale, error, message): the
+# single-point paths build k from checked angles and do not check it, so
+# such a k is met by the checks on the products, not by the KVector checks
+BAD_K = {
+    "k not finite": (math.nan, ValueError, "state4 contains non-finite entries"),
+    "k off unit norm": (1.0 + 1e-3, NumericIntegrityError, "probability norm defect"),
+}
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("case", list(BAD_K))
+def test_pair_path_leaves_bad_k_to_the_product_checks(monkeypatch, case, backend):
+    scale, error, message = BAD_K[case]
+    replacement = scaled_k_step(scale)
+    for module in (game_core, analysis):
+        monkeypatch.setattr(module, "_k_gamma_step", replacement)
+    g = GameInstance(0.3, 0.2, 0.9, backend=backend)
+    q = NamedStrategy.Q
+    for call in (lambda: payoffs(g, q, q), lambda: best_response_scan(g, q, (3, 2))):
+        with pytest.raises(error, match=message):
+            call()
+    if error is ValueError:
+        with pytest.raises(error, match=message):
+            joint_probabilities(g, q, q)
+    else:  # recorded, not raised: |k|^2 - 1 = 2.001e-3 on a norm-preserving map
+        assert joint_probabilities(g, q, q).norm_defect == pytest.approx(2.001e-3, rel=1e-9)
 
 
 def reference_profile_table_finite_first(g, matrix):
@@ -498,7 +526,7 @@ def test_moved_finiteness_check_keeps_each_first_error(
         (lambda: profile_table(g), lambda: reference_profile_table_finite_first(g, matrix)),
         (lambda: payoffs(g, a, q, limit), lambda: object_payoffs(g, a, q, limit)),
         (lambda: joint_probabilities(g, a, q), lambda: reference_joint_probabilities(g, a, q)),
-        # (3, 3) is one chunk per theta: the stacked pass, and on failure the replay
+        # (3, 3) is one chunk per theta: the stacked pass over its three candidates
         (lambda: best_response_scan(g, q, (3, 3), limit),
          lambda: reference_best_response_scan(g, q, (3, 3), limit)),
     ]
@@ -549,38 +577,6 @@ def record_stack_sizes(monkeypatch):
     return sizes
 
 
-def test_best_response_scan_raises_first_failing_candidates_error_within_a_chunk(monkeypatch):
-    # Candidate 0 exceeds the PAPER norm-defect limit and candidate 1, in the same
-    # chunk, fails the KVector check.  The stacked pass checks every k-vector before
-    # any payoff, so it raises candidate 1's error; the scan then replays the chunk
-    # one candidate at a time and raises candidate 0's, as the loop does.
-    g = GameInstance(0.7, 0.4, 1.1, backend=Backend.PAPER)
-    opponent = StrategyParams(1.0, 0.3)
-    step = game_core._k_gamma_step
-
-    def run(scan, limit):
-        calls = []
-
-        def second_off_unit_norm(*args):
-            calls.append(args)
-            k = step(*args)
-            return [z * (1.0 + 1e-9) for z in k] if len(calls) == 2 else k
-
-        for module in (game_core, analysis):
-            monkeypatch.setattr(module, "_k_gamma_step", second_off_unit_norm)
-        return outcome(lambda: scan(g, opponent, (19, 10), limit))
-
-    sizes = record_stack_sizes(monkeypatch)
-    got = run(best_response_scan, 1e-6)
-    assert sizes == [10, 1]  # the stacked chunk, then candidate 0 on its own
-    assert got == run(reference_best_response_scan, 1e-6)
-    assert got[0] is NumericIntegrityError and got[2] == 0.12100302935704244
-    # under a limit that candidate 0 meets, candidate 1's KVector error comes first
-    lifted = run(best_response_scan, 1.0)
-    assert lifted == run(reference_best_response_scan, 1.0)
-    assert "KVector norm^2 = " in lifted[1]
-
-
 @pytest.mark.parametrize("backend", list(Backend))
 @pytest.mark.parametrize("limit", [0.0, 1e-16])
 def test_payoffs_at_tight_limits_equal_probability_objects(backend, limit):
@@ -622,26 +618,6 @@ def test_kvector_checks_keep_their_order(amplitudes, error, message):
     assert got[0] is error and message in got[1]
 
 
-@pytest.mark.parametrize("bad", [
-    [complex(math.nan, 0.0), 0.0, 0.0, 0.0],
-    [1.0 + 1e-9, 0.0, 0.0, 0.0],
-    [1e200, 0.0, 0.0, 0.0],  # the square overflows: OverflowError, not a numpy warning
-    [1e200, math.inf, 0.0, 0.0],
-], ids=["not finite", "off unit norm", "overflows", "overflows before inf"])
-def test_final_amplitudes_checks_an_array_as_its_list(bad):
-    # profile_table passes its k-vectors as an (n, 4) array; the KVector checks read
-    # its rows as Python complexes, so they raise as on the list
-    matrix = coefficient_map(GameInstance(0.3, 0.2, 0.9)).matrix
-    fine = [0.6, 0.8j, 0.0, 0.0]
-    for states in ([fine, bad], [bad, fine]):
-        got = outcome(lambda: relativity._final_amplitudes(matrix, np.array(states, dtype=complex)))
-        assert got == outcome(lambda: relativity._final_amplitudes(matrix, states))
-        assert got == outcome(lambda: KVector(*bad))
-    stack = np.array([fine, [0.0, 0.0, 0.0, 1.0]], dtype=complex)
-    got = relativity._final_amplitudes(matrix, stack)
-    assert repr(got) == repr(relativity._final_amplitudes(matrix, stack.tolist()))
-
-
 def test_payoffs_raises_like_probability_objects_over_custom_limit():
     g = GameInstance(HALF_PI, HALF_PI, HALF_PI, backend=Backend.PAPER)
     mixed = StrategyParams(HALF_PI, 0.0)
@@ -658,7 +634,74 @@ def test_kvector_keeps_its_messages():
         KVector(math.sqrt(1.0 + 1e-9), 0.0, 0.0, 0.0)
 
 
+# ------------------------------------------------- what the engine leaves unchecked
+
+
+@settings(max_examples=200, deadline=None)
+@given(angles, angles, angles, backends, named | explicit, named | explicit)
+def test_engine_k_vectors_are_unit_and_maps_finite(gamma, omega_a, omega_b, backend, a, b):
+    # why neither the single-point paths nor the kernel check their k-vectors or
+    # maps: at in-domain angles each k-vector has |k|^2 - 1 far inside qmat.ATOL
+    # (4 ulps at most over 200,000 random strategy pairs) and each map is finite
+    products, kernel_maps = [], []
+    final_amplitudes, coefficient_maps = relativity._final_amplitudes, analysis._coefficient_maps
+
+    def recorded_products(matrix, states):
+        products.append((matrix, np.asarray(states)))
+        return final_amplitudes(matrix, states)
+
+    def recorded_maps(*args):
+        kernel_maps.append(coefficient_maps(*args))
+        return kernel_maps[-1]
+
+    g = GameInstance(gamma, omega_a, omega_b, backend=backend)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_final_amplitudes", recorded_products)
+        patch.setattr(relativity, "_final_amplitudes", recorded_products)
+        patch.setattr(analysis, "_coefficient_maps", recorded_maps)
+        # PAPER leaks norm off {D, Q}, so a call may raise after its product
+        for call in (lambda: profile_table(g), lambda: payoffs(g, a, b),
+                     lambda: joint_probabilities(g, a, b),
+                     lambda: best_response_scan(g, b, (5, 4)),
+                     lambda: analysis.evaluate_batch(gamma, omega_a, omega_b, backend,
+                                                     PayoffParams())):
+            outcome(call)
+    # one product each, and the scan's first of 5 chunks at least
+    assert len(products) >= 4 and len(kernel_maps) == 1
+    for matrix, states in products:
+        assert np.isfinite(matrix).all()
+        for k in states.tolist():
+            assert abs(game_core._squares_and_sum(k)[1] - 1.0) <= qmat.ATOL / 100
+    assert np.isfinite(kernel_maps[0]).all()
+
+
 # --------------------------------------------------------------- call counts
+
+
+@pytest.mark.parametrize("backend,omegas", [(Backend.PAPER, (0.4, 1.1)),
+                                            (Backend.UNITARY, (1.2, 0.3))])
+def test_bisection_makes_one_profile_table_per_evaluation(monkeypatch, backend, omegas):
+    # the benchmark smoke test pins 11,324 profile tables for a 9x9 PAPER grid: each
+    # margin evaluation is one profile_table call, with no step shared or batched;
+    # four crossings, each 2 endpoints and 38 steps, as at the parent commit
+    calls = {"profile_table": 0, "margin": 0}
+    table, bisect = analysis.profile_table, analysis._bisect_crossing
+
+    def counted_table(g):
+        calls["profile_table"] += 1
+        return table(g)
+
+    def counted_bisect(f):
+        def margin(gamma):
+            calls["margin"] += 1
+            return f(gamma)
+
+        return bisect(margin)
+
+    monkeypatch.setattr(analysis, "profile_table", counted_table)
+    monkeypatch.setattr(analysis, "_bisect_crossing", counted_bisect)
+    thresholds_numeric(*omegas, backend)
+    assert calls == {"profile_table": 160, "margin": 160}
 
 
 SINGLE_POINT_CALLS = {
