@@ -442,8 +442,7 @@ def best_response_scan(
     chunks of at most ``GRID_CHUNK`` phis, one stacked product per
     chunk.  The payoff tail checks a chunk's products in candidate
     order, so the error raised is the first failing candidate's, as in
-    a loop over candidates; only a non-finite product, which in-domain
-    angles never give, would be reported before an earlier candidate's.
+    a loop over candidates.
     """
     try:
         n_theta, n_phi = grid

@@ -56,12 +56,15 @@ def _finite(value, name: str) -> bool:
     """``math.isfinite(value)``; the one type rule of every real argument.
 
     A value that ``math.isfinite`` does not read as a real number (None, a string,
-    a complex number, a sequence, an array) raises a ``TypeError`` naming ``name``.
+    a complex number, a sequence) raises a ``TypeError`` naming ``name``, and so
+    does an unhashable one, such as a 0-d array, which a record could not hash.
     """
-    try:
-        return math.isfinite(value)
-    except TypeError:
-        raise TypeError(f"{name} must be a real number, got {value!r}") from None
+    if value.__class__.__hash__ is not None:
+        try:
+            return math.isfinite(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be a real number, got {value!r}")
 
 
 def _require_finite_scalar(value: float, name: str) -> None:
@@ -109,7 +112,7 @@ def wigner_angle(alpha: float, delta: float) -> float:
 
 
 def check_omega(omega: float, name: str = "omega") -> float:
-    """Validate a Wigner angle in [0, pi/2]."""
+    """Validate a game angle in [0, pi/2]: a Wigner angle or the entanglement angle gamma."""
     _require_finite_scalar(omega, name)
     if not 0.0 <= omega <= _HALF_PI:
         raise ValueError(f"{name} must be in [0, pi/2], got {omega}")

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import qmat
 from .closed_form import _HALF_PI, NumericIntegrityError, _Record, _finite, _require_finite_scalar
+from .closed_form import check_omega
 from .margins import _check_tolerance, _check_type, PayoffParams
 
 #: Dust half-width for probability clamping: values this far outside
@@ -118,11 +119,6 @@ def _clamp_probability(value: float) -> float:
     raise ValueError(f"probability {value!r} outside [0, 1] beyond dust tolerance")
 
 
-def _clamped(raw, norm_defect: float) -> list[float]:
-    _require_finite_scalar(norm_defect, "norm_defect")
-    return [_clamp_probability(p) for p in raw]
-
-
 class JointProbabilities(_Record):
     """Measurement probabilities over (CC, CD, DC, DD) plus norm defect.
 
@@ -141,17 +137,14 @@ class JointProbabilities(_Record):
         names = ("p_cc", "p_cd", "p_dc", "p_dd")
         for name, value in zip(names, self.as_tuple()):
             _finite(value, name)
-        for name, value in zip(names, _clamped(self.as_tuple(), self.norm_defect)):
-            object.__setattr__(self, name, value)
+        _require_finite_scalar(self.norm_defect, "norm_defect")
+        for name, value in zip(names, self.as_tuple()):
+            object.__setattr__(self, name, _clamp_probability(value))
 
     @classmethod
     def from_amplitudes(cls, amplitudes) -> "JointProbabilities":
         """Squared magnitudes of a 4-amplitude vector, defect recorded first."""
-        return cls._from_finite(qmat.state4(amplitudes).tolist())
-
-    @classmethod
-    def _from_finite(cls, amplitudes: list[complex]) -> "JointProbabilities":
-        raw, total = _squares_and_sum(amplitudes)
+        raw, total = _squares_and_sum(qmat.state4(amplitudes).tolist())
         return cls(*raw, norm_defect=abs(total - 1.0))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
@@ -187,27 +180,20 @@ def entangler(gamma: float) -> np.ndarray:
     classical game, gamma = pi/2 maximal entanglement.  Commutes with
     D (x) D and is unitary for every gamma.
     """
-    check_gamma(gamma)
+    check_omega(gamma, "gamma")
     return qmat.mat4(math.cos(0.5 * gamma) * _EYE4 + 1j * math.sin(0.5 * gamma) * _DXD)
-
-
-def check_gamma(gamma: float) -> float:
-    """Validate an entanglement angle in [0, pi/2]."""
-    _require_finite_scalar(gamma, "gamma")
-    if not 0.0 <= gamma <= _HALF_PI:
-        raise ValueError(f"gamma must be in [0, pi/2], got {gamma}")
-    return gamma
 
 
 def k_coefficients(a: StrategyParams, b: StrategyParams, gamma: float) -> KVector:
     """Closed-form amplitudes of ``(U_A (x) U_B) J(gamma) |CC>``."""
+    a, b = _strategy_params(a, "a"), _strategy_params(b, "b")
+    check_omega(gamma, "gamma")
     return KVector(*_k_amplitudes(a, b, gamma))
 
 
 def _k_amplitudes(a, b, gamma: float) -> list[complex]:
-    """:func:`k_coefficients` before its :class:`KVector` checks, as a list."""
+    """:func:`k_coefficients` at a checked gamma, before its :class:`KVector` checks, as a list."""
     a, b = _strategy_params(a, "a"), _strategy_params(b, "b")
-    check_gamma(gamma)
     cg, sg = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
     return _k_gamma_step(_k_factors(a, b), cg, sg)
 
@@ -253,34 +239,25 @@ def payoff_from_probabilities(
     _check_type(pay, PayoffParams, "pay")
     _check_tolerance(max_norm_defect, "max_norm_defect")
     _check_type(pr, JointProbabilities, "pr")
-    return _payoff_within(pr.as_tuple(), pr.norm_defect, pay, max_norm_defect)
-
-
-def _payoff_within(probabilities, norm_defect, pay, max_norm_defect) -> PayoffPair:
-    p_cc, p_cd, p_dc, p_dd = probabilities
-    if norm_defect > max_norm_defect:
-        raise NumericIntegrityError(norm_defect, max_norm_defect)
+    if pr.norm_defect > max_norm_defect:
+        raise NumericIntegrityError(pr.norm_defect, max_norm_defect)
+    p_cc, p_cd, p_dc, p_dd = pr.as_tuple()
     alice = pay.r * p_cc + pay.p * p_dd + pay.t * p_dc + pay.s * p_cd
     bob = pay.r * p_cc + pay.p * p_dd + pay.s * p_dc + pay.t * p_cd
     return PayoffPair(alice, bob)
 
 
-def _check_finite_amplitudes(vectors) -> None:
-    """``qmat.state4``'s finiteness check, with its message, on each amplitude vector."""
-    if not all(cmath.isfinite(z) for amplitudes in vectors for z in amplitudes):
-        raise ValueError("state4 contains non-finite entries")
-
-
 def _payoffs_of_amplitudes(vectors, pay, max_norm_defect=DEFAULT_MAX_NORM_DEFECT):
-    """The payoffs of each amplitude vector, objects left out.
+    """The payoffs of each amplitude vector in the list ``vectors``.
 
     Each is ``payoff_from_probabilities`` of
     ``JointProbabilities.from_amplitudes``.  Probabilities already in
-    [0, 1] with a defect within the limit pass every check unchanged
-    (the amplitudes are then finite), so when every vector passes, all
-    go to the payoff sums in one pass.  Otherwise, or when a square
-    overflows, the checks run in their order: ``state4``'s finiteness
-    on every vector, then per vector the dust clamp and the defect limit.
+    [0, 1] with a defect within the limit pass every check of that
+    pipeline unchanged (the amplitudes are then finite), so vectors that
+    pass go to the payoff sums inline, without the objects.  From the
+    first vector that does not pass, or whose square overflows, that
+    vector and every later one go through the object pipeline, so the
+    error raised is the one a loop over the objects raises first.
     """
     pairs = []
     try:
@@ -290,7 +267,7 @@ def _payoffs_of_amplitudes(vectors, pay, max_norm_defect=DEFAULT_MAX_NORM_DEFECT
                     and 0.0 <= p_cc <= 1.0 and 0.0 <= p_cd <= 1.0
                     and 0.0 <= p_dc <= 1.0 and 0.0 <= p_dd <= 1.0):
                 break
-            # the sums of _payoff_within, term for term, so both round alike
+            # the sums of payoff_from_probabilities, term for term, so both round alike
             pairs.append(PayoffPair(
                 pay.r * p_cc + pay.p * p_dd + pay.t * p_dc + pay.s * p_cd,
                 pay.r * p_cc + pay.p * p_dd + pay.s * p_dc + pay.t * p_cd,
@@ -299,12 +276,9 @@ def _payoffs_of_amplitudes(vectors, pay, max_norm_defect=DEFAULT_MAX_NORM_DEFECT
             return pairs
     except OverflowError:
         pass
-    _check_finite_amplitudes(vectors)
-    pairs = []
-    for amplitudes in vectors:
-        raw, total = _squares_and_sum(amplitudes)
-        norm_defect = abs(total - 1.0)
-        pairs.append(_payoff_within(_clamped(raw, norm_defect), norm_defect, pay, max_norm_defect))
+    for amplitudes in vectors[len(pairs):]:
+        pr = JointProbabilities.from_amplitudes(amplitudes)
+        pairs.append(payoff_from_probabilities(pr, pay, max_norm_defect))
     return pairs
 
 

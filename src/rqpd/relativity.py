@@ -49,7 +49,6 @@ from .closed_form import (
 from .game_core import (
     _DXD,
     _EYE4,
-    _check_finite_amplitudes,
     _k_amplitudes,
     _payoffs_of_amplitudes,
     DEFAULT_MAX_NORM_DEFECT,
@@ -57,7 +56,6 @@ from .game_core import (
     NamedStrategy,
     PayoffPair,
     StrategyParams,
-    check_gamma,
 )
 from .margins import _check_pay_and_backend, _check_tolerance, _check_type, PayoffParams
 
@@ -94,7 +92,7 @@ class GameInstance(_Record):
     backend: Backend = Backend.UNITARY
 
     def __post_init__(self):
-        check_gamma(self.gamma)
+        check_omega(self.gamma, "gamma")
         check_omega(self.omega_a, "omega_a")
         check_omega(self.omega_b, "omega_b")
         _check_pay_and_backend(self.pay, self.backend)
@@ -124,7 +122,7 @@ def paper_coefficient_matrix(gamma: float, omega_a: float, omega_b: float) -> np
     probing its non-unitarity, whose sharpest witness points lie
     outside the game's [0, pi/2] omega domain.
     """
-    check_gamma(gamma)
+    check_omega(gamma, "gamma")
     _require_finite_scalar(omega_a, "omega_a")
     _require_finite_scalar(omega_b, "omega_b")
     return _paper_matrix(gamma, omega_a, omega_b)
@@ -236,9 +234,10 @@ def _final_amplitudes(matrix: np.ndarray, states) -> list[list[complex]]:
     Nothing is checked here.  The k-vectors come from checked angles, so
     each has |k|^2 = 1 within a few ulps, far inside the ``KVector``
     tolerance ``qmat.ATOL``.  The products meet ``state4``'s finiteness
-    check, the dust clamp and the norm-defect limit in the payoff tail,
-    ``game_core._payoffs_of_amplitudes``, or the finiteness check before
-    the probabilities in :func:`joint_probabilities`.
+    check, the dust clamp and the norm-defect limit in
+    ``JointProbabilities.from_amplitudes`` and ``payoff_from_probabilities``,
+    which the payoff tail ``game_core._payoffs_of_amplitudes`` runs from
+    its first product that fails its inline pass.
     """
     # A stacked product runs the same matrix-vector product per k as ``M @ k``.
     return (matrix @ np.asarray(states)[..., None])[..., 0].tolist()
@@ -254,9 +253,8 @@ def joint_probabilities(
     A norm defect (possible under ``Backend.PAPER`` away from the named
     strategy set) is recorded on the result, not raised here.
     """
-    vectors = _final_amplitudes(_coefficient_matrix(g), [_k_amplitudes(a, b, g.gamma)])
-    _check_finite_amplitudes(vectors)
-    return JointProbabilities._from_finite(vectors[0])
+    (vector,) = _final_amplitudes(_coefficient_matrix(g), [_k_amplitudes(a, b, g.gamma)])
+    return JointProbabilities.from_amplitudes(vector)
 
 
 def payoffs(

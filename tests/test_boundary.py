@@ -71,7 +71,8 @@ def scalar_slots():
 
 
 SLOTS = list(scalar_slots())
-BAD = [None, "0.5", 0.5j, (0.5,), [0.5], np.array([0.5, 0.5])]
+# a 0-d array reads as a real number but is unhashable, so no record could hold it
+BAD = [None, "0.5", 0.5j, (0.5,), [0.5], np.array([0.5, 0.5]), np.array(0.5)]
 
 
 def test_every_scalar_slot_has_valid_arguments():
@@ -82,7 +83,7 @@ def test_every_scalar_slot_has_valid_arguments():
         getattr(rqpd, name)(**kwargs)
 
 
-@pytest.mark.parametrize("bad", BAD, ids=["None", "str", "complex", "tuple", "list", "array"])
+@pytest.mark.parametrize("bad", BAD, ids=["None", "str", "complex", "tuple", "list", "array", "0-d array"])
 @pytest.mark.parametrize("name,param,annotation", SLOTS, ids=[f"{n}-{p}" for n, p, _ in SLOTS])
 def test_bad_scalar_is_refused_by_name(name, param, annotation, bad):
     label = LABELS.get((name, param), param)

@@ -4,19 +4,19 @@
 candidate of ``best_response_scan`` get their final amplitudes from one
 helper, ``relativity._final_amplitudes``: one stacked ``M @ k`` product.
 The k-vectors come from checked angles, so the helper does not check
-them; ``state4``'s finiteness check on the products runs next, in the
-payoff tail ``game_core._payoffs_of_amplitudes`` or in
-``joint_probabilities``.
-They go from amplitudes to payoffs without the ``KVector`` and
-``JointProbabilities`` objects, and ``profile_table`` factors its
-k-coefficients into strategy-only parts and a gamma step, taken for
-all four profiles at once on two constant factor arrays.  A k-vector
-that passes its checks costs one norm sum, and a list of amplitude
-vectors that all pass costs one inline payoff pass; the tests below
-also send vectors past that pass onto the checks (a clamped
-probability, limits of 0 and 1e-16, an overflowing square, a product
-that is not finite after an earlier vector's failure) and compare the
-errors too.
+them.  ``joint_probabilities`` hands its one product to
+``JointProbabilities.from_amplitudes``; the payoff tail
+``game_core._payoffs_of_amplitudes`` takes the others from amplitudes
+to payoffs without the ``KVector`` and ``JointProbabilities`` objects,
+and ``profile_table`` factors its k-coefficients into strategy-only
+parts and a gamma step, taken for all four profiles at once on two
+constant factor arrays.  A list of amplitude vectors that all pass
+costs one inline payoff pass; from the first vector that does not,
+the tail runs the object pipeline, so the one error path is that of
+the objects.  The tests below also send vectors past that pass (a
+clamped probability, limits of 0 and 1e-16, an overflowing square, a
+product that is not finite after an earlier vector's failure) and
+compare the errors too.
 ``best_response_scan`` checks its opponent and each axis value once and
 computes the angle-only factors once per axis value or call, so a
 candidate costs only its k-factor product, the gamma step, its share of
@@ -477,19 +477,19 @@ def test_pair_path_leaves_bad_k_to_the_product_checks(monkeypatch, case, backend
         assert joint_probabilities(g, q, q).norm_defect == pytest.approx(2.001e-3, rel=1e-9)
 
 
-def reference_profile_table_finite_first(g, matrix):
-    """The per-profile object path, with ``state4``'s check on all four products first.
+def object_tail(vectors, pay, limit=1e-6):
+    """The probability objects and their payoffs, one vector after the other."""
+    return [payoff_from_probabilities(JointProbabilities.from_amplitudes(v), pay, limit)
+            for v in vectors]
 
-    The order of the checks in ``profile_table`` and in each chunk of
-    the scan: finiteness of every product comes before any probability.
-    """
+
+def reference_profile_table_objects(g, matrix):
+    """The per-profile object path: each profile's checks run before the next profile's."""
     amplitudes = []
     for name in PROFILES:
         a, b = NamedStrategy[name[0]].params, NamedStrategy[name[1]].params
-        amplitudes.append(qmat.state4(matrix @ reference_k(a, b, g.gamma)))
-    pairs = [payoff_from_probabilities(JointProbabilities.from_amplitudes(x), g.pay)
-             for x in amplitudes]
-    return ProfileTable(*pairs)
+        amplitudes.append(matrix @ reference_k(a, b, g.gamma))
+    return ProfileTable(*object_tail(amplitudes, g.pay))
 
 
 # Entries that make a product non-finite (nan), a square overflow (1e200), a
@@ -516,14 +516,14 @@ def edited_map(g, changes):
 def test_moved_finiteness_check_keeps_each_first_error(
     gamma, omega_a, omega_b, backend, pay, changes, a, limit
 ):
-    # the products' finiteness is checked in the payoff tail, after the KVector
-    # checks; on a map edited to fail any of the checks, each single-point call
-    # must raise the error the object paths raise first
+    # the products' checks run in the object pipeline, from the first product that
+    # fails the inline pass; on a map edited to fail any of the checks, each
+    # single-point call must raise the error the object paths raise first
     g = GameInstance(gamma, omega_a, omega_b, pay, backend)
     matrix = edited_map(g, changes)
     q = NamedStrategy.Q
     pairs = [
-        (lambda: profile_table(g), lambda: reference_profile_table_finite_first(g, matrix)),
+        (lambda: profile_table(g), lambda: reference_profile_table_objects(g, matrix)),
         (lambda: payoffs(g, a, q, limit), lambda: object_payoffs(g, a, q, limit)),
         (lambda: joint_probabilities(g, a, q), lambda: reference_joint_probabilities(g, a, q)),
         # (3, 3) is one chunk per theta: the stacked pass over its three candidates
@@ -537,13 +537,6 @@ def test_moved_finiteness_check_keeps_each_first_error(
             assert outcome(new) == outcome(reference)
 
 
-def reference_stacked_tail(vectors, pay, limit=1e-6):
-    """The checks on a stack of products in their order: ``state4`` on all, then per vector."""
-    states = [qmat.state4(v) for v in vectors]
-    return [payoff_from_probabilities(JointProbabilities.from_amplitudes(v), pay, limit)
-            for v in states]
-
-
 FINE = [0.6, 0.8j, 0.0, 0.0]
 OFF_DUST = [1.1, 0.0, 0.0, 0.0]
 OVERFLOWS = [1e200, 0.0, 0.0, 0.0]
@@ -551,18 +544,34 @@ NOT_FINITE = [0.6, complex(0.0, math.nan), 0.0, 0.0]
 
 
 @pytest.mark.parametrize("vectors,error,message", [
-    ([FINE, OFF_DUST, FINE, NOT_FINITE], ValueError, "state4 contains non-finite entries"),
-    ([OVERFLOWS, FINE, NOT_FINITE], ValueError, "state4 contains non-finite entries"),
+    ([FINE, OFF_DUST, FINE, NOT_FINITE], ValueError, "outside [0, 1] beyond dust tolerance"),
+    ([OVERFLOWS, FINE, NOT_FINITE], OverflowError, ""),
     ([FINE, OVERFLOWS, OFF_DUST], OverflowError, ""),
     ([FINE, OFF_DUST, OVERFLOWS], ValueError, "outside [0, 1] beyond dust tolerance"),
 ], ids=["nan after dust", "nan after overflow", "overflow before dust", "dust before overflow"])
 def test_payoff_tail_checks_every_product_first(vectors, error, message):
-    # a NaN map entry reaches every product of a stack, so a stack whose only
+    # the error is the first one a loop over the objects raises, vector by vector:
+    # a later product that is not finite comes after an earlier vector's error.
+    # A NaN map entry reaches every product of a stack, so a stack whose only
     # non-finite product is a later one needs a product that overflows in the
     # matrix product, which warns; the tail is therefore called directly
     got = outcome(lambda: game_core._payoffs_of_amplitudes(vectors, PayoffParams()))
-    assert got == outcome(lambda: reference_stacked_tail(vectors, PayoffParams()))
+    assert got == outcome(lambda: object_tail(vectors, PayoffParams()))
     assert got[0] is error and message in got[1]
+
+
+CLAMPED = [1.0 + 2e-13, 0.0, 0.0, 0.0]
+OVER_LIMIT = [0.999, 0.0, 0.0, 0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([FINE, CLAMPED, OVER_LIMIT, OFF_DUST, OVERFLOWS, NOT_FINITE]),
+                max_size=6), limits)
+def test_payoff_tail_equals_object_loop_on_any_stack(vectors, limit):
+    # payoffs, or the first error of the loop, for stacks that mix passing, clamped,
+    # over-limit, out-of-dust, overflowing and non-finite products in any order
+    got = outcome(lambda: game_core._payoffs_of_amplitudes(vectors, PayoffParams(), limit))
+    assert got == outcome(lambda: object_tail(vectors, PayoffParams(), limit))
 
 
 def record_stack_sizes(monkeypatch):
