@@ -41,7 +41,6 @@ import numpy as np
 from . import qmat
 from .closed_form import (
     MAX_GRID_POINTS,
-    RATIO_DUST,
     ConvergenceError,
     NumericIntegrityError,
     ThresholdSet,
@@ -56,6 +55,7 @@ from .game_core import (
     _k_factor_product,
     _k_factors,
     _k_gamma_step,
+    _payoff_pair,
     _payoffs_of_amplitudes,
     _strategy_params,
     DEFAULT_MAX_NORM_DEFECT,
@@ -182,27 +182,28 @@ _PROFILE_K_COS, _PROFILE_K_SIN = (
 )
 
 
+def _profile_k(cg, sg) -> np.ndarray:
+    """The profiles' k-vectors from cos and sin of gamma/2, floats or (..., 1, 1) arrays."""
+    return _PROFILE_K_COS * cg + _PROFILE_K_SIN * sg
+
+
 def profile_table(g: GameInstance) -> ProfileTable:
     """Payoffs of all four S-profiles under the instance's backend."""
     matrix = _coefficient_matrix(g)
-    cg, sg = math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
-    states = _PROFILE_K_COS * cg + _PROFILE_K_SIN * sg
+    states = _profile_k(math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma))
     return ProfileTable(*_payoffs_of_amplitudes(_final_amplitudes(matrix, states), g.pay))
 
 
 # ------------------------------------------------------------ batched kernel
 #
-# The grid paths evaluate the four profiles over whole arrays of points.
-# The maps come from relativity._coefficient_maps and the k-vectors from
-# the constants profile_table uses, and every float operation repeats the
-# scalar path's, so a batch is bit-for-bit a profile_table loop:
-#
-# * |a|^2 is pow(hypot(re, im), 2), as the scalar ``abs(a) ** 2`` computes
-#   it (``np.abs`` on complex arrays and ``x * x`` each differ from it in
-#   the last ulp on some inputs; ``np.float_power`` calls pow), and the
-#   four are summed left to right, as Python's ``sum``;
-# * a map is applied as ``M @ k[..., None]``, the same BLAS matrix-vector
-#   product as the scalar ``M @ k`` (``k @ M.T`` is not).
+# The grid paths evaluate the four profiles over whole arrays of points,
+# through the formulas profile_table uses: the maps of relativity,
+# _profile_k and game_core._payoff_pair.  Per carrier, each rounding as the
+# scalar path's does, stay the maps' assembly and UNITARY kron (relativity);
+# ``M @ k[..., None]``, the same BLAS matrix-vector product as the scalar
+# ``M @ k``; the squares, pow(hypot(re, im), 2) as ``abs(a) ** 2`` computes
+# them, summed left to right; and the predicates.  So a batch is
+# bit-for-bit a profile_table loop.
 #
 # The kernel checks the backend and the payoff table once per call, then
 # only detects failing points; profile_table, called at the first of them,
@@ -247,8 +248,7 @@ def evaluate_batch(gamma, omega_a, omega_b, backend: Backend, pay: PayoffParams)
     # on them too; NaN and inf inputs must not warn.
     with np.errstate(invalid="ignore"):
         maps = _coefficient_maps(*angles, backend)
-        cg, sg = (x[..., None, None] for x in _half_cos_sin(angles[0]))
-        k = _PROFILE_K_COS * cg + _PROFILE_K_SIN * sg
+        k = _profile_k(*(x[..., None, None] for x in _half_cos_sin(angles[0])))
         amplitudes = (maps[..., None, :, :] @ k[..., None])[..., 0]
         raw = np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2.0)
         defect = np.abs(((raw[..., 0] + raw[..., 1]) + raw[..., 2]) + raw[..., 3] - 1.0)
@@ -263,9 +263,7 @@ def evaluate_batch(gamma, omega_a, omega_b, backend: Backend, pay: PayoffParams)
         raise NumericIntegrityError(float(defect.flat[i]), DEFAULT_MAX_NORM_DEFECT)
 
     probabilities = np.clip(raw, 0.0, 1.0)
-    p_cc, p_cd, p_dc, p_dd = np.moveaxis(probabilities, -1, 0)
-    alice = pay.r * p_cc + pay.p * p_dd + pay.t * p_dc + pay.s * p_cd
-    bob = pay.r * p_cc + pay.p * p_dd + pay.s * p_dc + pay.t * p_cd
+    alice, bob = _payoff_pair(pay, *np.moveaxis(probabilities, -1, 0))
     return BatchPayoffs(alice, bob, probabilities, defect)
 
 

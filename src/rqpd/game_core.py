@@ -241,10 +241,15 @@ def payoff_from_probabilities(
     _check_type(pr, JointProbabilities, "pr")
     if pr.norm_defect > max_norm_defect:
         raise NumericIntegrityError(pr.norm_defect, max_norm_defect)
-    p_cc, p_cd, p_dc, p_dd = pr.as_tuple()
-    alice = pay.r * p_cc + pay.p * p_dd + pay.t * p_dc + pay.s * p_cd
-    bob = pay.r * p_cc + pay.p * p_dd + pay.s * p_dc + pay.t * p_cd
-    return PayoffPair(alice, bob)
+    return _payoff_pair(pay, *pr.as_tuple())
+
+
+def _payoff_pair(pay: PayoffParams, p_cc, p_cd, p_dc, p_dd) -> PayoffPair:
+    """The payoff sums of :func:`payoff_from_probabilities`, on floats or on arrays alike."""
+    return PayoffPair(
+        pay.r * p_cc + pay.p * p_dd + pay.t * p_dc + pay.s * p_cd,
+        pay.r * p_cc + pay.p * p_dd + pay.s * p_dc + pay.t * p_cd,
+    )
 
 
 def _payoffs_of_amplitudes(vectors, pay, max_norm_defect=DEFAULT_MAX_NORM_DEFECT):
@@ -267,11 +272,7 @@ def _payoffs_of_amplitudes(vectors, pay, max_norm_defect=DEFAULT_MAX_NORM_DEFECT
                     and 0.0 <= p_cc <= 1.0 and 0.0 <= p_cd <= 1.0
                     and 0.0 <= p_dc <= 1.0 and 0.0 <= p_dd <= 1.0):
                 break
-            # the sums of payoff_from_probabilities, term for term, so both round alike
-            pairs.append(PayoffPair(
-                pay.r * p_cc + pay.p * p_dd + pay.t * p_dc + pay.s * p_cd,
-                pay.r * p_cc + pay.p * p_dd + pay.s * p_dc + pay.t * p_cd,
-            ))
+            pairs.append(_payoff_pair(pay, p_cc, p_cd, p_dc, p_dd))
         else:
             return pairs
     except OverflowError:

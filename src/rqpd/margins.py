@@ -35,8 +35,9 @@ class PayoffParams(_Record):
     """Payoff table (t, r, p, s); default (5, 3, 1, 0).
 
     The dilemma ordering t > r > p > s is enforced unless
-    ``allow_non_dilemma`` is set, which permits exploring arbitrary
-    tables without touching core code.
+    ``allow_non_dilemma`` is True, which permits exploring arbitrary
+    tables without touching core code.  It must be a ``bool``: a
+    truthy string such as "no" would switch the ordering check off.
     """
 
     t: float = 5.0
@@ -48,6 +49,8 @@ class PayoffParams(_Record):
     def __post_init__(self):
         for name, value in (("t", self.t), ("r", self.r), ("p", self.p), ("s", self.s)):
             _require_finite_scalar(value, name)
+        if not isinstance(self.allow_non_dilemma, bool):
+            raise TypeError(f"allow_non_dilemma must be a bool, got {self.allow_non_dilemma!r}")
         if not self.allow_non_dilemma and not (self.t > self.r > self.p > self.s):
             raise ValueError(
                 f"payoffs must satisfy t > r > p > s, got "

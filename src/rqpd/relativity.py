@@ -27,6 +27,16 @@ backends realize the coefficient map:
 On the named strategy set {D, Q}^2 both backends yield probability
 vectors that sum to 1; off that set the PAPER backend can leak norm,
 which is recorded (never hidden) in ``JointProbabilities.norm_defect``.
+
+Each map is built on two carriers from the same formulas: on Python
+floats at a single point (``_coefficient_matrix``, behind
+:func:`coefficient_map` and the single-point functions) and on float64
+arrays over a stack of points (``_coefficient_maps``, for the batched
+kernel in :mod:`rqpd.analysis`), bit for bit alike.  The PAPER entry
+table, the rotations' sign pattern and the conjugated entangler are
+written once; only the assembly into an array, the UNITARY kron and the
+BLAS product are per carrier.  :func:`spin_rotation_pair` keeps its own
+entries, so the tests can compare the engine with it.
 """
 
 from __future__ import annotations
@@ -48,7 +58,6 @@ from .closed_form import (
 )
 from .game_core import (
     _DXD,
-    _EYE4,
     _k_amplitudes,
     _payoffs_of_amplitudes,
     DEFAULT_MAX_NORM_DEFECT,
@@ -71,15 +80,9 @@ def spin_rotation_pair(omega_a: float, omega_b: float) -> tuple[np.ndarray, np.n
     """
     check_omega(omega_a, "omega_a")
     check_omega(omega_b, "omega_b")
-    r_a, r_b = _rotation_entries(omega_a, omega_b)
-    return qmat.mat2(r_a), qmat.mat2(r_b)
-
-
-def _rotation_entries(omega_a: float, omega_b: float):
-    """:func:`spin_rotation_pair` before its checks, as nested lists."""
     ca, sa = math.cos(0.5 * omega_a), math.sin(0.5 * omega_a)
     cb, sb = math.cos(0.5 * omega_b), math.sin(0.5 * omega_b)
-    return [[ca, -sa], [sa, ca]], [[cb, sb], [-sb, cb]]
+    return qmat.mat2([[ca, -sa], [sa, ca]]), qmat.mat2([[cb, sb], [-sb, cb]])
 
 
 class GameInstance(_Record):
@@ -128,40 +131,62 @@ def paper_coefficient_matrix(gamma: float, omega_a: float, omega_b: float) -> np
     return _paper_matrix(gamma, omega_a, omega_b)
 
 
-def _paper_matrix(gamma: float, omega_a: float, omega_b: float) -> np.ndarray:
-    """:func:`paper_coefficient_matrix` without its checks, for angles already checked."""
-    cg, sg = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
-    ca, sa = math.cos(0.5 * omega_a), math.sin(0.5 * omega_a)
-    cb, sb = math.cos(0.5 * omega_b), math.sin(0.5 * omega_b)
+# Each formula below serves both carriers, floats at a point and arrays in a
+# stack.  Per carrier: the assembly into an array, the UNITARY kron, the BLAS product.
+
+
+def _paper_entries(cg, sg, ca, sa, cb, sb) -> tuple:
+    """The 16 PAPER map entries, row-major, from cos and sin of gamma/2, omega_a/2, omega_b/2."""
     w1 = cg * ca * cb + 1j * sg * sa * sb
     w2 = cg * ca * sb + 1j * sg * sa * cb
     w3 = cg * sa * cb + 1j * sg * ca * sb
     w4 = cg * sa * sb + 1j * sg * ca * cb
     w2c, w3c = w2.conjugate(), w3.conjugate()
-    entries = np.array(
-        [
-            w1, w2c, -w3c, -w4,
-            -w2c, w1, w4, -w3,
-            w3c, w4, w1, -w2,
-            -w4, w3c, -w2c, w1,
-        ],
-        dtype=complex,
+    return (
+        w1, w2c, -w3c, -w4,
+        -w2c, w1, w4, -w3,
+        w3c, w4, w1, -w2,
+        -w4, w3c, -w2c, w1,
     )
+
+
+def _rotation_entries(ca, sa, cb, sb):
+    """R_A and R_B as nested lists from cos and sin of omega_a/2 and omega_b/2.
+
+    The sign pattern is :func:`spin_rotation_pair`'s, which is load-bearing.
+    """
+    return [[ca, -sa], [sa, ca]], [[cb, sb], [-sb, cb]]
+
+
+# conj(J(gamma)) = cos(gamma/2) I - i sin(gamma/2) (D (x) D) is built as
+# -cos * _NEG_EYE4 - (1j * sin) * _DXD_REAL: entry for entry what np.conjugate
+# makes of the entangler's cos * I + (1j * sin) * (D (x) D), signed zeros included.
+# -cos times -I gives every imaginary part -0.0, and where sin * (D (x) D) vanishes,
+# subtracting the +0.0 it leaves there keeps that -0.0.  D (x) D keeps its cos(pi/2) dust.
+_NEG_EYE4 = (-np.eye(4)).astype(complex)
+_DXD_REAL = _DXD.real.astype(complex)
+
+
+def _conj_entangler(cg, sg) -> np.ndarray:
+    """conj(J(gamma)) from cos and sin of gamma/2, each a float or an (..., 1, 1) array."""
+    return -cg * _NEG_EYE4 - (1j * sg) * _DXD_REAL
+
+
+def _point_cos_sin(gamma: float, omega_a: float, omega_b: float) -> tuple[float, ...]:
+    """cos and sin of gamma/2, omega_a/2 and omega_b/2 at one point."""
+    return (math.cos(0.5 * gamma), math.sin(0.5 * gamma), math.cos(0.5 * omega_a),
+            math.sin(0.5 * omega_a), math.cos(0.5 * omega_b), math.sin(0.5 * omega_b))
+
+
+def _paper_matrix(gamma: float, omega_a: float, omega_b: float) -> np.ndarray:
+    """:func:`paper_coefficient_matrix` without its checks, for angles already checked."""
+    entries = np.array(_paper_entries(*_point_cos_sin(gamma, omega_a, omega_b)), dtype=complex)
     return qmat._frozen(entries).reshape(4, 4)
 
 
 def coefficient_map(g: GameInstance) -> CoefficientMap:
     """Coefficient map for a game instance under its selected backend."""
     return CoefficientMap(_coefficient_matrix(g), g.backend, g.omega_a, g.omega_b, g.gamma)
-
-
-# The conjugated entangler conj(J(gamma)) = cos(gamma/2) I - i sin(gamma/2) (D (x) D)
-# is -cos * _NEG_EYE4 - (1j * sin) * _DXD_REAL: entry for entry what np.conjugate
-# makes of the entangler's cos * I + (1j * sin) * (D (x) D), signed zeros included.
-# -cos times -I gives every imaginary part -0.0, and where sin * (D (x) D) vanishes,
-# subtracting the +0.0 it leaves there keeps that -0.0.
-_NEG_EYE4 = (-np.eye(4)).astype(complex)
-_DXD_REAL = _DXD.real.astype(complex)
 
 
 def _coefficient_matrix(g: GameInstance) -> np.ndarray:
@@ -174,32 +199,11 @@ def _coefficient_matrix(g: GameInstance) -> np.ndarray:
     _check_type(g, GameInstance, "g")
     if g.backend is Backend.PAPER:
         return _paper_matrix(g.gamma, g.omega_a, g.omega_b)
+    cg, sg, ca, sa, cb, sb = _point_cos_sin(g.gamma, g.omega_a, g.omega_b)
+    kron = qmat.tensor2(*_rotation_entries(ca, sa, cb, sb))
     # Through the .T view of the fresh conj(J) the product is the same
     # transposed-operand BLAS call as conj().T @ kron.
-    kron = qmat.tensor2(*_rotation_entries(g.omega_a, g.omega_b))
-    half = 0.5 * g.gamma
-    j = -math.cos(half) * _NEG_EYE4 - (1j * math.sin(half)) * _DXD_REAL
-    return qmat._frozen(j.T @ kron)
-
-
-# ------------------------------------------------------------ map stack
-#
-# ``analysis.evaluate_batch`` evaluates the {D, Q} profiles over whole
-# arrays of points on a stack of maps.  Every float operation below
-# repeats, in the same order, the one :func:`_coefficient_matrix`
-# performs at a single point, so each map of the stack is bit-for-bit
-# the scalar one; the UNITARY maps reuse ``game_core._DXD`` with its
-# cos(pi/2) dust.
-
-# PAPER map entry (i, j) is w, conj(w), -conj(w) or -w for
-# w = (w1, w2, w3, w4)[_PAPER_W[i, j]], as in paper_coefficient_matrix.
-_PAPER_W = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-_PAPER_SIGN_RE = np.array(
-    [[1, 1, -1, -1], [-1, 1, 1, -1], [1, 1, 1, -1], [-1, 1, -1, 1]], dtype=float
-)
-_PAPER_SIGN_IM = np.array(
-    [[1, -1, 1, -1], [1, 1, 1, -1], [-1, 1, 1, -1], [-1, -1, 1, 1]], dtype=float
-)
+    return qmat._frozen(_conj_entangler(cg, sg).T @ kron)
 
 
 def _half_cos_sin(angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,20 +216,14 @@ def _coefficient_maps(gamma, omega_a, omega_b, backend: Backend) -> np.ndarray:
     cg, sg = _half_cos_sin(gamma)
     ca, sa = _half_cos_sin(omega_a)
     cb, sb = _half_cos_sin(omega_b)
-    if backend is Backend.UNITARY:
-        j = np.multiply.outer(cg, _EYE4) + np.multiply.outer(1j * sg, _DXD)
-        r_a = np.stack([ca, -sa, sa, ca], -1).reshape(ca.shape + (2, 2))
-        r_b = np.stack([cb, sb, -sb, cb], -1).reshape(cb.shape + (2, 2))
-        kron = r_a[..., :, None, :, None] * r_b[..., None, :, None, :]
-        kron = kron.reshape(kron.shape[:-4] + (4, 4)).astype(complex)
-        return j.conj().swapaxes(-1, -2) @ kron
-    # w1..w4 of paper_coefficient_matrix, real and imaginary parts
-    w_re = np.stack([cg * ca * cb, cg * ca * sb, cg * sa * cb, cg * sa * sb], -1)
-    w_im = np.stack([sg * sa * sb, sg * sa * cb, sg * ca * sb, sg * ca * cb], -1)
-    maps = np.empty(w_re.shape[:-1] + (4, 4), dtype=complex)
-    maps.real = w_re[..., _PAPER_W] * _PAPER_SIGN_RE
-    maps.imag = w_im[..., _PAPER_W] * _PAPER_SIGN_IM
-    return maps
+    if backend is Backend.PAPER:
+        entries = np.stack(np.broadcast_arrays(*_paper_entries(cg, sg, ca, sa, cb, sb)), -1)
+        return entries.reshape(entries.shape[:-1] + (4, 4))
+    r_a, r_b = (np.stack([np.stack(row, -1) for row in r], -2)
+                for r in _rotation_entries(ca, sa, cb, sb))
+    kron = r_a[..., :, None, :, None] * r_b[..., None, :, None, :]
+    kron = kron.reshape(kron.shape[:-4] + (4, 4)).astype(complex)
+    return _conj_entangler(cg[..., None, None], sg[..., None, None]).swapaxes(-1, -2) @ kron
 
 
 def _final_amplitudes(matrix: np.ndarray, states) -> list[list[complex]]:

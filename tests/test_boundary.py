@@ -3,7 +3,8 @@
 Every angle, speed, rapidity, payoff, probability and tolerance argument
 goes through ``closed_form._finite``: a value that is not a real number
 raises a ``TypeError`` that names the argument.  Grid sizes keep their
-own rule, a ``ValueError`` that names them.  The slots are read off the
+own rule, a ``ValueError`` that names them, and flags theirs, a
+``TypeError`` for anything but a ``bool``.  The slots are read off the
 annotations, so a new public scalar argument joins the table by itself.
 """
 
@@ -49,8 +50,8 @@ VALID = {
 LABELS = {("rapidity_from_speed", "v"): "speed"}
 
 
-def scalar_slots():
-    """(callable, parameter, annotation) for each real or integer argument in ``rqpd.__all__``.
+def scalar_slots(kinds=("float", "int")):
+    """(callable, parameter, annotation) for each argument in ``rqpd.__all__`` annotated as a kind.
 
     Records without ``__post_init__`` check nothing (results and
     ``CoefficientMap``), so only the validating ones count.
@@ -66,7 +67,7 @@ def scalar_slots():
         else:
             continue
         for param, annotation in annotations.items():
-            if annotation in ("float", "int"):
+            if annotation in kinds:
                 yield name, param, annotation
 
 
@@ -94,3 +95,27 @@ def test_bad_scalar_is_refused_by_name(name, param, annotation, bad):
     with pytest.raises(error) as info:
         getattr(rqpd, name)(**{**VALID[name], param: bad})
     assert str(info.value) == message
+
+
+BOOL_SLOTS = list(scalar_slots(("bool",)))
+# truthy and falsy stand-ins, unhashable ones and numpy's bools alike
+BAD_FLAGS = ["no", "", [], None, 1, 0.0, np.bool_(True), np.array(True)]
+
+
+def test_bool_slots_are_the_dilemma_flag():
+    assert BOOL_SLOTS == [("PayoffParams", "allow_non_dilemma", "bool")]
+    for flag in (True, False):
+        PayoffParams(5.0, 3.0, 1.0, 0.0, allow_non_dilemma=flag)
+    # "no" is truthy, so it once built a table that breaks the dilemma ordering
+    with pytest.raises(TypeError, match="^allow_non_dilemma must be a bool, got 'no'$"):
+        PayoffParams(1.0, 3.0, 5.0, 0.0, allow_non_dilemma="no")
+
+
+@pytest.mark.parametrize("bad", BAD_FLAGS, ids=["str", "empty str", "list", "None", "int",
+                                                "float", "numpy bool", "0-d array"])
+@pytest.mark.parametrize("name,param,annotation", BOOL_SLOTS,
+                         ids=[f"{n}-{p}" for n, p, _ in BOOL_SLOTS])
+def test_non_bool_flag_is_refused_by_name(name, param, annotation, bad):
+    with pytest.raises(TypeError) as info:
+        getattr(rqpd, name)(**{**VALID[name], param: bad})
+    assert str(info.value) == f"{param} must be a bool, got {bad!r}"

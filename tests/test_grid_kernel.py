@@ -39,7 +39,13 @@ from rqpd.game_core import (
     PayoffParams,
 )
 from rqpd.margins import _check_pay_and_backend
-from rqpd.relativity import Backend, GameInstance, joint_probabilities
+from rqpd.relativity import (
+    Backend,
+    GameInstance,
+    _coefficient_maps,
+    _coefficient_matrix,
+    joint_probabilities,
+)
 
 HALF_PI = 0.5 * math.pi
 
@@ -121,6 +127,29 @@ def test_kernel_point_equals_scalar_pipeline(gamma, omega_a, omega_b, backend, p
         assert tuple(got.probabilities[i].tolist()) == pr.as_tuple()
         assert float(got.norm_defect[i]) == pr.norm_defect
     assert (got.alice.tolist(), got.bob.tolist()) == table_rows(profile_table(g))
+
+
+CORNERS = [(g, a, b) for g in (0.0, HALF_PI) for a in (0.0, HALF_PI) for b in (0.0, HALF_PI)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(angles, angles, angles), max_size=20), backends)
+def test_kernel_maps_equal_scalar_maps_bit_for_bit(points, backend):
+    # the stack and the single point share each map formula; by bytes, signed zeros included
+    points = CORNERS + points
+    scalar = [_coefficient_matrix(GameInstance(*point, backend=backend)).tobytes()
+              for point in points]
+    gamma, omega_a, omega_b = (np.array(axis) for axis in zip(*points))
+    maps = _coefficient_maps(gamma, omega_a, omega_b, backend)
+    assert maps.shape == (len(points), 4, 4)
+    assert [m.tobytes() for m in maps] == scalar
+    # a sweep's call shape: a gamma column against scalar omegas
+    column = _coefficient_maps(gamma[:, None], *points[-1][1:], backend)
+    assert column.shape == (len(points), 1, 4, 4)
+    assert [m.tobytes() for m in column[:, 0]] == [
+        _coefficient_matrix(GameInstance(g, *points[-1][1:], backend=backend)).tobytes()
+        for g in gamma.tolist()
+    ]
 
 
 @pytest.mark.parametrize("backend", list(Backend))
