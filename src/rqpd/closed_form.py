@@ -165,12 +165,6 @@ class _Record:
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         init.__defaults__ = tuple(cls.__dict__[name] for name in fields if name in cls.__dict__)
 
-    def _replace(self, **changes):
-        """A copy with ``changes``, built without ``__post_init__``: for checked values only."""
-        copy = object.__new__(type(self))
-        vars(copy).update(vars(self), **changes)
-        return copy
-
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
 

@@ -193,36 +193,83 @@ def k_coefficients(a: StrategyParams, b: StrategyParams, gamma: float) -> KVecto
 
 def _k_amplitudes(a, b, gamma: float) -> list[complex]:
     """:func:`k_coefficients` at a checked gamma, before its :class:`KVector` checks, as a list."""
-    a, b = _strategy_params(a, "a"), _strategy_params(b, "b")
-    cg, sg = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
-    return _k_gamma_step(_k_factors(a, b), cg, sg)
+    return _k_of_pair(a, b, math.cos(0.5 * gamma), math.sin(0.5 * gamma))
 
 
-def _k_factors(a: StrategyParams, b: StrategyParams) -> tuple[tuple[complex, complex], ...]:
+def _k_factors(a: StrategyParams, b: StrategyParams) -> list[tuple[complex, complex]]:
     """Per amplitude (CC, CD, DC, DD), the pair (A, B) with k = A c_g + B s_g.
 
-    c_x = cos(x/2), s_x = sin(x/2).  Products run left to right with c_g
-    or s_g last, so the split keeps every rounding of the full product.
+    The stages below with c_g and s_g left out, so each product of A and B
+    is the one the k-vector multiplies by c_g or s_g last.
     """
-    return _k_factor_product(
-        math.cos(0.5 * a.theta), math.sin(0.5 * a.theta), cmath.exp(1j * a.phi),
-        math.cos(0.5 * b.theta), math.sin(0.5 * b.theta), cmath.exp(1j * b.phi),
+    return _k_of_pair(a, b, _LEFT_OUT, _LEFT_OUT)
+
+
+class _LeftOut:
+    """Stands for c_g or s_g: ``x * _LEFT_OUT`` is ``(x,)``.
+
+    In each k the c_g term comes first, so the sum of the two terms is
+    the pair (A, B) of k = A c_g + B s_g.
+    """
+
+    def __rmul__(self, factor):
+        return (factor,)
+
+
+_LEFT_OUT = _LeftOut()
+
+
+def _k_of_pair(a, b, cg, sg) -> list:
+    """The k-vector of one strategy pair through the three stages, c_g = cg and s_g = sg."""
+    a, b = _strategy_params(a, "a"), _strategy_params(b, "b")
+    eb = cmath.exp(1j * b.phi)
+    theta_terms = _k_theta_terms(
+        math.cos(0.5 * a.theta), math.sin(0.5 * a.theta),
+        math.cos(0.5 * b.theta), math.sin(0.5 * b.theta), eb, cg, sg,
     )
+    (k,) = _k_row([_k_phase_terms(cmath.exp(1j * a.phi), eb)], theta_terms)
+    return k
 
 
-def _k_factor_product(ca: float, sa: float, ea: complex, cb: float, sb: float, eb: complex):
-    """:func:`_k_factors` from the half-angle cosines and sines and the phases e^{i phi}."""
-    return (
-        (ea * eb * ca * cb, 1j * sa * sb),
-        (-ea * ca * sb, 1j * eb.conjugate() * sa * cb),
-        (-eb * sa * cb, 1j * ea.conjugate() * ca * sb),
-        (sa * sb, 1j * (ea * eb).conjugate() * ca * cb),
-    )
+# The k formula, with c_x = cos(theta_x/2), s_x = sin(theta_x/2), e_x = e^{i phi_x}
+# and c_g, s_g the cosine and sine of gamma/2:
+#
+#     k_cc = e_a e_b c_a c_b c_g + i s_a s_b s_g
+#     k_cd = -e_a c_a s_b c_g + i conj(e_b) s_a c_b s_g
+#     k_dc = -e_b s_a c_b c_g + i conj(e_a) c_a s_b s_g
+#     k_dd = s_a s_b c_g + i conj(e_a e_b) c_a c_b s_g
+#
+# It runs in three stages, by what each product depends on: the leading factor
+# of the four terms with e_a once per phi_a, the four terms without it once per
+# theta_a, and the rest once per candidate.  Every product keeps its operands
+# and its left-to-right order, so each k rounds as the one-line formula does.
 
 
-def _k_gamma_step(factors, cg: float, sg: float) -> list[complex]:
-    """The k-coefficients A c_g + B s_g from :func:`_k_factors`."""
-    return [f_cos * cg + f_sin * sg for f_cos, f_sin in factors]
+def _k_phase_terms(ea: complex, eb: complex) -> tuple[complex, complex, complex, complex]:
+    """Per phi_a: the leading factors e_a e_b, -e_a, i conj(e_a) and i conj(e_a e_b)."""
+    eab = ea * eb
+    return eab, -ea, 1j * ea.conjugate(), 1j * eab.conjugate()
+
+
+def _k_theta_terms(ca: float, sa: float, cb: float, sb: float, eb: complex, cg, sg) -> tuple:
+    """Per theta_a: what :func:`_k_row` needs besides the phase terms.
+
+    First the five factors it multiplies the phase terms by, then the four
+    terms free of e_a, each already times its c_g or s_g.
+    """
+    return (ca, cb, sb, cg, sg, 1j * sa * sb * sg, 1j * eb.conjugate() * sa * cb * sg,
+            -eb * sa * cb * cg, sa * sb * cg)
+
+
+def _k_row(phase_terms, theta_terms) -> list[list[complex]]:
+    """The k-vector of each :func:`_k_phase_terms` tuple at one theta_a.
+
+    Each costs 12 multiplications and 4 additions.
+    """
+    ca, cb, sb, cg, sg, t_cc, t_cd, t_dc, t_dd = theta_terms
+    return [[p_cc * ca * cb * cg + t_cc, p_cd * ca * sb * cg + t_cd,
+             t_dc + p_dc * ca * sb * sg, t_dd + p_dd * ca * cb * sg]
+            for p_cc, p_cd, p_dc, p_dd in phase_terms]
 
 
 def payoff_from_probabilities(

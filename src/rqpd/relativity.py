@@ -211,9 +211,11 @@ def _half_cos_sin(angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(half), np.sin(half)
 
 
-def _coefficient_maps(gamma, omega_a, omega_b, backend: Backend) -> np.ndarray:
-    """(..., 4, 4) stack of the maps :func:`coefficient_map` builds one at a time."""
-    cg, sg = _half_cos_sin(gamma)
+def _coefficient_maps(cg, sg, omega_a, omega_b, backend: Backend) -> np.ndarray:
+    """(..., 4, 4) stack of the maps :func:`coefficient_map` builds one at a time.
+
+    ``cg, sg`` is :func:`_half_cos_sin` of the gammas, which the caller also needs.
+    """
     ca, sa = _half_cos_sin(omega_a)
     cb, sb = _half_cos_sin(omega_b)
     if backend is Backend.PAPER:

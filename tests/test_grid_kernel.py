@@ -44,6 +44,7 @@ from rqpd.relativity import (
     GameInstance,
     _coefficient_maps,
     _coefficient_matrix,
+    _half_cos_sin,
     joint_probabilities,
 )
 
@@ -140,11 +141,11 @@ def test_kernel_maps_equal_scalar_maps_bit_for_bit(points, backend):
     scalar = [_coefficient_matrix(GameInstance(*point, backend=backend)).tobytes()
               for point in points]
     gamma, omega_a, omega_b = (np.array(axis) for axis in zip(*points))
-    maps = _coefficient_maps(gamma, omega_a, omega_b, backend)
+    maps = _coefficient_maps(*_half_cos_sin(gamma), omega_a, omega_b, backend)
     assert maps.shape == (len(points), 4, 4)
     assert [m.tobytes() for m in maps] == scalar
     # a sweep's call shape: a gamma column against scalar omegas
-    column = _coefficient_maps(gamma[:, None], *points[-1][1:], backend)
+    column = _coefficient_maps(*_half_cos_sin(gamma[:, None]), *points[-1][1:], backend)
     assert column.shape == (len(points), 1, 4, 4)
     assert [m.tobytes() for m in column[:, 0]] == [
         _coefficient_matrix(GameInstance(g, *points[-1][1:], backend=backend)).tobytes()

@@ -225,3 +225,14 @@ def test_post_init_checks_run_on_keywords_too():
         PayoffParams(t=1.0)
     with pytest.raises(ValueError, match="^KVector norm"):
         KVector(k_cc=1.0, k_cd=1.0, k_dc=0j, k_dd=0j)
+
+
+def test_no_record_offers_a_copy_that_skips_its_checks():
+    # such a copy would build what the constructor refuses: a game at gamma = 7 whose
+    # profile_table returns payoffs, a non-dilemma table flagged by a string
+    with pytest.raises(AttributeError):
+        GameInstance(0.1, 0.2, 0.3)._replace(gamma=7.0)
+    with pytest.raises(AttributeError):
+        PayoffParams()._replace(t=-1.0, allow_non_dilemma="no")
+    for cls in CLASSES:
+        assert not hasattr(cls, "_replace")

@@ -10,21 +10,21 @@ them.  ``joint_probabilities`` hands its one product to
 to payoffs without the ``KVector`` and ``JointProbabilities`` objects,
 and ``profile_table`` factors its k-coefficients into strategy-only
 parts and a gamma step, taken for all four profiles at once on two
-constant factor arrays.  A list of amplitude vectors that all pass
-costs one inline payoff pass; from the first vector that does not,
-the tail runs the object pipeline, so the one error path is that of
-the objects.  The tests below also send vectors past that pass (a
-clamped probability, limits of 0 and 1e-16, an overflowing square, a
-product that is not finite after an earlier vector's failure) and
-compare the errors too.
-``best_response_scan`` checks its opponent and each axis value once and
-computes the angle-only factors once per axis value or call, so a
-candidate costs only its k-factor product, the gamma step, its share of
-the helper and the payoff tail.  The scan passes the candidates of each
-theta to the helper in chunks of at most ``GRID_CHUNK``, one stacked
-product per chunk; the payoff tail checks the chunk's products in
-candidate order, so the error is the first failing candidate's, as in
-the loop.
+constant factor arrays.  Every k-vector comes from the three stages of
+``game_core``'s k formula (per phi, per theta, per candidate).  A list
+of amplitude vectors that all pass costs one inline payoff pass; from
+the first vector that does not, the tail runs the object pipeline, so
+the one error path is that of the objects.  The tests below also send
+vectors past that pass (a clamped probability, limits of 0 and 1e-16,
+an overflowing square, a product that is not finite after an earlier
+vector's failure) and compare the errors too.
+``best_response_scan`` checks its opponent once and runs each stage of
+the k formula once per value it depends on, so a candidate costs only
+the last stage (``game_core._k_row``), its share of the helper and the
+payoff tail.  The scan passes the candidates of each theta to the
+helper in chunks of at most ``GRID_CHUNK``, one stacked product per
+chunk; the payoff tail checks the chunk's products in candidate order,
+so the error is the first failing candidate's, as in the loop.
 The ``coefficient_map`` of either backend is built from angles that
 ``GameInstance`` has checked, so the map itself is not checked; the
 UNITARY map is the product of ``tensor2``'s checked rotations and the
@@ -100,6 +100,11 @@ pay_tables = st.sampled_from(
 
 
 def reference_k(a, b, gamma):
+    """The k-vector as the one-line formula, each product left to right.
+
+    Its products and sums are those of the engine's stages, so the two
+    must agree bit for bit.
+    """
     ca, sa = math.cos(0.5 * a.theta), math.sin(0.5 * a.theta)
     cb, sb = math.cos(0.5 * b.theta), math.sin(0.5 * b.theta)
     cg, sg = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
@@ -112,6 +117,11 @@ def reference_k(a, b, gamma):
             sa * sb * cg + 1j * (ea * eb).conjugate() * ca * cb * sg,
         ]
     )
+
+
+def hex_parts(k):
+    """Each amplitude's real and imaginary parts by ``float.hex``, so -0.0 is not 0.0."""
+    return [(float(z.real).hex(), float(z.imag).hex()) for z in k]
 
 
 def reference_paper_map(gamma, omega_a, omega_b):
@@ -217,7 +227,7 @@ def test_profile_table_domain_corners(gamma, omega_a, omega_b, backend):
 @example(HALF_PI)
 def test_profile_k_vectors_equal_gamma_step_lists(gamma):
     # profile_table builds its four k-vectors as one array from two constant factor
-    # arrays; each must be _k_gamma_step's list, bit for bit
+    # arrays; each must be the scalar one-line formula's, bit for bit
     got, final_amplitudes = [], analysis._final_amplitudes
 
     def recorded(matrix, states):
@@ -228,8 +238,8 @@ def test_profile_k_vectors_equal_gamma_step_lists(gamma):
         patch.setattr(analysis, "_final_amplitudes", recorded)
         profile_table(GameInstance(gamma, 0.4, 1.1))
     (states,) = got
-    cg, sg = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
-    expected = [game_core._k_gamma_step(factors, cg, sg) for factors in analysis._PROFILE_K_FACTORS]
+    expected = [reference_k(NamedStrategy[p[0]].params, NamedStrategy[p[1]].params, gamma)
+                for p in PROFILES]
     assert states.shape == (4, 4) and states.dtype == complex
     assert states.tobytes() == np.array(expected).tobytes()  # every bit, -0.0 included
 
@@ -412,9 +422,9 @@ def test_best_response_scan_equals_object_loop_across_chunk_edges(grid, backend,
         assert isinstance(got, tuple) == (backend is Backend.PAPER and limit < 1.0)
 
 
-def scaled_k_step(scale):
-    step = game_core._k_gamma_step
-    return lambda *args: [z * scale for z in step(*args)]
+def scaled_k_row(scale):
+    row = game_core._k_row
+    return lambda *args: [[z * scale for z in k] for k in row(*args)]
 
 
 # (name to patch, replacement, the error all must raise), for values that
@@ -424,7 +434,7 @@ PAIR_ERRORS = {
     "nan map": ("_coefficient_matrix", lambda g: ERROR_MAPS["nan"][0],
                 "state4 contains non-finite entries"),
     # OverflowError's message is the platform's text for ERANGE
-    "k overflows": ("_k_gamma_step", scaled_k_step(1e200), ""),
+    "k overflows": ("_k_row", scaled_k_row(1e200), ""),
 }
 
 
@@ -462,9 +472,9 @@ BAD_K = {
 @pytest.mark.parametrize("case", list(BAD_K))
 def test_pair_path_leaves_bad_k_to_the_product_checks(monkeypatch, case, backend):
     scale, error, message = BAD_K[case]
-    replacement = scaled_k_step(scale)
+    replacement = scaled_k_row(scale)
     for module in (game_core, analysis):
-        monkeypatch.setattr(module, "_k_gamma_step", replacement)
+        monkeypatch.setattr(module, "_k_row", replacement)
     g = GameInstance(0.3, 0.2, 0.9, backend=backend)
     q = NamedStrategy.Q
     for call in (lambda: payoffs(g, q, q), lambda: best_response_scan(g, q, (3, 2))):
@@ -576,14 +586,19 @@ def test_payoff_tail_equals_object_loop_on_any_stack(vectors, limit):
 
 def record_stack_sizes(monkeypatch):
     """Make the scan's ``_final_amplitudes`` record how many k-vectors each call gets."""
-    sizes, final_amplitudes = [], analysis._final_amplitudes
+    return record_stacks(monkeypatch, len)
+
+
+def record_stacks(monkeypatch, of=list):
+    """Make the scan's ``_final_amplitudes`` record ``of`` the k-vectors of each call."""
+    stacks, final_amplitudes = [], analysis._final_amplitudes
 
     def recorded(matrix, states):
-        sizes.append(len(states))
+        stacks.append(of(states))
         return final_amplitudes(matrix, states)
 
     monkeypatch.setattr(analysis, "_final_amplitudes", recorded)
-    return sizes
+    return stacks
 
 
 @pytest.mark.parametrize("backend", list(Backend))
@@ -769,6 +784,35 @@ def test_best_response_scan_stacks_each_chunk_of_a_theta_row(monkeypatch, grid, 
     chunk = analysis.GRID_CHUNK
     row = [min(chunk, n_phi - start) for start in range(0, n_phi, chunk)]
     assert len(sizes) == calls and sizes == row * n_theta
+
+
+@settings(max_examples=200, deadline=None)
+@given(angles, named | explicit, named | explicit)
+def test_k_coefficients_equal_one_line_formula_bit_for_bit(gamma, a, b):
+    # the pair path (payoffs, joint_probabilities) runs the same three stages as the scan
+    a, b = (s.params if isinstance(s, NamedStrategy) else s for s in (a, b))
+    got = k_coefficients(a, b, gamma)
+    expected = reference_k(a, b, gamma).tolist()
+    assert hex_parts([got.k_cc, got.k_cd, got.k_dc, got.k_dd]) == hex_parts(expected)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.9, HALF_PI])
+@pytest.mark.parametrize("opponent", [NamedStrategy.C, NamedStrategy.D, NamedStrategy.Q,
+                                      StrategyParams(2.1, 0.4)], ids=["C", "D", "Q", "explicit"])
+def test_best_response_scan_k_vectors_equal_one_line_formula(monkeypatch, gamma, opponent):
+    # every candidate's k, not only the winner's: the scan's stages against reference_k,
+    # across a chunk edge (300 phis), -0.0 told from 0.0
+    grid = (7, 300)
+    assert grid[1] > analysis.GRID_CHUNK
+    stacks = record_stacks(monkeypatch)
+    best_response_scan(GameInstance(gamma, 0.3, 1.2), opponent, grid)
+    got = [hex_parts(k) for states in stacks for k in states]
+    b = opponent.params if isinstance(opponent, NamedStrategy) else opponent
+    expected = [hex_parts(reference_k(StrategyParams(theta, phi), b, gamma).tolist())
+                for theta in np.linspace(0.0, math.pi, grid[0]).tolist()
+                for phi in np.linspace(0.0, HALF_PI, grid[1]).tolist()]
+    assert len(got) == len(expected) == grid[0] * grid[1]
+    assert got == expected
 
 
 # ------------------------------------------------------------------ byte pins
