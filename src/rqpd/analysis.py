@@ -52,7 +52,7 @@ from .closed_form import (
 )
 from .game_core import (
     _HALF_PI,
-    _k_factors,
+    _k_of_pair,
     _k_phase_terms,
     _k_row,
     _k_theta_terms,
@@ -171,15 +171,14 @@ class SweepRow(_Record):
     b_qq: float
 
 
-# The gamma-free k-coefficient factors of the profiles, in PROFILES order.
-_PROFILE_K_FACTORS = tuple(
-    _k_factors(NamedStrategy[p[0]].params, NamedStrategy[p[1]].params) for p in PROFILES
-)
-# The same factors as two (profile, amplitude) arrays, the A and the B of
-# k = A c_g + B s_g: numpy's complex-by-real products round as Python's do.
+# The A and the B of k = A c_g + B s_g as (profile, amplitude) arrays in
+# PROFILES order: the pair driver's k-vectors at (c_g, s_g) = (1, 0) and
+# (0, 1).  The k formula multiplies each term by c_g or s_g last, so
+# A c_g + B s_g rounds as the formula does; numpy's complex-by-real
+# products round as Python's do.
 _PROFILE_K_COS, _PROFILE_K_SIN = (
-    np.array([[pair[i] for pair in factors] for factors in _PROFILE_K_FACTORS], dtype=complex)
-    for i in (0, 1)
+    np.array([_k_of_pair(NamedStrategy[p[0]], NamedStrategy[p[1]], cg, sg) for p in PROFILES])
+    for cg, sg in ((1.0, 0.0), (0.0, 1.0))
 )
 
 
@@ -453,13 +452,11 @@ def best_response_scan(
     depends on: the four leading factors with Alice's phase once per
     phi, the four terms free of it, already times cos or sin of
     gamma/2, once per theta, and ``_k_row`` per candidate, 12
-    multiplications and 4 additions.  The default 181x91 grid takes
-    about 34 ms on a 2-vCPU Xeon host (Python 3.11.7; ``BENCH_24.json``).
-    The candidates of each theta go through ``_final_amplitudes`` in
-    chunks of at most ``GRID_CHUNK`` phis, one stacked product per
-    chunk.  The payoff tail checks a chunk's products in candidate
-    order, so the error raised is the first failing candidate's, as in
-    a loop over candidates.
+    multiplications and 4 additions.  The candidates of each theta go
+    through ``_final_amplitudes`` in chunks of at most ``GRID_CHUNK``
+    phis, one stacked product per chunk.  The payoff tail checks a
+    chunk's products in candidate order, so the error raised is the
+    first failing candidate's, as in a loop over candidates.
     """
     try:
         n_theta, n_phi = grid

@@ -10,6 +10,9 @@ write a single document with a metadata block to stdout or --output.
 CSV subcommands (sweep, thresholds --grid-n, region-map) write a bare
 header-plus-rows payload there and then, once it is written, echo their
 metadata as one JSON line on stderr, keeping the payload machine-clean.
+With stderr closed, what would go there (that metadata line, error
+messages and argparse's usage) is dropped, as under ``2>/dev/null``:
+stdout carries the same bytes and the exit code is the same.
 
 Angle flags are radians unless --degrees is given; rapidities are
 dimensionless and never converted.  Where no angle is read (region-map,
@@ -31,7 +34,9 @@ Exit codes: 0 success, 2 invalid arguments, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import math
 import sys
@@ -397,6 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stderr is None:  # Python started with file descriptor 2 closed
+        # print(file=None) and argparse's usage message would go to stdout: drop them
+        with contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

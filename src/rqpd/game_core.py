@@ -138,6 +138,7 @@ class JointProbabilities(_Record):
         for name, value in zip(names, self.as_tuple()):
             _finite(value, name)
         _require_finite_scalar(self.norm_defect, "norm_defect")
+        _check_tolerance(self.norm_defect, "norm_defect")  # |sum - 1| is never negative
         for name, value in zip(names, self.as_tuple()):
             object.__setattr__(self, name, _clamp_probability(value))
 
@@ -188,38 +189,10 @@ def k_coefficients(a: StrategyParams, b: StrategyParams, gamma: float) -> KVecto
     """Closed-form amplitudes of ``(U_A (x) U_B) J(gamma) |CC>``."""
     a, b = _strategy_params(a, "a"), _strategy_params(b, "b")
     check_omega(gamma, "gamma")
-    return KVector(*_k_amplitudes(a, b, gamma))
+    return KVector(*_k_of_pair(a, b, math.cos(0.5 * gamma), math.sin(0.5 * gamma)))
 
 
-def _k_amplitudes(a, b, gamma: float) -> list[complex]:
-    """:func:`k_coefficients` at a checked gamma, before its :class:`KVector` checks, as a list."""
-    return _k_of_pair(a, b, math.cos(0.5 * gamma), math.sin(0.5 * gamma))
-
-
-def _k_factors(a: StrategyParams, b: StrategyParams) -> list[tuple[complex, complex]]:
-    """Per amplitude (CC, CD, DC, DD), the pair (A, B) with k = A c_g + B s_g.
-
-    The stages below with c_g and s_g left out, so each product of A and B
-    is the one the k-vector multiplies by c_g or s_g last.
-    """
-    return _k_of_pair(a, b, _LEFT_OUT, _LEFT_OUT)
-
-
-class _LeftOut:
-    """Stands for c_g or s_g: ``x * _LEFT_OUT`` is ``(x,)``.
-
-    In each k the c_g term comes first, so the sum of the two terms is
-    the pair (A, B) of k = A c_g + B s_g.
-    """
-
-    def __rmul__(self, factor):
-        return (factor,)
-
-
-_LEFT_OUT = _LeftOut()
-
-
-def _k_of_pair(a, b, cg, sg) -> list:
+def _k_of_pair(a, b, cg: float, sg: float) -> list[complex]:
     """The k-vector of one strategy pair through the three stages, c_g = cg and s_g = sg."""
     a, b = _strategy_params(a, "a"), _strategy_params(b, "b")
     eb = cmath.exp(1j * b.phi)

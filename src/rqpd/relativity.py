@@ -58,7 +58,7 @@ from .closed_form import (
 )
 from .game_core import (
     _DXD,
-    _k_amplitudes,
+    _k_of_pair,
     _payoffs_of_amplitudes,
     DEFAULT_MAX_NORM_DEFECT,
     JointProbabilities,
@@ -253,7 +253,8 @@ def joint_probabilities(
     A norm defect (possible under ``Backend.PAPER`` away from the named
     strategy set) is recorded on the result, not raised here.
     """
-    (vector,) = _final_amplitudes(_coefficient_matrix(g), [_k_amplitudes(a, b, g.gamma)])
+    matrix, cg, sg = _coefficient_matrix(g), math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
+    (vector,) = _final_amplitudes(matrix, [_k_of_pair(a, b, cg, sg)])
     return JointProbabilities.from_amplitudes(vector)
 
 
@@ -265,6 +266,7 @@ def payoffs(
 ) -> PayoffPair:
     """Expected payoffs for a strategy pair under an instance."""
     _check_tolerance(max_norm_defect, "max_norm_defect")
-    vectors = _final_amplitudes(_coefficient_matrix(g), [_k_amplitudes(a, b, g.gamma)])
+    matrix, cg, sg = _coefficient_matrix(g), math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
+    vectors = _final_amplitudes(matrix, [_k_of_pair(a, b, cg, sg)])
     (pair,) = _payoffs_of_amplitudes(vectors, g.pay, max_norm_defect)
     return pair

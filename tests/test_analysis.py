@@ -1,3 +1,4 @@
+from fractions import Fraction
 import math
 import random
 import re
@@ -630,6 +631,36 @@ def test_default_coefficients_are_the_default_paper_table():
         (1, -2, 2, -1), (2, -1, 1, -2), (1, -2, -1, 2), (2, -1, -2, 1),
         (5, -5, 3, 2), (5, -5, -3, -2),
     )
+
+
+def test_closed_form_grid_against_exact_margins():
+    # The engine's half-angle squares are floats, hence exact rationals, and
+    # the weights are small integers, so Fraction gives each d0 and S exactly
+    # for those squares: a crossing must be reported exactly where S > 0 and
+    # 0 <= d0 / S <= 1, and away from both ends of that range within 2 ulp of
+    # arcsin(sqrt) of the correctly rounded ratio.  The axis includes fl(pi/2).
+    axis = _grid_axis(65, "grid_n", dims=2)
+    squares = [tuple(map(Fraction, _half_angle_squares(omega))) for omega in axis]
+    *margins, s_alice, s_bob = _PAPER_DEFAULT
+    dens = (s_alice, s_alice, s_bob, s_bob)
+
+    def exact(weights, c2a, s2a, c2b, s2b):
+        w1, w2, w3, w4 = weights
+        return w1 * c2a * c2b + w2 * s2a * s2b + w3 * c2a * s2b + w4 * s2a * c2b
+
+    checked = 0
+    for (c2a, s2a), row in zip(squares, _threshold_rows(axis)):
+        for (c2b, s2b), cell in zip(squares, row):
+            for weights, den_weights, value in zip(margins, dens, cell):
+                d0 = exact(weights, c2a, s2a, c2b, s2b)
+                s = exact(den_weights, c2a, s2a, c2b, s2b)
+                present = s > 0 and 0 <= d0 / s <= 1
+                assert (value is not None) == present, (c2a, c2b, weights)
+                if present and min(d0 / s, 1 - d0 / s) >= Fraction(1, 10**6):
+                    reference = math.asin(math.sqrt(float(d0 / s)))
+                    assert abs(value - reference) <= 2 * math.ulp(reference)
+                    checked += 1
+    assert checked > 15_000
 
 
 # ------------------------------------------------------------ best response

@@ -277,6 +277,38 @@ def test_closed_stdout_exits_4_in_a_process():
     assert proc.stderr == b"rqpd: i/o error: standard output is closed\n"
 
 
+# Per kind of run, its argv and exit code.
+CLOSED_STDERR_RUNS = {
+    "csv": (["region-map", "--grid-n", "2"], 0),
+    "json": (["wigner", "--alpha", "1", "--delta", "2"], 0),
+    "invalid": (["payoff", "--gamma", "9", "--omega-a", "0", "--omega-b", "0",
+                 "--alice", "D", "--bob", "D"], 2),
+    "usage": (["payoff", "--nonsense"], 2),
+    "numeric": (["payoff", "--gamma", str(HALF_PI), "--omega-a", str(HALF_PI),
+                 "--omega-b", str(HALF_PI), "--alice", "1.5707963267948966,0",
+                 "--bob", "1.5707963267948966,0", "--backend", "paper"], 3),
+}
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor in the child")
+@pytest.mark.parametrize("kind", list(CLOSED_STDERR_RUNS))
+def test_closed_stderr_leaves_stdout_and_exit_code_alone(kind):
+    # Python sets sys.stderr to None when it starts with file descriptor 2
+    # closed, and print(file=None) then writes to stdout
+    argv, exit_code = CLOSED_STDERR_RUNS[kind]
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "rqpd.cli", *argv]
+    open_stderr, closed_stderr = (
+        subprocess.run(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                       preexec_fn=preexec, timeout=60, check=False)
+        for preexec in (None, lambda: os.close(2))
+    )
+    assert closed_stderr.stdout == open_stderr.stdout
+    assert closed_stderr.returncode == open_stderr.returncode == exit_code
+
+
 # ------------------------------------------------------------- exit codes
 
 

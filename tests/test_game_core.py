@@ -183,6 +183,13 @@ def test_probability_beyond_dust_rejected():
         JointProbabilities(-1e-6, 0.5, 0.5, 0.0, norm_defect=0.0)
 
 
+def test_negative_norm_defect_rejected():
+    # a negative defect would pass every max_norm_defect limit
+    with pytest.raises(ValueError, match="norm_defect must be >= 0, got -1.0"):
+        JointProbabilities(0.25, 0.25, 0.25, 0.25, norm_defect=-1.0)
+    assert JointProbabilities(0.25, 0.25, 0.25, 0.25, norm_defect=-0.0).norm_defect == 0.0
+
+
 # ----------------------------------------------------------------- payoffs
 
 

@@ -221,10 +221,20 @@ def test_profile_table_domain_corners(gamma, omega_a, omega_b, backend):
     assert repr(profile_table(g)) == repr(reference_profile_table(g))
 
 
+# Gammas at the ends of the domain: s_g underflows to a subnormal or to
+# zero, or c_g and s_g meet, where the sign of a zero in the profile k
+# constants could reach a k-vector.
+EDGE_GAMMAS = (0.0, 5e-324, 1e-310, 1e-300, math.nextafter(HALF_PI, 0.0), HALF_PI)
+
+
 @settings(max_examples=200, deadline=None)
 @given(angles)
-@example(0.0)
-@example(HALF_PI)
+@example(EDGE_GAMMAS[0])
+@example(EDGE_GAMMAS[1])
+@example(EDGE_GAMMAS[2])
+@example(EDGE_GAMMAS[3])
+@example(EDGE_GAMMAS[4])
+@example(EDGE_GAMMAS[5])
 def test_profile_k_vectors_equal_gamma_step_lists(gamma):
     # profile_table builds its four k-vectors as one array from two constant factor
     # arrays; each must be the scalar one-line formula's, bit for bit
@@ -242,6 +252,16 @@ def test_profile_k_vectors_equal_gamma_step_lists(gamma):
                 for p in PROFILES]
     assert states.shape == (4, 4) and states.dtype == complex
     assert states.tobytes() == np.array(expected).tobytes()  # every bit, -0.0 included
+
+
+def test_profile_k_vectors_on_arrays_equal_one_line_formula_at_edge_gammas():
+    # the batched kernel's carrier: a column of gammas, as evaluate_batch passes it
+    cg, sg = relativity._half_cos_sin(np.array(EDGE_GAMMAS))
+    got = analysis._profile_k(cg[:, None, None], sg[:, None, None])
+    expected = [[reference_k(NamedStrategy[p[0]].params, NamedStrategy[p[1]].params, gamma)
+                 for p in PROFILES] for gamma in EDGE_GAMMAS]
+    assert got.shape == (len(EDGE_GAMMAS), 4, 4)
+    assert got.tobytes() == np.array(expected).tobytes()
 
 
 @settings(max_examples=6, deadline=None)
