@@ -25,6 +25,10 @@ lies in [0, 1].  Region maps and :func:`thresholds_closed_form`, that
 form for the PAPER backend and the default table, run on these sums.
 :func:`thresholds_numeric` bisects through the full payoff pipeline
 instead and stays the independent oracle for both backends.
+
+Every evaluation of that pipeline here, the bisection and gamma sweeps
+included, is a :func:`profile_table` call at one point, on Python
+floats: there is one evaluation path.
 """
 
 from __future__ import annotations
@@ -42,12 +46,10 @@ from . import qmat
 from .closed_form import (
     MAX_GRID_POINTS,
     ConvergenceError,
-    NumericIntegrityError,
     ThresholdSet,
     _Record,
     _grid_axis,
     _linspace,
-    check_omega,
     thresholds_closed_form,
 )
 from .game_core import (
@@ -56,11 +58,9 @@ from .game_core import (
     _k_phase_terms,
     _k_row,
     _k_theta_terms,
-    _payoff_pair,
     _payoffs_of_amplitudes,
     _strategy_params,
     DEFAULT_MAX_NORM_DEFECT,
-    PROBABILITY_DUST,
     NamedStrategy,
     PayoffPair,
     StrategyParams,
@@ -70,16 +70,13 @@ from .margins import (
     DEFAULT_TIE_TOL,
     PayoffParams,
     RegionMapRow,
-    _check_pay_and_backend,
     _check_tolerance,
     _check_type,
     always_classical_scan,
 )
 from .relativity import (
-    _coefficient_maps,
     _coefficient_matrix,
     _final_amplitudes,
-    _half_cos_sin,
     Backend,
     GameInstance,
 )
@@ -92,9 +89,8 @@ _PROFILE_FIELDS = {p: p.lower() for p in PROFILES}  # the ProfileTable field of 
 BISECTION_TOL = 1e-11
 BISECTION_MAX_ITER = 200
 
-#: Gammas per kernel call in a sweep, and candidates per stacked product
-#: in a best-response scan.  Fixed so the working set stays bounded
-#: whatever the grid size.
+#: Candidates per stacked product in a best-response scan.  Fixed so the
+#: working set stays bounded whatever the grid size.
 GRID_CHUNK = 256
 
 
@@ -183,7 +179,7 @@ _PROFILE_K_COS, _PROFILE_K_SIN = (
 
 
 def _profile_k(cg, sg) -> np.ndarray:
-    """The profiles' k-vectors from cos and sin of gamma/2, floats or (..., 1, 1) arrays."""
+    """The profiles' k-vectors, a (profile, amplitude) array, from cos and sin of gamma/2."""
     return _PROFILE_K_COS * cg + _PROFILE_K_SIN * sg
 
 
@@ -194,80 +190,6 @@ def profile_table(g: GameInstance) -> ProfileTable:
     return ProfileTable(*_payoffs_of_amplitudes(_final_amplitudes(matrix, states), g.pay))
 
 
-# ------------------------------------------------------------ batched kernel
-#
-# The grid paths evaluate the four profiles over whole arrays of points,
-# through the formulas profile_table uses: the maps of relativity,
-# _profile_k and game_core._payoff_pair.  Per carrier, each rounding as the
-# scalar path's does, stay the maps' assembly and UNITARY kron (relativity);
-# ``M @ k[..., None]``, the same BLAS matrix-vector product as the scalar
-# ``M @ k``; the squares, pow(hypot(re, im), 2) as ``abs(a) ** 2`` computes
-# them, summed left to right; and the predicates.  So a batch is
-# bit-for-bit a profile_table loop.
-#
-# The kernel checks the backend and the payoff table once per call, then
-# only detects failing points; profile_table, called at the first of them,
-# raises the error, so each error message and the order of the checks
-# exist once.  Neither path checks its maps or k-vectors: in-domain angles
-# give finite maps and unit k, and a NaN anywhere fails the dust and
-# defect predicates.
-
-
-class BatchPayoffs(NamedTuple):
-    """Kernel results over the broadcast shape of the angles, then the profile axis."""
-
-    alice: np.ndarray
-    bob: np.ndarray
-    probabilities: np.ndarray  # (..., 4, 4) over (CC, CD, DC, DD), dust-clamped
-    norm_defect: np.ndarray
-
-
-def evaluate_batch(gamma, omega_a, omega_b, backend: Backend, pay: PayoffParams) -> BatchPayoffs:
-    """The four profiles' payoffs at each point of ``(gamma, omega_a, omega_b)``.
-
-    The batch form of :func:`profile_table` over array arguments that
-    broadcast against each other; each result has a last axis over the
-    profiles, in ``PROFILES`` order.  Maps are built over the broadcast
-    of the three angles and k-vectors over gamma alone.  Results are
-    bit-for-bit the scalar ones.
-
-    The payoff table and the backend are checked once per call, before
-    any point, even in an empty batch.  The angle domains, the
-    probability dust and the norm defect are checked once per batch, as
-    a predicate per point.  When points fail, the kernel calls
-    ``profile_table(GameInstance(gamma, omega_a, omega_b, pay, backend))``
-    at the first failing point in C order of the broadcast shape, so the
-    error raised is the one a point-by-point loop raises first, with its
-    message.  Should that call return, kernel and scalar path disagree,
-    and :class:`NumericIntegrityError` with the kernel's defect at that
-    point is raised instead of payoffs.
-    """
-    _check_pay_and_backend(pay, backend)
-    angles = tuple(np.asarray(x, dtype=float) for x in (gamma, omega_a, omega_b))
-    # Failing points are found after the arithmetic, which therefore runs
-    # on them too; NaN and inf inputs must not warn.
-    with np.errstate(invalid="ignore"):
-        cg, sg = _half_cos_sin(angles[0])
-        maps = _coefficient_maps(cg, sg, *angles[1:], backend)
-        k = _profile_k(cg[..., None, None], sg[..., None, None])
-        amplitudes = (maps[..., None, :, :] @ k[..., None])[..., 0]
-        raw = np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2.0)
-        defect = np.abs(((raw[..., 0] + raw[..., 1]) + raw[..., 2]) + raw[..., 3] - 1.0)
-    ok = ((raw >= -PROBABILITY_DUST) & (raw <= 1.0 + PROBABILITY_DUST)).all(-1)
-    ok &= defect <= DEFAULT_MAX_NORM_DEFECT
-    for values in angles:
-        ok &= ((values >= 0.0) & (values <= _HALF_PI))[..., None]  # NaN fails both
-    if not ok.all():
-        i = int(np.argmax(~ok))
-        point = [float(np.broadcast_to(x, ok.shape[:-1]).flat[i // 4]) for x in angles]
-        profile_table(GameInstance(*point, pay, backend))
-        raise NumericIntegrityError(float(defect.flat[i]), DEFAULT_MAX_NORM_DEFECT)
-
-    probabilities = np.clip(raw, 0.0, 1.0)
-    alice, bob = _payoff_pair(pay, *np.moveaxis(probabilities, -1, 0))
-    return BatchPayoffs(alice, bob, probabilities, defect)
-
-
 def sds_of(table: ProfileTable, tie_tol: float = DEFAULT_TIE_TOL) -> SdsReport:
     """Strictly dominant strategies from a profile table.
 
@@ -275,11 +197,22 @@ def sds_of(table: ProfileTable, tie_tol: float = DEFAULT_TIE_TOL) -> SdsReport:
     opponent's moves, beyond the tie tolerance.
     """
     _check_tolerance(tie_tol, "tie_tol")
-    _check_type(table, ProfileTable, "table")
+    _check_table(table)
     margins = _margins(table)
     alice = _dominant(margins.a12, margins.a34, tie_tol)
     bob = _dominant(margins.b13, margins.b24, tie_tol)
     return SdsReport(alice=alice, bob=bob, margins=margins)
+
+
+def _check_table(table) -> None:
+    """Refuse a table that is not a ``ProfileTable`` of four ``PayoffPair`` fields.
+
+    Run by :func:`sds_of` and :func:`nash_set` on their argument; kept out
+    of ``ProfileTable`` itself, so the tables a bisection builds cost no check.
+    """
+    _check_type(table, ProfileTable, "table")
+    for field in _PROFILE_FIELDS.values():
+        _check_type(getattr(table, field), PayoffPair, f"table.{field}")
 
 
 # Each dominance margin of a table, in SdsMargins field order.
@@ -311,7 +244,7 @@ def nash_set(table: ProfileTable, tie_tol: float = DEFAULT_TIE_TOL) -> NashRepor
     report both neighboring profiles.
     """
     _check_tolerance(tie_tol, "tie_tol")
-    _check_type(table, ProfileTable, "table")
+    _check_table(table)
     (a_dd, b_dd), (a_qd, b_qd), (a_dq, b_dq), (a_qq, b_qq) = table.dd, table.qd, table.dq, table.qq
     # per profile, in PROFILES order: Alice gains nothing by switching her move,
     # which changes its first letter, and Bob nothing by switching his, the second
@@ -356,8 +289,8 @@ def thresholds_numeric(
 def _at_gamma(game: GameInstance, gamma: float) -> GameInstance:
     """``game`` at another gamma, copied without ``GameInstance``'s checks.
 
-    Only for a gamma in [0, pi/2], where bisection keeps it.  No record
-    offers a copy that skips its checks.
+    Only for a gamma in [0, pi/2], where bisection and a sweep's grid
+    axis keep it.  No record offers a copy that skips its checks.
     """
     copy = object.__new__(GameInstance)
     vars(copy).update(vars(game), gamma=gamma)
@@ -422,19 +355,18 @@ def sweep_gamma(
 ) -> tuple[SweepRow, ...]:
     """Profile payoffs at n uniformly spaced gammas in [0, pi/2].
 
-    One ``evaluate_batch`` call per chunk of at most ``GRID_CHUNK``
-    gammas: the rows, and the first error raised, are those of a
-    ``profile_table`` loop over the gammas.
+    Every argument is checked once, as ``GameInstance`` checks it; then
+    one ``profile_table`` call per gamma, so the rows, and the first
+    error raised, are those of a ``profile_table`` loop over the gammas.
     """
     gammas = _grid_axis(n, "n")
-    # GameInstance's omega checks, which refuse a sequence (it would broadcast) and a string
-    check_omega(omega_a, "omega_a")
-    check_omega(omega_b, "omega_b")
     pay = pay if pay is not None else PayoffParams()
+    game = GameInstance(0.0, omega_a, omega_b, pay, backend)
     rows = []
-    for index in _chunks(n):
-        ev = evaluate_batch(np.array(gammas[index]), omega_a, omega_b, backend, pay)
-        rows.extend(map(SweepRow, gammas[index], *ev.alice.T.tolist(), *ev.bob.T.tolist()))
+    for gamma in gammas:
+        t = profile_table(_at_gamma(game, gamma))
+        rows.append(SweepRow(gamma, t.dd.alice, t.qd.alice, t.dq.alice, t.qq.alice,
+                             t.dd.bob, t.qd.bob, t.dq.bob, t.qq.bob))
     return tuple(rows)
 
 
@@ -497,4 +429,4 @@ def best_response_scan(
 def entanglement_degree(gamma: float) -> float:
     """Concurrence of the entangled initial state; equals sin(gamma)."""
     a = entangler(gamma) @ qmat.basis_state(0)
-    return 2.0 * abs(a[0] * a[3] - a[1] * a[2])
+    return float(2.0 * abs(a[0] * a[3] - a[1] * a[2]))

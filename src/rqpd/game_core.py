@@ -265,7 +265,7 @@ def payoff_from_probabilities(
 
 
 def _payoff_pair(pay: PayoffParams, p_cc, p_cd, p_dc, p_dd) -> PayoffPair:
-    """The payoff sums of :func:`payoff_from_probabilities`, on floats or on arrays alike."""
+    """The payoff sums of :func:`payoff_from_probabilities`."""
     return PayoffPair(
         pay.r * p_cc + pay.p * p_dd + pay.t * p_dc + pay.s * p_cd,
         pay.r * p_cc + pay.p * p_dd + pay.s * p_dc + pay.t * p_cd,

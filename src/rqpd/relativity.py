@@ -28,14 +28,9 @@ On the named strategy set {D, Q}^2 both backends yield probability
 vectors that sum to 1; off that set the PAPER backend can leak norm,
 which is recorded (never hidden) in ``JointProbabilities.norm_defect``.
 
-Each map is built on two carriers from the same formulas: on Python
-floats at a single point (``_coefficient_matrix``, behind
-:func:`coefficient_map` and the single-point functions) and on float64
-arrays over a stack of points (``_coefficient_maps``, for the batched
-kernel in :mod:`rqpd.analysis`), bit for bit alike.  The PAPER entry
-table, the rotations' sign pattern and the conjugated entangler are
-written once; only the assembly into an array, the UNITARY kron and the
-BLAS product are per carrier.  :func:`spin_rotation_pair` keeps its own
+Each map is built one point at a time from Python floats by
+``_coefficient_matrix``, behind :func:`coefficient_map` and every
+evaluation, sweeps included.  :func:`spin_rotation_pair` keeps its own
 entries, so the tests can compare the engine with it.
 """
 
@@ -131,10 +126,6 @@ def paper_coefficient_matrix(gamma: float, omega_a: float, omega_b: float) -> np
     return _paper_matrix(gamma, omega_a, omega_b)
 
 
-# Each formula below serves both carriers, floats at a point and arrays in a
-# stack.  Per carrier: the assembly into an array, the UNITARY kron, the BLAS product.
-
-
 def _paper_entries(cg, sg, ca, sa, cb, sb) -> tuple:
     """The 16 PAPER map entries, row-major, from cos and sin of gamma/2, omega_a/2, omega_b/2."""
     w1 = cg * ca * cb + 1j * sg * sa * sb
@@ -150,14 +141,6 @@ def _paper_entries(cg, sg, ca, sa, cb, sb) -> tuple:
     )
 
 
-def _rotation_entries(ca, sa, cb, sb):
-    """R_A and R_B as nested lists from cos and sin of omega_a/2 and omega_b/2.
-
-    The sign pattern is :func:`spin_rotation_pair`'s, which is load-bearing.
-    """
-    return [[ca, -sa], [sa, ca]], [[cb, sb], [-sb, cb]]
-
-
 # conj(J(gamma)) = cos(gamma/2) I - i sin(gamma/2) (D (x) D) is built as
 # -cos * _NEG_EYE4 - (1j * sin) * _DXD_REAL: entry for entry what np.conjugate
 # makes of the entangler's cos * I + (1j * sin) * (D (x) D), signed zeros included.
@@ -168,7 +151,7 @@ _DXD_REAL = _DXD.real.astype(complex)
 
 
 def _conj_entangler(cg, sg) -> np.ndarray:
-    """conj(J(gamma)) from cos and sin of gamma/2, each a float or an (..., 1, 1) array."""
+    """conj(J(gamma)) from cos and sin of gamma/2."""
     return -cg * _NEG_EYE4 - (1j * sg) * _DXD_REAL
 
 
@@ -200,32 +183,11 @@ def _coefficient_matrix(g: GameInstance) -> np.ndarray:
     if g.backend is Backend.PAPER:
         return _paper_matrix(g.gamma, g.omega_a, g.omega_b)
     cg, sg, ca, sa, cb, sb = _point_cos_sin(g.gamma, g.omega_a, g.omega_b)
-    kron = qmat.tensor2(*_rotation_entries(ca, sa, cb, sb))
+    # R_A (x) R_B in the load-bearing sign pattern of spin_rotation_pair
+    kron = qmat.tensor2([[ca, -sa], [sa, ca]], [[cb, sb], [-sb, cb]])
     # Through the .T view of the fresh conj(J) the product is the same
     # transposed-operand BLAS call as conj().T @ kron.
     return qmat._frozen(_conj_entangler(cg, sg).T @ kron)
-
-
-def _half_cos_sin(angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    half = 0.5 * angle
-    return np.cos(half), np.sin(half)
-
-
-def _coefficient_maps(cg, sg, omega_a, omega_b, backend: Backend) -> np.ndarray:
-    """(..., 4, 4) stack of the maps :func:`coefficient_map` builds one at a time.
-
-    ``cg, sg`` is :func:`_half_cos_sin` of the gammas, which the caller also needs.
-    """
-    ca, sa = _half_cos_sin(omega_a)
-    cb, sb = _half_cos_sin(omega_b)
-    if backend is Backend.PAPER:
-        entries = np.stack(np.broadcast_arrays(*_paper_entries(cg, sg, ca, sa, cb, sb)), -1)
-        return entries.reshape(entries.shape[:-1] + (4, 4))
-    r_a, r_b = (np.stack([np.stack(row, -1) for row in r], -2)
-                for r in _rotation_entries(ca, sa, cb, sb))
-    kron = r_a[..., :, None, :, None] * r_b[..., None, :, None, :]
-    kron = kron.reshape(kron.shape[:-4] + (4, 4)).astype(complex)
-    return _conj_entangler(cg[..., None, None], sg[..., None, None]).swapaxes(-1, -2) @ kron
 
 
 def _final_amplitudes(matrix: np.ndarray, states) -> list[list[complex]]:

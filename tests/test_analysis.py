@@ -247,6 +247,21 @@ def test_nash_set_tie_is_weak_at_the_tolerance():
         assert nash_set(table, tol) == reference_nash_set(table, tol)
 
 
+@pytest.mark.parametrize("query", [sds_of, nash_set])
+@pytest.mark.parametrize("table,message", [
+    (5, "table must be a ProfileTable, got 5"),
+    (ProfileTable(1, 2, 3, 4), "table.dd must be a PayoffPair, got 1"),
+    # plain tuples used to give nash_set's ('QQ',)
+    (ProfileTable((1, 2), (3, 4), (5, 6), (7, 8)), "table.dd must be a PayoffPair, got (1, 2)"),
+    (ProfileTable(*[PayoffPair(0.0, 0.0)] * 3, (7.0, 8.0)),
+     "table.qq must be a PayoffPair, got (7.0, 8.0)"),
+], ids=["not a table", "number fields", "tuple fields", "tuple qq"])
+def test_table_queries_refuse_fields_that_are_not_payoff_pairs(query, table, message):
+    with pytest.raises(ValueError) as info:
+        query(table)
+    assert str(info.value) == message
+
+
 # -------------------------------------------------------------- thresholds
 
 
@@ -826,6 +841,9 @@ def test_value_class_checks_keep_the_earlier_errors_first(call, message):
 def test_entanglement_degree_endpoints():
     assert entanglement_degree(0.0) == pytest.approx(0.0, abs=1e-15)
     assert entanglement_degree(HALF_PI) == pytest.approx(1.0, abs=1e-12)
+    # a Python float, as annotated, not a numpy scalar
+    assert type(entanglement_degree(0.0)) is float
+    assert type(entanglement_degree(HALF_PI)) is float
     # the entangler validates gamma
     with pytest.raises(ValueError, match="^gamma must be in"):
         entanglement_degree(2.0)

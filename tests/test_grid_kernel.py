@@ -1,11 +1,13 @@
 """The grid paths against the scalar pipeline.
 
-Gamma sweeps run on the batched kernel ``analysis.evaluate_batch``,
-which evaluates the four {D, Q} profiles, and must equal a
-``profile_table`` loop bit for bit.  Region maps run on the closed-form
-margins of ``closed_form._margin_coefficients`` and must give the same rows as the
+Gamma sweeps check their arguments once, then call ``profile_table``
+per gamma on a copy of one checked ``GameInstance``; they must equal a
+loop over fresh instances bit for bit, and raise its errors.  Region
+maps run on the closed-form margins of
+``closed_form._margin_coefficients`` and must give the same rows as the
 scalar path's margins at gamma = 0 and pi/2; the crossings of those
-margins must match the bisection oracle.  Results must be equal, not
+margins must match the bisection oracle.  The byte pins at the end hold
+CLI output to recorded SHA-256 digests.  Results must be equal, not
 close: speed must never change output bytes.
 """
 
@@ -16,37 +18,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from rqpd import analysis, cli
 from rqpd.analysis import (
     GRID_CHUNK,
-    PROFILES,
     RegionMapRow,
     ThresholdSet,
     always_classical_scan,
-    evaluate_batch,
     profile_table,
     sds_of,
     sweep_gamma,
     thresholds_numeric,
 )
-from rqpd.closed_form import _arcsin_sqrt_ratio, _margin_coefficients, _margin_rows
-from rqpd.game_core import (
-    DEFAULT_MAX_NORM_DEFECT,
-    NamedStrategy,
-    NumericIntegrityError,
-    PayoffParams,
-)
-from rqpd.margins import _check_pay_and_backend
-from rqpd.relativity import (
-    Backend,
-    GameInstance,
-    _coefficient_maps,
-    _coefficient_matrix,
-    _half_cos_sin,
-    joint_probabilities,
-)
+from rqpd.closed_form import _arcsin_sqrt_ratio, _linspace, _margin_coefficients, _margin_rows
+from rqpd.game_core import NumericIntegrityError, PayoffParams
+from rqpd.relativity import Backend, GameInstance
 
 HALF_PI = 0.5 * math.pi
 
@@ -106,66 +92,6 @@ def region_rows(grid_n, backend, pay=None):
 def sweep_rows(omega_a, omega_b, n, backend):
     return [(r.gamma, r.a_dd, r.a_qd, r.a_dq, r.a_qq, r.b_dd, r.b_qd, r.b_dq, r.b_qq)
             for r in sweep_gamma(omega_a, omega_b, n, backend)]
-
-
-# ------------------------------------------------------------ bitwise oracle
-
-
-def table_rows(table):
-    """A profile table as (alice, bob) lists in PROFILES order, as the kernel's last axis."""
-    pairs = [table.pair(profile) for profile in PROFILES]
-    return [pair.alice for pair in pairs], [pair.bob for pair in pairs]
-
-
-@settings(max_examples=40, deadline=None)
-@given(angles, angles, angles, backends, payoff_tables())
-def test_kernel_point_equals_scalar_pipeline(gamma, omega_a, omega_b, backend, pay):
-    g = GameInstance(gamma, omega_a, omega_b, pay, backend)
-    got = evaluate_batch(gamma, omega_a, omega_b, backend, pay)
-    for i, profile in enumerate(PROFILES):
-        a, b = (NamedStrategy[move] for move in profile)
-        pr = joint_probabilities(g, a, b)
-        assert tuple(got.probabilities[i].tolist()) == pr.as_tuple()
-        assert float(got.norm_defect[i]) == pr.norm_defect
-    assert (got.alice.tolist(), got.bob.tolist()) == table_rows(profile_table(g))
-
-
-CORNERS = [(g, a, b) for g in (0.0, HALF_PI) for a in (0.0, HALF_PI) for b in (0.0, HALF_PI)]
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(angles, angles, angles), max_size=20), backends)
-def test_kernel_maps_equal_scalar_maps_bit_for_bit(points, backend):
-    # the stack and the single point share each map formula; by bytes, signed zeros included
-    points = CORNERS + points
-    scalar = [_coefficient_matrix(GameInstance(*point, backend=backend)).tobytes()
-              for point in points]
-    gamma, omega_a, omega_b = (np.array(axis) for axis in zip(*points))
-    maps = _coefficient_maps(*_half_cos_sin(gamma), omega_a, omega_b, backend)
-    assert maps.shape == (len(points), 4, 4)
-    assert [m.tobytes() for m in maps] == scalar
-    # a sweep's call shape: a gamma column against scalar omegas
-    column = _coefficient_maps(*_half_cos_sin(gamma[:, None]), *points[-1][1:], backend)
-    assert column.shape == (len(points), 1, 4, 4)
-    assert [m.tobytes() for m in column[:, 0]] == [
-        _coefficient_matrix(GameInstance(g, *points[-1][1:], backend=backend)).tobytes()
-        for g in gamma.tolist()
-    ]
-
-
-@pytest.mark.parametrize("backend", list(Backend))
-def test_kernel_gamma_column_against_omega_grid(backend):
-    # a gamma column against a 2-D omega grid, the call shape of a lockstep bisection
-    gammas = np.linspace(0.0, HALF_PI, 5)[:, None, None]
-    omega_a, omega_b = np.meshgrid(np.linspace(0.0, HALF_PI, 4), np.linspace(0.0, 1.3, 3),
-                                   indexing="ij")
-    got = evaluate_batch(gammas, omega_a, omega_b, backend, PayoffParams())
-    assert got.alice.shape == got.bob.shape == got.norm_defect.shape == (5, 4, 3, 4)
-    assert got.probabilities.shape == (5, 4, 3, 4, 4)
-    for index in np.ndindex(5, 4, 3):
-        g = GameInstance(float(gammas.flat[index[0]]), float(omega_a[index[1:]]),
-                         float(omega_b[index[1:]]), backend=backend)
-        assert (got.alice[index].tolist(), got.bob[index].tolist()) == table_rows(profile_table(g))
 
 
 @settings(max_examples=25, deadline=None)
@@ -256,33 +182,6 @@ def test_region_map_chunk_edges(grid_n, backend):
 # -------------------------------------------------------------- error parity
 
 
-# 1 + 1e-8 puts the probability beyond the dust but its defect within the
-# limit, so only the dust predicate stops the kernel there.
-@pytest.mark.parametrize("factor", [1 + 1e-8, 1.1])
-def test_kernel_clamps_dust_and_rejects_beyond_it(monkeypatch, factor):
-    # No game in the domain puts a probability above 1, so scale the
-    # maps: the rest-frame DD outcome then has probability 1 * factor^2.
-    from rqpd.game_core import JointProbabilities
-
-    build = analysis._coefficient_maps
-    args = (0.0, 0.0, 0.0, Backend.UNITARY, PayoffParams())
-
-    monkeypatch.setattr(analysis, "_coefficient_maps", lambda *a: build(*a) * (1 + 1e-13))
-    got = evaluate_batch(*args)
-    assert float(got.probabilities[0, 3]) == 1.0  # the DD profile
-    assert 0.0 < float(got.norm_defect[0]) < 1e-12
-
-    monkeypatch.setattr(analysis, "_coefficient_maps", lambda *a: build(*a) * factor)
-    scalar_matrix = analysis._coefficient_matrix
-    monkeypatch.setattr(analysis, "_coefficient_matrix", lambda g: scalar_matrix(g) * factor)
-    with pytest.raises(ValueError) as batched:
-        evaluate_batch(*args)
-    raw = float(np.float_power(np.hypot(factor, 0.0), 2.0))
-    with pytest.raises(ValueError) as scalar:
-        JointProbabilities(0.0, 0.0, 0.0, raw, norm_defect=raw - 1.0)
-    assert str(batched.value) == str(scalar.value)
-
-
 @pytest.mark.parametrize(
     "call",
     [
@@ -293,8 +192,6 @@ def test_kernel_clamps_dust_and_rejects_beyond_it(monkeypatch, factor):
         lambda: always_classical_scan(0, Backend.UNITARY),
         lambda: always_classical_scan(3, "unitary"),
         lambda: sweep_gamma(0.0, 0.0, 5, "paper"),
-        lambda: evaluate_batch(0.1, [0.0, 2.0], 0.0, Backend.UNITARY, PayoffParams()),
-        lambda: evaluate_batch([0.1, 4.0], 0.0, 0.0, Backend.UNITARY, PayoffParams()),
         lambda: always_classical_scan(3, Backend.PAPER, pay=(5, 3, 1, 0)),
         lambda: sweep_gamma(0.1, 0.2, 3, Backend.PAPER, pay=(5, 3, 1, 0)),
     ],
@@ -302,17 +199,6 @@ def test_kernel_clamps_dust_and_rejects_beyond_it(monkeypatch, factor):
 def test_grid_paths_reject_bad_input(call):
     with pytest.raises(ValueError):
         call()
-
-
-@pytest.mark.parametrize("backend,pay,message", [
-    (Backend.PAPER, (5, 3, 1, 0), "pay must be a PayoffParams, got (5, 3, 1, 0)"),
-    ("paper", PayoffParams(), "backend must be a Backend, got 'paper'"),
-], ids=["tuple pay", "string backend"])
-def test_kernel_checks_types_of_an_empty_batch(backend, pay, message):
-    # an empty batch has no point to fail, but its types are still checked
-    with pytest.raises(ValueError) as info:
-        evaluate_batch(np.array([]), 0.0, 0.0, backend, pay)
-    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("omega_a,omega_b,n", [([0.1, 0.2, 0.3, 0.4], 0.5, 4),
@@ -323,99 +209,23 @@ def test_sweep_refuses_sequence_omegas(omega_a, omega_b, n):
         sweep_gamma(omega_a, omega_b, n, Backend.PAPER)
 
 
-def test_kernel_disagreeing_with_scalar_path_returns_no_payoffs(monkeypatch, capsys):
-    # Only the kernel's maps are scaled, so the scalar pipeline passes at
-    # the failing point; the kernel must then raise, never return payoffs.
-    build = analysis._coefficient_maps
-    monkeypatch.setattr(analysis, "_coefficient_maps", lambda *a: build(*a) * 1.1)
-    args = ([0.0, 0.1], 0.0, 0.0, Backend.UNITARY, PayoffParams())
-    with pytest.raises(NumericIntegrityError) as batched:
-        evaluate_batch(*args)
-    assert batched.value.limit == DEFAULT_MAX_NORM_DEFECT
-    assert 0.2 < batched.value.defect < 0.22
-    assert cli.main(["sweep", "--omega-a", "0", "--omega-b", "0", "--n", "3"]) == 3
+def test_sweep_numeric_failure_is_the_first_failing_gamma_and_exits_3(monkeypatch, capsys):
+    # maps shrunk past the norm-defect limit from the third of five gammas on, by a
+    # factor that differs per gamma: the sweep raises profile_table's error at the
+    # third, and the CLI writes no partial CSV
+    build = analysis._coefficient_matrix
+    monkeypatch.setattr(analysis, "_coefficient_matrix",
+                        lambda g: build(g) * (1.0 - 0.1 * g.gamma if g.gamma > 0.5 else 1.0))
+    with pytest.raises(NumericIntegrityError) as swept:
+        sweep_gamma(0.0, 0.0, 5, Backend.UNITARY)
+    with pytest.raises(NumericIntegrityError) as point:
+        profile_table(GameInstance(_linspace(HALF_PI, 5)[2], 0.0, 0.0))
+    assert str(swept.value) == str(point.value)
+    assert cli.main(["sweep", "--omega-a", "0", "--omega-b", "0", "--n", "5"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("rqpd: numeric failure: probability norm defect")
     assert "Traceback" not in err
-
-
-def scalar_tables(gamma, omega_a, omega_b, backend, pay=PayoffParams()):
-    """Profile tables of a point-by-point loop in C order; raises what the loop raises first.
-
-    The loop checks the payoff table and the backend once, before any point.
-    """
-    _check_pay_and_backend(pay, backend)
-    points = np.broadcast_arrays(gamma, omega_a, omega_b)
-    return [
-        profile_table(GameInstance(*point, pay, backend))
-        for point in zip(*(p.ravel().tolist() for p in points))
-    ]
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        # bad omega_a at point 0 beats a bad gamma at point 1
-        ([0.1, 9.0], [2.0, 0.1], 0.0, Backend.PAPER),
-        # at one point: gamma before omega_a, omega_a before omega_b
-        (2.0, [0.1, 3.0], 0.0, Backend.UNITARY),
-        (0.1, [[0.0], [float("nan")]], [0.0, -1.0], Backend.PAPER),
-        # the backend and the payoff table before any angle, the table first
-        (0.1, [0.0, 2.0], 0.0, "paper"),
-        (float("inf"), 0.0, 0.0, "paper"),
-        (0.1, [0.0, 0.2], 0.0, Backend.PAPER, (5, 3, 1, 0)),
-        (0.1, [2.0, 0.2], 0.0, Backend.PAPER, (5, 3, 1, 0)),
-        ([0.0, -0.0, float("nan")], 0.0, 0.0, "paper", None),
-    ],
-)
-def test_kernel_first_error_matches_point_by_point_loop(args):
-    args = args if len(args) == 5 else (*args, PayoffParams())
-    with pytest.raises(ValueError) as scalar:
-        scalar_tables(*args)
-    with pytest.raises(ValueError) as batched:
-        evaluate_batch(*args)
-    assert str(batched.value) == str(scalar.value)
-
-
-@st.composite
-def kernel_batches(draw):
-    """Up to 8 points of (gamma, omega_a, omega_b) in a random broadcast.
-
-    Out-of-domain values are injected, and now and then a backend or a
-    payoff table of the wrong type, so batches that pass and batches
-    that fail both occur.
-    """
-    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=3, max_dims=3, max_side=2))
-    args = []
-    for shape in shapes.input_shapes:
-        flat = draw(st.lists(angles, min_size=math.prod(shape), max_size=math.prod(shape)))
-        args.append(np.array(flat, dtype=float).reshape(shape))
-    for _ in range(draw(st.integers(0, 2))):
-        arg = draw(st.integers(0, 2))
-        index = draw(st.integers(0, args[arg].size - 1))
-        bad = [math.nan, math.inf, -math.inf, -0.1, HALF_PI + 0.1]
-        args[arg].flat[index] = draw(st.sampled_from(bad))
-    backend = draw(backends | st.sampled_from(["paper", None]))
-    pay = draw(st.just(PayoffParams()) | payoff_tables() | st.sampled_from([(5, 3, 1, 0), None]))
-    return (*args, backend, pay)
-
-
-@settings(max_examples=150, deadline=None)
-@given(kernel_batches())
-def test_kernel_matches_point_by_point_loop(args):
-    try:
-        tables = scalar_tables(*args)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as batched:
-            evaluate_batch(*args)
-        assert type(batched.value) is type(exc)
-        assert str(batched.value) == str(exc)
-    else:
-        got = evaluate_batch(*args)
-        assert [table_rows(table) for table in tables] == list(
-            zip(got.alice.reshape(-1, 4).tolist(), got.bob.reshape(-1, 4).tolist())
-        )
 
 
 def test_out_of_domain_omega_message_matches_scalar():
@@ -444,9 +254,11 @@ def test_sweep_refuses_omegas_as_game_instance_does(omega_a, omega_b):
 
 # ------------------------------------------------------------------ byte pins
 
-# SHA-256 of CLI stdout, recorded from the point-by-point implementation
-# before the grid paths moved onto the batched kernel; the thresholds
-# pins from the six hand-expanded formulas, before the coefficient table.
+# SHA-256 of CLI stdout.  The region-map and n = 51 sweep pins were recorded
+# from a point-by-point implementation; the n = 257 and 513 sweeps from the
+# batched array evaluation that sweeps ran on before, past its first chunk
+# of 256 gammas; the thresholds pins from the six hand-expanded formulas,
+# before the coefficient table.
 PINS = [
     (["thresholds", "--grid-n", "17"],
      "2b2e0a93d9fe84818e2022d06f9967471b1543ab3bf412d709d0ccfa44f8c73f"),
@@ -470,6 +282,10 @@ PINS = [
      "3e500aaa76cc1d85d1bed528762030c6a09545153c3a2a79f21964c09eaa853a"),
     (["sweep", "--omega-a", "0.37", "--omega-b", "1.1", "--n", "51", "--backend", "unitary"],
      "c21022df4e1ee94d4601db5b81d2acb883a99bfd7c15008b02dba0bfaed09540"),
+    (["sweep", "--omega-a", "0.3", "--omega-b", "1.1", "--n", "257"],
+     "bf29f776fd4b9ba11a642ae6b23dcd58fcd62157fdcc2ed78fe51b6e3644781b"),
+    (["sweep", "--omega-a", repr(HALF_PI), "--omega-b", "0", "--n", "513", "--backend", "unitary"],
+     "ab75a97ef564495a33372c1a9baea27228bed3bf00d3e95540cf9d0dc9d21b7e"),
 ]
 
 

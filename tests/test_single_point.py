@@ -254,16 +254,6 @@ def test_profile_k_vectors_equal_gamma_step_lists(gamma):
     assert states.tobytes() == np.array(expected).tobytes()  # every bit, -0.0 included
 
 
-def test_profile_k_vectors_on_arrays_equal_one_line_formula_at_edge_gammas():
-    # the batched kernel's carrier: a column of gammas, as evaluate_batch passes it
-    cg, sg = relativity._half_cos_sin(np.array(EDGE_GAMMAS))
-    got = analysis._profile_k(cg[:, None, None], sg[:, None, None])
-    expected = [[reference_k(NamedStrategy[p[0]].params, NamedStrategy[p[1]].params, gamma)
-                 for p in PROFILES] for gamma in EDGE_GAMMAS]
-    assert got.shape == (len(EDGE_GAMMAS), 4, 4)
-    assert got.tobytes() == np.array(expected).tobytes()
-
-
 @settings(max_examples=6, deadline=None)
 @given(angles, angles, backends, pay_tables)
 def test_thresholds_numeric_equals_reference_bisection(omega_a, omega_b, backend, pay):
@@ -684,39 +674,31 @@ def test_kvector_keeps_its_messages():
 @settings(max_examples=200, deadline=None)
 @given(angles, angles, angles, backends, named | explicit, named | explicit)
 def test_engine_k_vectors_are_unit_and_maps_finite(gamma, omega_a, omega_b, backend, a, b):
-    # why neither the single-point paths nor the kernel check their k-vectors or
-    # maps: at in-domain angles each k-vector has |k|^2 - 1 far inside qmat.ATOL
-    # (4 ulps at most over 200,000 random strategy pairs) and each map is finite
-    products, kernel_maps = [], []
-    final_amplitudes, coefficient_maps = relativity._final_amplitudes, analysis._coefficient_maps
+    # why the engine checks neither its k-vectors nor its maps: at in-domain
+    # angles each k-vector has |k|^2 - 1 far inside qmat.ATOL (4 ulps at most
+    # over 200,000 random strategy pairs) and each map is finite
+    products = []
+    final_amplitudes = relativity._final_amplitudes
 
     def recorded_products(matrix, states):
         products.append((matrix, np.asarray(states)))
         return final_amplitudes(matrix, states)
 
-    def recorded_maps(*args):
-        kernel_maps.append(coefficient_maps(*args))
-        return kernel_maps[-1]
-
     g = GameInstance(gamma, omega_a, omega_b, backend=backend)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analysis, "_final_amplitudes", recorded_products)
         patch.setattr(relativity, "_final_amplitudes", recorded_products)
-        patch.setattr(analysis, "_coefficient_maps", recorded_maps)
         # PAPER leaks norm off {D, Q}, so a call may raise after its product
         for call in (lambda: profile_table(g), lambda: payoffs(g, a, b),
                      lambda: joint_probabilities(g, a, b),
-                     lambda: best_response_scan(g, b, (5, 4)),
-                     lambda: analysis.evaluate_batch(gamma, omega_a, omega_b, backend,
-                                                     PayoffParams())):
+                     lambda: best_response_scan(g, b, (5, 4))):
             outcome(call)
     # one product each, and the scan's first of 5 chunks at least
-    assert len(products) >= 4 and len(kernel_maps) == 1
+    assert len(products) >= 4
     for matrix, states in products:
         assert np.isfinite(matrix).all()
         for k in states.tolist():
             assert abs(game_core._squares_and_sum(k)[1] - 1.0) <= qmat.ATOL / 100
-    assert np.isfinite(kernel_maps[0]).all()
 
 
 # --------------------------------------------------------------- call counts

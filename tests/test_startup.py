@@ -102,7 +102,7 @@ def test_bisection_grids_still_load_numpy(flag):
     "call,loaded",
     [
         ("rqpd.always_classical_scan(9, rqpd.Backend.PAPER)", False),
-        # the control: sweeps run on the numpy kernel
+        # the control: sweeps run on profile_table, which needs numpy
         ("rqpd.sweep_gamma(0.3, 1.1, 5, rqpd.Backend.PAPER)", True),
     ],
 )
