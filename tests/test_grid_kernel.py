@@ -192,6 +192,8 @@ def test_region_map_chunk_edges(grid_n, backend):
         lambda: always_classical_scan(0, Backend.UNITARY),
         lambda: always_classical_scan(3, "unitary"),
         lambda: sweep_gamma(0.0, 0.0, 5, "paper"),
+        lambda: sweep_gamma(0.1, 2.0, 5, Backend.UNITARY),
+        lambda: thresholds_numeric(4.0, 0.0, Backend.UNITARY),
         lambda: always_classical_scan(3, Backend.PAPER, pay=(5, 3, 1, 0)),
         lambda: sweep_gamma(0.1, 0.2, 3, Backend.PAPER, pay=(5, 3, 1, 0)),
     ],
