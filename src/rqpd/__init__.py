@@ -8,7 +8,7 @@ angle, and the region maps behind figure-style sweeps.
 
 Names are exported lazily: importing the package loads no submodule, and
 each exported name imports its module on first use, so the numpy-free
-``closed_form`` and ``margins`` names start without numpy.
+``closed_form`` names start without numpy.
 """
 
 import importlib
@@ -28,17 +28,17 @@ _EXPORTS = {
     "NumericIntegrityError": "closed_form",
     "PROFILES": "analysis",
     "PayoffPair": "game_core",
-    "PayoffParams": "margins",
+    "PayoffParams": "closed_form",
     "ProfileTable": "analysis",
     "Region": "analysis",
     "RegionLabel": "analysis",
-    "RegionMapRow": "margins",
+    "RegionMapRow": "closed_form",
     "SdsMargins": "analysis",
     "SdsReport": "analysis",
     "StrategyParams": "game_core",
     "SweepRow": "analysis",
     "ThresholdSet": "closed_form",
-    "always_classical_scan": "margins",
+    "always_classical_scan": "closed_form",
     "best_response_scan": "analysis",
     "classical_table": "game_core",
     "coefficient_map": "relativity",

@@ -44,12 +44,18 @@ import numpy as np
 
 from . import qmat
 from .closed_form import (
+    DEFAULT_TIE_TOL,
     MAX_GRID_POINTS,
     ConvergenceError,
+    PayoffParams,
+    RegionMapRow,
     ThresholdSet,
     _Record,
+    _check_tolerance,
+    _check_type,
     _grid_axis,
     _linspace,
+    always_classical_scan,
     thresholds_closed_form,
 )
 from .game_core import (
@@ -65,14 +71,6 @@ from .game_core import (
     PayoffPair,
     StrategyParams,
     entangler,
-)
-from .margins import (
-    DEFAULT_TIE_TOL,
-    PayoffParams,
-    RegionMapRow,
-    _check_tolerance,
-    _check_type,
-    always_classical_scan,
 )
 from .relativity import (
     _coefficient_matrix,
@@ -340,12 +338,6 @@ def region_classify(g: GameInstance, tie_tol: float = DEFAULT_TIE_TOL) -> Region
     )
 
 
-def _chunks(total: int):
-    """Consecutive slices of at most GRID_CHUNK points."""
-    for start in range(0, total, GRID_CHUNK):
-        yield slice(start, min(start + GRID_CHUNK, total))
-
-
 def sweep_gamma(
     omega_a: float,
     omega_b: float,
@@ -412,7 +404,8 @@ def best_response_scan(
     cb, sb, eb = math.cos(0.5 * b.theta), math.sin(0.5 * b.theta), cmath.exp(1j * b.phi)
     cg, sg = math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
     phase_terms = [_k_phase_terms(cmath.exp(1j * phi), eb) for phi in phis]
-    chunks = [(phis[index], phase_terms[index]) for index in _chunks(n_phi)]
+    chunks = [(phis[i:i + GRID_CHUNK], phase_terms[i:i + GRID_CHUNK])
+              for i in range(0, n_phi, GRID_CHUNK)]
     best, best_payoff = None, -math.inf
     for theta in thetas:
         theta_terms = _k_theta_terms(math.cos(0.5 * theta), math.sin(0.5 * theta),

@@ -22,10 +22,9 @@ angles through rapidities; the resulting omegas are echoed in the
 metadata so the mapping is always visible.
 
 Only :mod:`rqpd.closed_form` is imported at module level, and it alone
-serves ``wigner`` and closed-form ``thresholds``, at one point or on a
-grid.  ``region-map`` imports the numpy-free :mod:`rqpd.margins` when
-it runs.  Commands that need numpy import their modules when they run,
-never per point.
+serves ``wigner``, closed-form ``thresholds``, at one point or on a
+grid, and ``region-map``.  Commands that need numpy import their
+modules when they run, never per point.
 
 Exit codes: 0 success, 2 invalid arguments, 3 numeric failure,
 4 I/O error.
@@ -48,6 +47,7 @@ from .closed_form import (
     NumericIntegrityError,
     _grid_axis,
     _threshold_rows,
+    always_classical_scan,
     rapidity_from_speed,
     thresholds_closed_form,
     wigner_angle,
@@ -268,8 +268,6 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def _cmd_region_map(args: argparse.Namespace) -> int:
-    from .margins import always_classical_scan
-
     _reject_degrees(args, "the region-map omegas are radians")
     backend = _backend(args, Backend.PAPER)
     rows = always_classical_scan(args.grid_n, backend)

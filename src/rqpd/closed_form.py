@@ -1,10 +1,20 @@
-"""The numpy-free part of the engine: Wigner angles and the closed-form margins.
+"""The numpy-free part of the engine: Wigner angles, payoff tables and the closed-form margins.
 
-Only :mod:`math` is needed here, so ``wigner`` and closed-form
-``thresholds``, at one point or on a grid, start without numpy.
-``relativity``, ``analysis`` and ``game_core`` re-import these names.
-Every value class of the package derives from :class:`_Record`, a
-frozen dataclass without the cost of importing and running ``dataclasses``.
+Every {D, Q} dominance margin is affine in sin^2(gamma):
+
+    m(gamma) = d0 - S sin^2(gamma)
+
+where d0 is the margin at gamma = 0 and S its drop by gamma = pi/2.
+Both are sums of products of the half-angle squares of omega_a and
+omega_b (:func:`_margin_coefficients`), for either backend and any
+payoff table.  The crossings arcsin(sqrt(d0 / S)) are the closed-form
+thresholds, and a region map needs only the margins at the two ends of
+the gamma range.  Only :mod:`math` is needed here, so ``wigner``,
+closed-form ``thresholds``, at one point or on a grid, and
+``region-map`` start without numpy.  ``game_core``, ``relativity`` and
+``analysis`` re-import these names.  Every value class of the package
+derives from :class:`_Record`, a frozen dataclass without the cost of
+importing and running ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -70,6 +80,17 @@ def _finite(value, name: str) -> bool:
 def _require_finite_scalar(value: float, name: str) -> None:
     if not _finite(value, name):
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+#: Payoff comparisons within this distance count as ties.
+DEFAULT_TIE_TOL = 1e-9
+
+
+def _check_tolerance(value: float, name: str) -> None:
+    """A tolerance must be a real number >= 0; +inf turns its check off, NaN is refused."""
+    _finite(value, name)  # the type rule only: +inf passes
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 def rapidity_from_speed(v: float) -> float:
@@ -206,6 +227,46 @@ class ThresholdSet(_Record):
         }
 
 
+class PayoffParams(_Record):
+    """Payoff table (t, r, p, s); default (5, 3, 1, 0).
+
+    The dilemma ordering t > r > p > s is enforced unless
+    ``allow_non_dilemma`` is True, which permits exploring arbitrary
+    tables without touching core code.  It must be a ``bool``: a
+    truthy string such as "no" would switch the ordering check off.
+    """
+
+    t: float = 5.0
+    r: float = 3.0
+    p: float = 1.0
+    s: float = 0.0
+    allow_non_dilemma: bool = False
+
+    def __post_init__(self):
+        for name, value in (("t", self.t), ("r", self.r), ("p", self.p), ("s", self.s)):
+            _require_finite_scalar(value, name)
+        if not isinstance(self.allow_non_dilemma, bool):
+            raise TypeError(f"allow_non_dilemma must be a bool, got {self.allow_non_dilemma!r}")
+        if not self.allow_non_dilemma and not (self.t > self.r > self.p > self.s):
+            raise ValueError(
+                f"payoffs must satisfy t > r > p > s, got "
+                f"({self.t}, {self.r}, {self.p}, {self.s}); "
+                "pass allow_non_dilemma=True to override"
+            )
+
+
+def _check_type(value, cls: type, name: str) -> None:
+    """Refuse an argument that is not a ``cls``, by name: "pay must be a PayoffParams"."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
+def _check_pay_and_backend(pay, backend) -> None:
+    """Refuse a payoff table or a backend of the wrong type, the table first."""
+    _check_type(pay, PayoffParams, "pay")
+    _check_type(backend, Backend, "backend")
+
+
 def _half_angle_squares(omega: float) -> tuple[float, float]:
     c = math.cos(0.5 * omega)
     s = math.sin(0.5 * omega)
@@ -225,16 +286,16 @@ def _arcsin_sqrt_ratio(num: float, den: float) -> float | None:
     return math.asin(math.sqrt(ratio))
 
 
-def _margin_coefficients(backend: Backend, t: float, r: float, p: float, s: float) -> tuple:
+def _margin_coefficients(backend: Backend, pay: PayoffParams) -> tuple:
     """Weights (w1, w2, w3, w4) of d0 for a12, a34, b13 and b24, then of S_alice and S_bob.
 
     Each is w1 c2a c2b + w2 s2a s2b + w3 c2a s2b + w4 s2a c2b, with c2
     and s2 the cos^2 and sin^2 of half of omega_a or omega_b, for the
-    payoff table (t, r, p, s).  Alice's margins drop by S_alice by
+    payoff table ``pay``.  Alice's margins drop by S_alice by
     gamma = pi/2, Bob's by S_bob; only the PAPER map's (2,4) and (3,4)
     entries make S differ between the backends.
     """
-    ps, tr, ts, pr = p - s, t - r, t - s, p - r
+    ps, tr, ts, pr = pay.p - pay.s, pay.t - pay.r, pay.t - pay.s, pay.p - pay.r
     if backend is Backend.UNITARY:
         drops = ((ts, -ts, pr, -pr), (ts, -ts, -pr, pr))
     else:
@@ -242,7 +303,7 @@ def _margin_coefficients(backend: Backend, t: float, r: float, p: float, s: floa
     return ((ps, -tr, tr, -ps), (tr, -ps, ps, -tr), (ps, -tr, -ps, tr), (tr, -ps, -tr, ps), *drops)
 
 
-_PAPER_DEFAULT = _margin_coefficients(Backend.PAPER, 5.0, 3.0, 1.0, 0.0)
+_PAPER_DEFAULT = _margin_coefficients(Backend.PAPER, PayoffParams())
 
 
 def _margin_rows(axis_a: list[float], axis_b: list[float], coefficients: tuple):
@@ -284,3 +345,59 @@ def _threshold_rows(axis_a: list[float], axis_b: list[float] | None = None):
     for a12, a34, b13, b24, s_a, s_b in rows:
         yield list(zip(map(_arcsin_sqrt_ratio, a12, s_a), map(_arcsin_sqrt_ratio, a34, s_a),
                        map(_arcsin_sqrt_ratio, b13, s_b), map(_arcsin_sqrt_ratio, b24, s_b)))
+
+
+class RegionMapRow(_Record):
+    """Dominance-everywhere flags at one (omega_a, omega_b) grid point."""
+
+    omega_a: float
+    omega_b: float
+    bob_always_d: bool
+    alice_always_q: bool
+
+
+def always_classical_scan(
+    grid_n: int,
+    backend: Backend,
+    pay: PayoffParams | None = None,
+    tie_tol: float = DEFAULT_TIE_TOL,
+) -> tuple[RegionMapRow, ...]:
+    """Flags, per (omega_a, omega_b) grid point, dominance over all gamma.
+
+    ``bob_always_d``: both of Bob's margins favor D beyond the tie
+    tolerance at gamma = 0 and pi/2 (affinity makes the endpoints
+    decisive), so Bob's dominant move is D however entangled the game.
+    ``alice_always_q``: the gA34 = 0 case; Alice's crossings sit at
+    gamma = 0 so Q dominates for every positive gamma.
+
+    For the default table (5, 3, 1, 0), with x = cos(omega_a) and
+    y = cos(omega_b), Bob's always-D region is {9x + 5y + 7xy < 5,
+    y > 0} under PAPER and empty under UNITARY, where his DD-DQ margin
+    at gamma = pi/2 is -x(y + 7)/2 <= 0.  The classical-latter region
+    thus rests on the PAPER map's two non-unitary entries.
+    """
+    axis = _grid_axis(grid_n, "grid_n", dims=2)
+    _check_tolerance(tie_tol, "tie_tol")
+    pay = pay if pay is not None else PayoffParams()
+    _check_pay_and_backend(pay, backend)
+    coefficients = _margin_coefficients(backend, pay)
+    # The total bounds every sum below; were it inf, a sum could be inf - inf = nan,
+    # which fails every comparison and so would silently clear the flags.
+    if not math.isfinite(sum(abs(w) for weights in coefficients for w in weights)):
+        raise ValueError(
+            f"payoff table ({pay.t}, {pay.r}, {pay.p}, {pay.s}) is too large: "
+            "its margin weights overflow"
+        )
+    rows = []
+    for omega_a, row in zip(axis, _margin_rows(axis, axis, coefficients)):
+        for omega_b, a12, a34, b13, b24, s_a, s_b in zip(axis, *row):
+            bob_always_d = (
+                b13 > tie_tol and b24 > tie_tol
+                and b13 - s_b > tie_tol and b24 - s_b > tie_tol
+            )
+            alice_always_q = (
+                a12 <= tie_tol and a34 <= tie_tol
+                and a12 - s_a < -tie_tol and a34 - s_a < -tie_tol
+            )
+            rows.append(RegionMapRow(omega_a, omega_b, bob_always_d, alice_always_q))
+    return tuple(rows)

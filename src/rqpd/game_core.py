@@ -29,8 +29,7 @@ import numpy as np
 
 from . import qmat
 from .closed_form import _HALF_PI, NumericIntegrityError, _Record, _finite, _require_finite_scalar
-from .closed_form import check_omega
-from .margins import _check_tolerance, _check_type, PayoffParams
+from .closed_form import _check_tolerance, _check_type, PayoffParams, check_omega
 
 #: Dust half-width for probability clamping: values this far outside
 #: [0, 1] are attributed to floating-point noise and clamped.

@@ -44,7 +44,11 @@ from . import qmat
 from .closed_form import (
     Backend,
     NumericIntegrityError,  # imported from here before it moved; kept importable
+    PayoffParams,
     _Record,
+    _check_pay_and_backend,
+    _check_tolerance,
+    _check_type,
     _require_finite_scalar,
     check_omega,
     rapidity_from_speed,
@@ -61,7 +65,6 @@ from .game_core import (
     PayoffPair,
     StrategyParams,
 )
-from .margins import _check_pay_and_backend, _check_tolerance, _check_type, PayoffParams
 
 
 def spin_rotation_pair(omega_a: float, omega_b: float) -> tuple[np.ndarray, np.ndarray]:

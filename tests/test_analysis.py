@@ -641,7 +641,7 @@ def test_closed_form_equals_hand_expanded_formulas_by_repr():
 
 def test_default_coefficients_are_the_default_paper_table():
     pay = PayoffParams()
-    assert _PAPER_DEFAULT == _margin_coefficients(Backend.PAPER, pay.t, pay.r, pay.p, pay.s)
+    assert _PAPER_DEFAULT == _margin_coefficients(Backend.PAPER, pay)
     assert _PAPER_DEFAULT == (
         (1, -2, 2, -1), (2, -1, 1, -2), (1, -2, -1, 2), (2, -1, -2, 1),
         (5, -5, 3, 2), (5, -5, -3, -2),

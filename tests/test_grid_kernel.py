@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from rqpd import analysis, cli
 from rqpd.analysis import (
-    GRID_CHUNK,
     RegionMapRow,
     ThresholdSet,
     always_classical_scan,
@@ -108,7 +107,7 @@ def test_region_map_65_equals_scalar_loop_by_repr(backend):
 
 def margin_cell(omega_a, omega_b, backend, pay):
     """(a12, a34, b13, b24, S_alice, S_bob) at one point, from the coefficient table."""
-    coefficients = _margin_coefficients(backend, pay.t, pay.r, pay.p, pay.s)
+    coefficients = _margin_coefficients(backend, pay)
     [row] = _margin_rows([omega_a], [omega_b], coefficients)
     return tuple(column[0] for column in row)
 
@@ -164,18 +163,16 @@ def test_sweep_equals_scalar_loop(omega_a, omega_b, n, backend):
     assert sweep_rows(omega_a, omega_b, n, backend) == scalar_sweep(omega_a, omega_b, n, backend)
 
 
-# ----------------------------------------------------------------- chunk edges
-
-
+# the smallest sizes on every run, and sizes beyond the hypothesis ranges above
 @pytest.mark.parametrize("backend", list(Backend))
-@pytest.mark.parametrize("n", [2, 3, GRID_CHUNK, GRID_CHUNK + 1])
-def test_sweep_chunk_edges(n, backend):
+@pytest.mark.parametrize("n", [2, 3, 256, 257])
+def test_sweep_equals_scalar_loop_at_fixed_sizes(n, backend):
     assert sweep_rows(0.3, 1.2, n, backend) == scalar_sweep(0.3, 1.2, n, backend)
 
 
 @pytest.mark.parametrize("backend", list(Backend))
-@pytest.mark.parametrize("grid_n", [2, 3, math.isqrt(GRID_CHUNK), math.isqrt(GRID_CHUNK) + 1])
-def test_region_map_chunk_edges(grid_n, backend):
+@pytest.mark.parametrize("grid_n", [2, 3, 16, 17])
+def test_region_map_equals_scalar_loop_at_fixed_sizes(grid_n, backend):
     assert region_rows(grid_n, backend) == scalar_region_map(grid_n, backend)
 
 

@@ -16,9 +16,8 @@ from rqpd.analysis import (
     SdsReport,
     SweepRow,
 )
-from rqpd.closed_form import ThresholdSet
+from rqpd.closed_form import PayoffParams, RegionMapRow, ThresholdSet
 from rqpd.game_core import JointProbabilities, KVector, PayoffPair, StrategyParams
-from rqpd.margins import PayoffParams, RegionMapRow
 from rqpd.relativity import Backend, CoefficientMap, GameInstance, coefficient_map
 
 CMAP = coefficient_map(GameInstance(0.1, 0.2, 0.3, backend=Backend.PAPER))

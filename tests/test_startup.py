@@ -12,14 +12,16 @@ import rqpd
 
 SRC = str(Path(rqpd.__file__).resolve().parent.parent)
 
-# Runs the CLI in a fresh interpreter, then reports on stderr whether numpy
-# was loaded; with BLOCK_NUMPY first, any import of numpy fails instead, and
-# with BLOCK_DATACLASSES any import of dataclasses, which no command needs.
+# Runs the CLI in a fresh interpreter, then reports on stderr which rqpd
+# modules and whether numpy were loaded; with BLOCK_NUMPY first, any import
+# of numpy fails instead, and with BLOCK_DATACLASSES any import of
+# dataclasses, which no command needs.
 RUN_CLI = """
 import sys
 from rqpd.cli import main
 code = main(sys.argv[1:])
 sys.stdout.flush()
+print("rqpd modules:", *sorted(m for m in sys.modules if m.split(".")[0] == "rqpd"), file=sys.stderr)
 print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
 sys.exit(code)
 """
@@ -59,7 +61,9 @@ def run_child(code: str, argv: list[str]) -> subprocess.CompletedProcess:
 def test_command_starts_without_numpy(argv, exit_code):
     normal = run_child(RUN_CLI, argv)
     assert normal.returncode == exit_code, normal.stderr
-    assert normal.stderr.endswith(b"numpy loaded: False\n")
+    assert normal.stderr.endswith(
+        b"rqpd modules: rqpd rqpd.cli rqpd.closed_form\nnumpy loaded: False\n"
+    )
     for block in (BLOCK_NUMPY, BLOCK_DATACLASSES):
         blocked = run_child(block + RUN_CLI, argv)
         assert blocked.returncode == exit_code, blocked.stderr
@@ -172,7 +176,7 @@ ALL = [
     "wigner_angle",
 ]
 
-MODULES = ("closed_form", "margins", "game_core", "relativity", "analysis", "cli")
+MODULES = ("closed_form", "game_core", "relativity", "analysis", "cli")
 
 
 def test_all_is_pinned():
