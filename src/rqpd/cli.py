@@ -10,6 +10,9 @@ write a single document with a metadata block to stdout or --output.
 CSV subcommands (sweep, thresholds --grid-n, region-map) write a bare
 header-plus-rows payload there and then, once it is written, echo their
 metadata as one JSON line on stderr, keeping the payload machine-clean.
+Each hands its rows to one writer as tuples of values, and that writer
+prints every field by one rule, to 12 significant digits: flags print 1
+or 0 by that rule, and an absent threshold leaves an empty field.
 With stderr closed, what would go there (that metadata line, error
 messages and argparse's usage) is dropped, as under ``2>/dev/null``:
 stdout carries the same bytes and the exit code is the same.
@@ -39,6 +42,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterable
 
 from . import __version__
 from .closed_form import (
@@ -61,15 +65,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-
-def _fmt(value: float) -> str:
-    """CSV float format: 12 significant digits, '.' decimal separator."""
-    return f"{value:.12g}"
-
-
-def _fmt_optional(value: float | None) -> str:
-    return "" if value is None else _fmt(value)
 
 
 def _angle(value: float, degrees: bool) -> float:
@@ -137,8 +132,24 @@ def _emit_json(doc: dict, path: str | None) -> None:
     _write_output(json.dumps(doc, indent=2) + "\n", path)
 
 
-def _emit_csv(header: str, rows: list[str], path: str | None, metadata: dict) -> None:
-    _write_output("\n".join([header, *rows]) + "\n", path)
+def _emit_csv(header: str, rows: Iterable[tuple], path: str | None, metadata: dict) -> None:
+    """Write the header and one line per row, then the metadata line on stderr.
+
+    Every field is ``'%.12g' % value``: 12 significant digits, so a flag
+    prints 1 or 0, and a None, an absent threshold, leaves the field
+    empty.  One ``%`` formats a whole row; a row that holds None, which
+    only a threshold grid has, is formatted field by field.  Every line
+    is built before the first byte is written, so a run that fails while
+    its rows are computed writes nothing.
+    """
+    template = ",".join(["%.12g"] * (header.count(",") + 1)) + "\n"
+    lines = [header + "\n"]
+    for row in rows:
+        try:
+            lines.append(template % row)
+        except TypeError:  # a None field; any other bad value raises again below
+            lines.append(",".join("" if v is None else "%.12g" % v for v in row) + "\n")
+    _write_output("".join(lines), path)
     print(json.dumps(metadata), file=sys.stderr)
 
 
@@ -165,7 +176,7 @@ def _game_envelope(g: GameInstance) -> dict:
     }
 
 
-def _cmd_payoff(args: argparse.Namespace) -> int:
+def _cmd_payoff(args: argparse.Namespace) -> None:
     from .relativity import GameInstance, payoffs
 
     backend = _backend(args, Backend.UNITARY)
@@ -189,10 +200,9 @@ def _cmd_payoff(args: argparse.Namespace) -> int:
         **_game_envelope(g),
     }
     _emit_json(doc, args.output)
-    return EXIT_OK
 
 
-def _cmd_nash(args: argparse.Namespace) -> int:
+def _cmd_nash(args: argparse.Namespace) -> None:
     from .relativity import GameInstance
 
     backend = _backend(args, Backend.UNITARY)
@@ -204,28 +214,20 @@ def _cmd_nash(args: argparse.Namespace) -> int:
         **_game_envelope(g),
     }
     _emit_json(doc, args.output)
-    return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     from .analysis import sweep_gamma
 
     backend = _backend(args, Backend.PAPER)
     omega_a, omega_b = _resolve_omegas(args)
-    rows = sweep_gamma(omega_a, omega_b, args.n, backend)
-    lines = [
-        ",".join(
-            _fmt(v)
-            for v in (r.gamma, r.a_dd, r.a_qd, r.a_dq, r.a_qq, r.b_dd, r.b_qd, r.b_dq, r.b_qq)
-        )
-        for r in rows
-    ]
+    rows = ((r.gamma, r.a_dd, r.a_qd, r.a_dq, r.a_qq, r.b_dd, r.b_qd, r.b_dq, r.b_qq)
+            for r in sweep_gamma(omega_a, omega_b, args.n, backend))
     meta = _metadata("sweep", backend, omega_a=omega_a, omega_b=omega_b, n=args.n)
-    _emit_csv(_SWEEP_HEADER, lines, args.output, meta)
-    return EXIT_OK
+    _emit_csv(_SWEEP_HEADER, rows, args.output, meta)
 
 
-def _cmd_thresholds(args: argparse.Namespace) -> int:
+def _cmd_thresholds(args: argparse.Namespace) -> None:
     backend = _backend(args, Backend.PAPER)
     numeric = args.numeric or backend is Backend.UNITARY
     method = "bisection" if numeric else "closed-form"
@@ -242,18 +244,13 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
             raise ValueError("--grid-n sets both omegas; drop the omega and speed flags")
         _reject_degrees(args, "the --grid-n omegas are radians")
         if numeric:
-            rows = ([tuple(compute(a, b).as_dict().values()) for b in axis] for a in axis)
+            rows = ((a, b, *compute(a, b)._values()) for a in axis for b in axis)
         else:
-            rows = _threshold_rows(axis)
-        labels = [_fmt(omega) for omega in axis]
-        lines = [
-            ",".join([label_a, label_b, *map(_fmt_optional, values)])
-            for label_a, row in zip(labels, rows)
-            for label_b, values in zip(labels, row)
-        ]
+            rows = ((a, b, *cell) for a, cells in zip(axis, _threshold_rows(axis))
+                    for b, cell in zip(axis, cells))
         meta = _metadata("thresholds", backend, method=method, grid_n=args.grid_n)
-        _emit_csv(_THRESHOLD_GRID_HEADER, lines, args.output, meta)
-        return EXIT_OK
+        _emit_csv(_THRESHOLD_GRID_HEADER, rows, args.output, meta)
+        return
 
     omega_a, omega_b = _resolve_omegas(args)
     ts = compute(omega_a, omega_b)
@@ -264,30 +261,18 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
         "thresholds": ts.as_dict(),
     }
     _emit_json(doc, args.output)
-    return EXIT_OK
 
 
-def _cmd_region_map(args: argparse.Namespace) -> int:
+def _cmd_region_map(args: argparse.Namespace) -> None:
     _reject_degrees(args, "the region-map omegas are radians")
     backend = _backend(args, Backend.PAPER)
-    rows = always_classical_scan(args.grid_n, backend)
-    lines = [
-        ",".join(
-            [
-                _fmt(r.omega_a),
-                _fmt(r.omega_b),
-                str(int(r.bob_always_d)),
-                str(int(r.alice_always_q)),
-            ]
-        )
-        for r in rows
-    ]
+    rows = ((r.omega_a, r.omega_b, r.bob_always_d, r.alice_always_q)
+            for r in always_classical_scan(args.grid_n, backend))
     meta = _metadata("region-map", backend, grid_n=args.grid_n)
-    _emit_csv(_REGION_MAP_HEADER, lines, args.output, meta)
-    return EXIT_OK
+    _emit_csv(_REGION_MAP_HEADER, rows, args.output, meta)
 
 
-def _cmd_wigner(args: argparse.Namespace) -> int:
+def _cmd_wigner(args: argparse.Namespace) -> None:
     _reject_degrees(args, "rapidities and speeds are not angles")
     by_rapidity = args.alpha is not None or args.delta is not None
     by_speed = args.alpha_speed is not None or args.delta_speed is not None
@@ -308,7 +293,6 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
         "omega": omega,
     }
     _emit_json(doc, args.output)
-    return EXIT_OK
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -407,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (NumericIntegrityError, ConvergenceError, OverflowError) as exc:
         print(f"rqpd: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -417,6 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"rqpd: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

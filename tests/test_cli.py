@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -247,6 +248,39 @@ def test_csv_io_error_leaves_no_metadata(tmp_path, capsys):
     assert out == ""
     assert err.startswith("rqpd: i/o error:")
     assert len(err.splitlines()) == 1
+
+
+def test_csv_writer_formats_every_field_by_one_rule(capsys):
+    rows = iter([(None, 0.5, None), (True, False, -0.0), (5e-324, 1e300, 0.1 + 0.2)])
+    cli._emit_csv("a,b,c", rows, None, {"command": "x"})
+    captured = capsys.readouterr()
+    assert captured.out == "a,b,c\n,0.5,\n1,0,-0\n4.94065645841e-324,1e+300,0.3\n"
+    assert captured.err == '{"command": "x"}\n'
+
+
+# Peak bytes traced while cli.main runs, as this test read them with the
+# CSV lines still formatted field by field in each command (CPython 3.11.7;
+# the same under -X dev to within 600 bytes).  The threshold grid with its
+# row tuples held in a list, beside the lines, reads about 9.6 MB.
+CSV_PEAKS = [
+    (["thresholds", "--grid-n", "129"], 6_691_504),
+    (["region-map", "--grid-n", "129", "--backend", "unitary"], 5_045_733),
+    (["sweep", "--omega-a", "0.3", "--omega-b", "1.1", "--n", "2049"], 1_971_854),
+]
+
+
+@pytest.mark.parametrize("argv,peak_before", CSV_PEAKS, ids=[" ".join(a) for a, _ in CSV_PEAKS])
+def test_csv_commands_hold_no_more_memory(capsys, argv, peak_before):
+    assert cli.main(argv) == 0  # untraced, so first-call imports and caches do not count
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 1.1 * peak_before
 
 
 CLOSED_STDOUT_ARGV = {

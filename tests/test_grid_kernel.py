@@ -285,6 +285,18 @@ PINS = [
      "bf29f776fd4b9ba11a642ae6b23dcd58fcd62157fdcc2ed78fe51b6e3644781b"),
     (["sweep", "--omega-a", repr(HALF_PI), "--omega-b", "0", "--n", "513", "--backend", "unitary"],
      "ab75a97ef564495a33372c1a9baea27228bed3bf00d3e95540cf9d0dc9d21b7e"),
+    # Past the benchmark's 65 x 65 grids and n = 201 sweeps; recorded while
+    # each CSV command still formatted its own lines, field by field.
+    (["thresholds", "--grid-n", "257"],
+     "f350b5d4e4c52a4d65f6949fa88705155ded8dc9e31081b4556e63afa0c01ee9"),
+    (["region-map", "--grid-n", "257"],
+     "793a4d8c35271b9e89652a9fc49c9bca4679cb98ef868e15b7d8a7746fcbab72"),
+    (["region-map", "--grid-n", "257", "--backend", "unitary"],
+     "5f69add0a9d5d808f1b9057d601b099deb5d2f475033c855db5782d33ea72fee"),
+    (["sweep", "--omega-a", "0.3", "--omega-b", "1.1", "--n", "2049"],
+     "4bdc1867f400cff82c8a4809958ef19ddcc83962041df01766b1dfa2672c12ba"),
+    (["sweep", "--omega-a", "0.3", "--omega-b", "1.1", "--n", "2049", "--backend", "unitary"],
+     "966bb4a59b8d5bdf65d5a384f8d5e2050823a493bb9c57dd852af1ffad2d9a50"),
 ]
 
 
