@@ -22,7 +22,15 @@ dimensionless and never converted.  Where no angle is read (region-map,
 thresholds --grid-n, wigner), --degrees is refused with exit 2.  Speed
 flags are fractions of the speed of light and are converted to Wigner
 angles through rapidities; the resulting omegas are echoed in the
-metadata so the mapping is always visible.
+metadata so the mapping is always visible.  One rule reads both flag
+groups, --omega-a/--omega-b against the three speed flags and wigner's
+--alpha/--delta against its two: the direct flags or the speed flags,
+not both, and every flag of the group given.  thresholds --grid-n
+refuses both groups.  payoff and nash build their game in one place.
+
+Each subcommand's parser declares its default --backend, so --help
+shows it: unitary for payoff and nash, paper for sweep, thresholds and
+region-map.
 
 Only :mod:`rqpd.closed_form` is imported at module level, and it alone
 serves ``wigner``, closed-form ``thresholds``, at one point or on a
@@ -91,31 +99,37 @@ def _reject_degrees(args: argparse.Namespace, reason: str) -> None:
         raise ValueError(f"--degrees converts no input here: {reason}")
 
 
-def _backend(args: argparse.Namespace, default: Backend) -> Backend:
-    if args.backend is None:
-        return default
-    return Backend(args.backend)
+_OMEGA_FLAGS = "--omega-a/--omega-b"
+_SPEED_FLAGS = "--alpha-speed/--delta-a-speed/--delta-b-speed"
+
+
+def _flag_values(args: argparse.Namespace, flags: str) -> list:
+    return [getattr(args, flag[2:].replace("-", "_")) for flag in flags.split("/")]
+
+
+def _flag_group(args: argparse.Namespace, direct: str, speeds: str) -> tuple[bool, list]:
+    """Whether the speed flags were given, and the values of the group given.
+
+    Either the direct flags or the speed flags are given, not both, and
+    every flag of that group; speeds come back as rapidities.
+    """
+    values = _flag_values(args, direct), _flag_values(args, speeds)
+    by_speed = any(v is not None for v in values[1])
+    if by_speed and any(v is not None for v in values[0]):
+        raise ValueError(f"give either {direct} or {speeds}, not both")
+    if None in values[by_speed]:
+        given, other = (speeds, direct) if by_speed else (direct, speeds)
+        raise ValueError(f"{given} must all be given (or {other})")
+    return by_speed, [rapidity_from_speed(v) for v in values[1]] if by_speed else values[0]
 
 
 def _resolve_omegas(args: argparse.Namespace) -> tuple[float, float]:
     """Wigner angles from --omega-* or from --alpha-speed/--delta-*-speed."""
-    speed_flags = (args.alpha_speed, args.delta_a_speed, args.delta_b_speed)
-    use_speeds = any(v is not None for v in speed_flags)
-    use_omegas = args.omega_a is not None or args.omega_b is not None
-    if use_speeds and use_omegas:
-        raise ValueError("give either --omega-a/--omega-b or the speed flags, not both")
-    if use_speeds:
-        if any(v is None for v in speed_flags):
-            raise ValueError(
-                "--alpha-speed, --delta-a-speed and --delta-b-speed must be given together"
-            )
-        alpha = rapidity_from_speed(args.alpha_speed)
-        omega_a = wigner_angle(alpha, rapidity_from_speed(args.delta_a_speed))
-        omega_b = wigner_angle(alpha, rapidity_from_speed(args.delta_b_speed))
-        return omega_a, omega_b
-    if args.omega_a is None or args.omega_b is None:
-        raise ValueError("--omega-a and --omega-b are required (or use the speed flags)")
-    return _angle(args.omega_a, args.degrees), _angle(args.omega_b, args.degrees)
+    by_speed, values = _flag_group(args, _OMEGA_FLAGS, _SPEED_FLAGS)
+    if by_speed:
+        alpha, delta_a, delta_b = values
+        return wigner_angle(alpha, delta_a), wigner_angle(alpha, delta_b)
+    return _angle(values[0], args.degrees), _angle(values[1], args.degrees)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -161,65 +175,54 @@ def _metadata(command: str, backend: Backend | None = None, **extra) -> dict:
     return doc
 
 
-def _game_envelope(g: GameInstance) -> dict:
+def _game(args: argparse.Namespace) -> GameInstance:
+    from .relativity import GameInstance
+
+    omega_a, omega_b = _resolve_omegas(args)
+    gamma = _angle(args.gamma, args.degrees)
+    return GameInstance(gamma, omega_a, omega_b, backend=Backend(args.backend))
+
+
+def _emit_game(args: argparse.Namespace, g: GameInstance, metadata: dict, head: dict) -> None:
+    """The game's metadata with ``metadata`` added, ``head``, then the S-profile analysis."""
     from .analysis import PROFILES, nash_set, profile_table, sds_of
 
     table = profile_table(g)
     report = sds_of(table)
     nash = nash_set(table)
-    return {
+    doc = {
+        "metadata": _metadata(args.subcommand, g.backend, gamma=g.gamma, omega_a=g.omega_a,
+                              omega_b=g.omega_b, **metadata),
+        **head,
         "profiles": {
             name: {"alice": table.alice(name), "bob": table.bob(name)} for name in PROFILES
         },
         "sds": {"alice": report.alice, "bob": report.bob},
         "nash": list(nash.equilibria),
     }
+    _emit_json(doc, args.output)
 
 
 def _cmd_payoff(args: argparse.Namespace) -> None:
-    from .relativity import GameInstance, payoffs
+    from .relativity import payoffs
 
-    backend = _backend(args, Backend.UNITARY)
-    omega_a, omega_b = _resolve_omegas(args)
-    gamma = _angle(args.gamma, args.degrees)
+    g = _game(args)
     alice = _parse_strategy(args.alice, args.degrees)
     bob = _parse_strategy(args.bob, args.degrees)
-    g = GameInstance(gamma, omega_a, omega_b, backend=backend)
     pair = payoffs(g, alice, bob)
-    doc = {
-        "metadata": _metadata(
-            "payoff",
-            backend,
-            gamma=gamma,
-            omega_a=omega_a,
-            omega_b=omega_b,
-            alice={"theta": alice.theta, "phi": alice.phi},
-            bob={"theta": bob.theta, "phi": bob.phi},
-        ),
-        "payoff": {"alice": pair.alice, "bob": pair.bob},
-        **_game_envelope(g),
-    }
-    _emit_json(doc, args.output)
+    strategies = {"alice": {"theta": alice.theta, "phi": alice.phi},
+                  "bob": {"theta": bob.theta, "phi": bob.phi}}
+    _emit_game(args, g, strategies, {"payoff": {"alice": pair.alice, "bob": pair.bob}})
 
 
 def _cmd_nash(args: argparse.Namespace) -> None:
-    from .relativity import GameInstance
-
-    backend = _backend(args, Backend.UNITARY)
-    omega_a, omega_b = _resolve_omegas(args)
-    gamma = _angle(args.gamma, args.degrees)
-    g = GameInstance(gamma, omega_a, omega_b, backend=backend)
-    doc = {
-        "metadata": _metadata("nash", backend, gamma=gamma, omega_a=omega_a, omega_b=omega_b),
-        **_game_envelope(g),
-    }
-    _emit_json(doc, args.output)
+    _emit_game(args, _game(args), {}, {})
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
     from .analysis import sweep_gamma
 
-    backend = _backend(args, Backend.PAPER)
+    backend = Backend(args.backend)
     omega_a, omega_b = _resolve_omegas(args)
     rows = ((r.gamma, r.a_dd, r.a_qd, r.a_dq, r.a_qq, r.b_dd, r.b_qd, r.b_dq, r.b_qq)
             for r in sweep_gamma(omega_a, omega_b, args.n, backend))
@@ -228,7 +231,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 
 def _cmd_thresholds(args: argparse.Namespace) -> None:
-    backend = _backend(args, Backend.PAPER)
+    backend = Backend(args.backend)
     numeric = args.numeric or backend is Backend.UNITARY
     method = "bisection" if numeric else "closed-form"
     compute = thresholds_closed_form
@@ -239,9 +242,8 @@ def _cmd_thresholds(args: argparse.Namespace) -> None:
 
     if args.grid_n is not None:
         axis = _grid_axis(args.grid_n, "grid_n", dims=2)
-        if any(v is not None for v in (args.omega_a, args.omega_b, args.alpha_speed,
-                                       args.delta_a_speed, args.delta_b_speed)):
-            raise ValueError("--grid-n sets both omegas; drop the omega and speed flags")
+        if any(v is not None for v in _flag_values(args, f"{_OMEGA_FLAGS}/{_SPEED_FLAGS}")):
+            raise ValueError(f"--grid-n sets both omegas; drop {_OMEGA_FLAGS} and {_SPEED_FLAGS}")
         _reject_degrees(args, "the --grid-n omegas are radians")
         if numeric:
             rows = ((a, b, *compute(a, b)._values()) for a in axis for b in axis)
@@ -265,7 +267,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> None:
 
 def _cmd_region_map(args: argparse.Namespace) -> None:
     _reject_degrees(args, "the region-map omegas are radians")
-    backend = _backend(args, Backend.PAPER)
+    backend = Backend(args.backend)
     rows = ((r.omega_a, r.omega_b, r.bob_always_d, r.alice_always_q)
             for r in always_classical_scan(args.grid_n, backend))
     meta = _metadata("region-map", backend, grid_n=args.grid_n)
@@ -274,19 +276,7 @@ def _cmd_region_map(args: argparse.Namespace) -> None:
 
 def _cmd_wigner(args: argparse.Namespace) -> None:
     _reject_degrees(args, "rapidities and speeds are not angles")
-    by_rapidity = args.alpha is not None or args.delta is not None
-    by_speed = args.alpha_speed is not None or args.delta_speed is not None
-    if by_rapidity and by_speed:
-        raise ValueError("give either --alpha/--delta or --alpha-speed/--delta-speed, not both")
-    if by_speed:
-        if args.alpha_speed is None or args.delta_speed is None:
-            raise ValueError("--alpha-speed and --delta-speed must be given together")
-        alpha = rapidity_from_speed(args.alpha_speed)
-        delta = rapidity_from_speed(args.delta_speed)
-    else:
-        if args.alpha is None or args.delta is None:
-            raise ValueError("--alpha and --delta are required (or the speed flags)")
-        alpha, delta = args.alpha, args.delta
+    _, (alpha, delta) = _flag_group(args, "--alpha/--delta", "--alpha-speed/--delta-speed")
     omega = wigner_angle(alpha, delta)
     doc = {
         "metadata": _metadata("wigner", alpha=alpha, delta=delta),
@@ -302,11 +292,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", metavar="PATH", help="write the payload to PATH")
 
 
-def _add_backend(parser: argparse.ArgumentParser) -> None:
+def _add_backend(parser: argparse.ArgumentParser, default: Backend) -> None:
     parser.add_argument(
         "--backend",
         choices=[b.value for b in Backend],
-        help="coefficient-map realization (per-command default)",
+        default=default.value,
+        help="coefficient-map realization (default: %(default)s)",
     )
 
 
@@ -336,21 +327,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_omegas(p)
     p.add_argument("--alice", required=True, help="C, D, Q or 'theta,phi'")
     p.add_argument("--bob", required=True, help="C, D, Q or 'theta,phi'")
-    _add_backend(p)
+    _add_backend(p, Backend.UNITARY)
     _add_common(p)
     p.set_defaults(func=_cmd_payoff)
 
     p = sub.add_parser("nash", help="profile table, dominant strategies and Nash set over S")
     p.add_argument("--gamma", type=float, required=True, help="entanglement angle in [0, pi/2]")
     _add_omegas(p)
-    _add_backend(p)
+    _add_backend(p, Backend.UNITARY)
     _add_common(p)
     p.set_defaults(func=_cmd_nash)
 
     p = sub.add_parser("sweep", help="CSV of profile payoffs over a gamma sweep")
     _add_omegas(p)
     p.add_argument("--n", type=int, default=101, help="number of gamma samples (default 101)")
-    _add_backend(p)
+    _add_backend(p, Backend.PAPER)
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -362,13 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the bisection oracle instead of the closed form",
     )
-    _add_backend(p)
+    _add_backend(p, Backend.PAPER)
     _add_common(p)
     p.set_defaults(func=_cmd_thresholds)
 
     p = sub.add_parser("region-map", help="CSV map of dominance-everywhere flags over omegas")
     p.add_argument("--grid-n", type=int, required=True, help="grid points per omega axis")
-    _add_backend(p)
+    _add_backend(p, Backend.PAPER)
     _add_common(p)
     p.set_defaults(func=_cmd_region_map)
 

@@ -278,27 +278,26 @@ def _payoffs_of_amplitudes(vectors, pay, max_norm_defect=DEFAULT_MAX_NORM_DEFECT
     ``JointProbabilities.from_amplitudes``.  Probabilities already in
     [0, 1] with a defect within the limit pass every check of that
     pipeline unchanged (the amplitudes are then finite), so vectors that
-    pass go to the payoff sums inline, without the objects.  From the
-    first vector that does not pass, or whose square overflows, that
-    vector and every later one go through the object pipeline, so the
-    error raised is the one a loop over the objects raises first.
+    pass go to the payoff sums inline, without the objects.  A vector
+    that does not pass, or whose square overflows, goes alone through
+    the object pipeline.  A vector that passes gets the same pair from
+    the objects, so the error raised is the one a loop over the objects
+    raises first.
     """
     pairs = []
-    try:
-        for a0, a1, a2, a3 in vectors:
+    for amplitudes in vectors:
+        a0, a1, a2, a3 = amplitudes
+        try:
             p_cc, p_cd, p_dc, p_dd = abs(a0) ** 2, abs(a1) ** 2, abs(a2) ** 2, abs(a3) ** 2
-            if not (abs(((p_cc + p_cd) + p_dc) + p_dd - 1.0) <= max_norm_defect
-                    and 0.0 <= p_cc <= 1.0 and 0.0 <= p_cd <= 1.0
-                    and 0.0 <= p_dc <= 1.0 and 0.0 <= p_dd <= 1.0):
-                break
+        except OverflowError:
+            p_cc = p_cd = p_dc = p_dd = math.nan
+        if (abs(((p_cc + p_cd) + p_dc) + p_dd - 1.0) <= max_norm_defect
+                and 0.0 <= p_cc <= 1.0 and 0.0 <= p_cd <= 1.0
+                and 0.0 <= p_dc <= 1.0 and 0.0 <= p_dd <= 1.0):
             pairs.append(_payoff_pair(pay, p_cc, p_cd, p_dc, p_dd))
         else:
-            return pairs
-    except OverflowError:
-        pass
-    for amplitudes in vectors[len(pairs):]:
-        pr = JointProbabilities.from_amplitudes(amplitudes)
-        pairs.append(payoff_from_probabilities(pr, pay, max_norm_defect))
+            pr = JointProbabilities.from_amplitudes(amplitudes)
+            pairs.append(payoff_from_probabilities(pr, pay, max_norm_defect))
     return pairs
 
 

@@ -375,12 +375,31 @@ def test_closed_stderr_leaves_stdout_and_exit_code_alone(kind):
         ["region-map", "--grid-n", "1025"],
         ["thresholds", "--grid-n", "1025"],
         ["sweep", "--omega-a", "0", "--omega-b", "0", "--n", "1048577"],
+        ["nash", "--gamma", "0.5", "--alpha-speed", "0.5", "--delta-a-speed", "0.5"],
+        ["sweep", "--omega-a", "0", "--omega-b", "0", "--alpha-speed", "0.5",
+         "--delta-a-speed", "0.5", "--delta-b-speed", "0.5"],
+        ["thresholds", "--omega-b", "0.2"],
+        ["wigner"],
+        ["payoff", "--gamma", "9.9", "--omega-a", "0", "--omega-b", "0",
+         "--alice", "X", "--bob", "D"],
     ],
 )
 def test_invalid_arguments_exit_2(capsys, argv):
     code, _, err = run(capsys, argv)
     assert code == 2
     assert "invalid arguments" in err
+
+
+@pytest.mark.parametrize("command,default", [
+    ("payoff", "unitary"), ("nash", "unitary"),
+    ("sweep", "paper"), ("thresholds", "paper"), ("region-map", "paper"),
+])
+def test_help_names_the_default_backend(capsys, command, default):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    # argparse wraps help text to the terminal width
+    assert f"default: {default}" in " ".join(capsys.readouterr().out.split())
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -12,9 +12,10 @@ and ``profile_table`` factors its k-coefficients into strategy-only
 parts and a gamma step, taken for all four profiles at once on two
 constant factor arrays.  Every k-vector comes from the three stages of
 ``game_core``'s k formula (per phi, per theta, per candidate).  A list
-of amplitude vectors that all pass costs one inline payoff pass; from
-the first vector that does not, the tail runs the object pipeline, so
-the one error path is that of the objects.  The tests below also send
+of amplitude vectors that all pass costs one inline payoff pass; each
+vector that does not goes alone through the object pipeline, and a
+vector that passes gets the same pair from the objects, so the one
+error path is that of the objects.  The tests below also send
 vectors past that pass (a clamped probability, limits of 0 and 1e-16,
 an overflowing square, a product that is not finite after an earlier
 vector's failure) and compare the errors too.
