@@ -176,15 +176,10 @@ _PROFILE_K_COS, _PROFILE_K_SIN = (
 )
 
 
-def _profile_k(cg, sg) -> np.ndarray:
-    """The profiles' k-vectors, a (profile, amplitude) array, from cos and sin of gamma/2."""
-    return _PROFILE_K_COS * cg + _PROFILE_K_SIN * sg
-
-
 def profile_table(g: GameInstance) -> ProfileTable:
     """Payoffs of all four S-profiles under the instance's backend."""
     matrix = _coefficient_matrix(g)
-    states = _profile_k(math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma))
+    states = _PROFILE_K_COS * math.cos(0.5 * g.gamma) + _PROFILE_K_SIN * math.sin(0.5 * g.gamma)
     return ProfileTable(*_payoffs_of_amplitudes(_final_amplitudes(matrix, states), g.pay))
 
 

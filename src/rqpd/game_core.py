@@ -181,7 +181,12 @@ def entangler(gamma: float) -> np.ndarray:
     D (x) D and is unitary for every gamma.
     """
     check_omega(gamma, "gamma")
-    return qmat.mat4(math.cos(0.5 * gamma) * _EYE4 + 1j * math.sin(0.5 * gamma) * _DXD)
+    return qmat.mat4(_entangler_matrix(math.cos(0.5 * gamma), math.sin(0.5 * gamma)))
+
+
+def _entangler_matrix(cg, sg) -> np.ndarray:
+    """J(gamma) from cos and sin of gamma/2; D (x) D keeps its cos(pi/2) dust."""
+    return cg * _EYE4 + (1j * sg) * _DXD
 
 
 def k_coefficients(a: StrategyParams, b: StrategyParams, gamma: float) -> KVector:

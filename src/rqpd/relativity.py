@@ -30,8 +30,11 @@ which is recorded (never hidden) in ``JointProbabilities.norm_defect``.
 
 Each map is built one point at a time from Python floats by
 ``_coefficient_matrix``, behind :func:`coefficient_map` and every
-evaluation, sweeps included.  :func:`spin_rotation_pair` keeps its own
-entries, so the tests can compare the engine with it.
+evaluation, sweeps included.  The PAPER entries are written once, in
+``_paper_matrix``; the UNITARY map conjugates the entangler's own
+formula, ``game_core._entangler_matrix``, which :func:`entangler` also
+builds on.  :func:`spin_rotation_pair` keeps its own entries, so the
+tests can compare the engine with it.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .closed_form import (
     wigner_angle,
 )
 from .game_core import (
-    _DXD,
+    _entangler_matrix,
     _k_of_pair,
     _payoffs_of_amplitudes,
     DEFAULT_MAX_NORM_DEFECT,
@@ -126,36 +129,7 @@ def paper_coefficient_matrix(gamma: float, omega_a: float, omega_b: float) -> np
     check_omega(gamma, "gamma")
     _require_finite_scalar(omega_a, "omega_a")
     _require_finite_scalar(omega_b, "omega_b")
-    return _paper_matrix(gamma, omega_a, omega_b)
-
-
-def _paper_entries(cg, sg, ca, sa, cb, sb) -> tuple:
-    """The 16 PAPER map entries, row-major, from cos and sin of gamma/2, omega_a/2, omega_b/2."""
-    w1 = cg * ca * cb + 1j * sg * sa * sb
-    w2 = cg * ca * sb + 1j * sg * sa * cb
-    w3 = cg * sa * cb + 1j * sg * ca * sb
-    w4 = cg * sa * sb + 1j * sg * ca * cb
-    w2c, w3c = w2.conjugate(), w3.conjugate()
-    return (
-        w1, w2c, -w3c, -w4,
-        -w2c, w1, w4, -w3,
-        w3c, w4, w1, -w2,
-        -w4, w3c, -w2c, w1,
-    )
-
-
-# conj(J(gamma)) = cos(gamma/2) I - i sin(gamma/2) (D (x) D) is built as
-# -cos * _NEG_EYE4 - (1j * sin) * _DXD_REAL: entry for entry what np.conjugate
-# makes of the entangler's cos * I + (1j * sin) * (D (x) D), signed zeros included.
-# -cos times -I gives every imaginary part -0.0, and where sin * (D (x) D) vanishes,
-# subtracting the +0.0 it leaves there keeps that -0.0.  D (x) D keeps its cos(pi/2) dust.
-_NEG_EYE4 = (-np.eye(4)).astype(complex)
-_DXD_REAL = _DXD.real.astype(complex)
-
-
-def _conj_entangler(cg, sg) -> np.ndarray:
-    """conj(J(gamma)) from cos and sin of gamma/2."""
-    return -cg * _NEG_EYE4 - (1j * sg) * _DXD_REAL
+    return _paper_matrix(*_point_cos_sin(gamma, omega_a, omega_b))
 
 
 def _point_cos_sin(gamma: float, omega_a: float, omega_b: float) -> tuple[float, ...]:
@@ -164,9 +138,19 @@ def _point_cos_sin(gamma: float, omega_a: float, omega_b: float) -> tuple[float,
             math.sin(0.5 * omega_a), math.cos(0.5 * omega_b), math.sin(0.5 * omega_b))
 
 
-def _paper_matrix(gamma: float, omega_a: float, omega_b: float) -> np.ndarray:
-    """:func:`paper_coefficient_matrix` without its checks, for angles already checked."""
-    entries = np.array(_paper_entries(*_point_cos_sin(gamma, omega_a, omega_b)), dtype=complex)
+def _paper_matrix(cg, sg, ca, sa, cb, sb) -> np.ndarray:
+    """The read-only PAPER map from cos and sin of gamma/2, omega_a/2 and omega_b/2."""
+    w1 = cg * ca * cb + 1j * sg * sa * sb
+    w2 = cg * ca * sb + 1j * sg * sa * cb
+    w3 = cg * sa * cb + 1j * sg * ca * sb
+    w4 = cg * sa * sb + 1j * sg * ca * cb
+    w2c, w3c = w2.conjugate(), w3.conjugate()
+    entries = np.array((
+        w1, w2c, -w3c, -w4,
+        -w2c, w1, w4, -w3,
+        w3c, w4, w1, -w2,
+        -w4, w3c, -w2c, w1,
+    ), dtype=complex)
     return qmat._frozen(entries).reshape(4, 4)
 
 
@@ -183,14 +167,13 @@ def _coefficient_matrix(g: GameInstance) -> np.ndarray:
     entry is a finite product of their cosines and sines.
     """
     _check_type(g, GameInstance, "g")
-    if g.backend is Backend.PAPER:
-        return _paper_matrix(g.gamma, g.omega_a, g.omega_b)
     cg, sg, ca, sa, cb, sb = _point_cos_sin(g.gamma, g.omega_a, g.omega_b)
+    if g.backend is Backend.PAPER:
+        return _paper_matrix(cg, sg, ca, sa, cb, sb)
     # R_A (x) R_B in the load-bearing sign pattern of spin_rotation_pair
     kron = qmat.tensor2([[ca, -sa], [sa, ca]], [[cb, sb], [-sb, cb]])
-    # Through the .T view of the fresh conj(J) the product is the same
-    # transposed-operand BLAS call as conj().T @ kron.
-    return qmat._frozen(_conj_entangler(cg, sg).T @ kron)
+    # adjoint(J) @ kron, through the .T view of the fresh conj(J)
+    return qmat._frozen(_entangler_matrix(cg, sg).conj().T @ kron)
 
 
 def _final_amplitudes(matrix: np.ndarray, states) -> list[list[complex]]:

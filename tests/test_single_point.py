@@ -29,7 +29,10 @@ so the error is the first failing candidate's, as in the loop.
 The ``coefficient_map`` of either backend is built from angles that
 ``GameInstance`` has checked, so the map itself is not checked; the
 UNITARY map is the product of ``tensor2``'s checked rotations and the
-conjugated entangler, frozen in place.  The four functions take that matrix from
+conjugate of the entangler's own formula, ``game_core._entangler_matrix``,
+frozen in place; it must equal the same product of the public
+``entangler``, ``spin_rotation_pair`` and ``tensor2`` bit for bit.  The
+four functions take that matrix from
 ``relativity._coefficient_matrix``, without the ``CoefficientMap``
 record, and the tests below inject their maps there.  The
 references below are the loops they replaced: the
@@ -70,6 +73,7 @@ from rqpd.game_core import (
     NumericIntegrityError,
     PayoffParams,
     StrategyParams,
+    entangler,
     k_coefficients,
     payoff_from_probabilities,
     strategy_unitary,
@@ -253,6 +257,17 @@ def test_profile_k_vectors_equal_gamma_step_lists(gamma):
                 for p in PROFILES]
     assert states.shape == (4, 4) and states.dtype == complex
     assert states.tobytes() == np.array(expected).tobytes()  # every bit, -0.0 included
+
+
+@pytest.mark.parametrize("gamma", EDGE_GAMMAS)
+@pytest.mark.parametrize("omega_a", [0.0, 0.4, HALF_PI])
+@pytest.mark.parametrize("omega_b", [0.0, 1.1, HALF_PI])
+def test_unitary_map_conjugates_the_public_entangler(gamma, omega_a, omega_b):
+    # the engine's UNITARY map is adjoint(J) (R_A (x) R_B) of the public functions, bit
+    # for bit; reference_map writes its own J with np.kron
+    got = coefficient_map(GameInstance(gamma, omega_a, omega_b, backend=Backend.UNITARY))
+    kron = qmat.tensor2(*spin_rotation_pair(omega_a, omega_b))
+    assert got.matrix.tobytes() == (np.conjugate(entangler(gamma)).T @ kron).tobytes()
 
 
 @settings(max_examples=6, deadline=None)
