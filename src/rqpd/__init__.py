@@ -9,6 +9,7 @@ angle, and the region maps behind figure-style sweeps.
 Names are exported lazily: importing the package loads no submodule, and
 each exported name imports its module on first use, so the numpy-free
 ``closed_form`` names start without numpy.
+The CLI reads its numpy-backed names this way, as ``rqpd.<name>``.
 """
 
 import importlib

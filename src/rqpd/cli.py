@@ -19,23 +19,27 @@ stdout carries the same bytes and the exit code is the same.
 
 Angle flags are radians unless --degrees is given; rapidities are
 dimensionless and never converted.  Where no angle is read (region-map,
-thresholds --grid-n, wigner), --degrees is refused with exit 2.  Speed
-flags are fractions of the speed of light and are converted to Wigner
-angles through rapidities; the resulting omegas are echoed in the
-metadata so the mapping is always visible.  One rule reads both flag
-groups, --omega-a/--omega-b against the three speed flags and wigner's
---alpha/--delta against its two: the direct flags or the speed flags,
-not both, and every flag of the group given.  thresholds --grid-n
-refuses both groups.  payoff and nash build their game in one place.
+thresholds --grid-n, wigner), --degrees is refused with exit 2; sweep
+and single-point thresholds given the speed flags read no angle either,
+but accept --degrees and ignore it.  Speed flags are fractions of the
+speed of light and are converted to Wigner angles through rapidities;
+the resulting omegas are echoed in the metadata so the mapping is
+always visible.  One rule reads both flag groups, --omega-a/--omega-b
+against the three speed flags and wigner's --alpha/--delta against its
+two: the direct flags or the speed flags, not both, and every flag of
+the group given.  thresholds --grid-n refuses both groups.  payoff and
+nash build their game in one place.
 
 Each subcommand's parser declares its default --backend, so --help
 shows it: unitary for payoff and nash, paper for sweep, thresholds and
 region-map.
 
-Only :mod:`rqpd.closed_form` is imported at module level, and it alone
-serves ``wigner``, closed-form ``thresholds``, at one point or on a
-grid, and ``region-map``.  Commands that need numpy import their
-modules when they run, never per point.
+Of the engine modules only :mod:`rqpd.closed_form` is imported at
+module level, and it alone serves ``wigner``, closed-form
+``thresholds``, at one point or on a grid, and ``region-map``.  The
+numpy-backed names are read as ``rqpd.<name>``, and the package imports
+a name's module the first time it is read, so a command that needs none
+of them starts without numpy.
 
 Exit codes: 0 success, 2 invalid arguments, 3 numeric failure,
 4 I/O error.
@@ -50,9 +54,10 @@ import io
 import json
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
-from . import __version__
+import rqpd
+
 from .closed_form import (
     Backend,
     ConvergenceError,
@@ -79,19 +84,17 @@ def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
-def _parse_strategy(text: str, degrees: bool) -> StrategyParams:
-    from .game_core import NamedStrategy, StrategyParams
-
+def _parse_strategy(text: str, degrees: bool) -> rqpd.StrategyParams:
     token = text.strip()
     if token.upper() in ("C", "D", "Q"):
-        return NamedStrategy[token.upper()].params
+        return rqpd.NamedStrategy[token.upper()].params
     parts = token.split(",")
     if len(parts) != 2:
         raise ValueError(
             f"strategy must be C, D, Q or 'theta,phi', got {text!r}"
         )
     theta, phi = (float(p) for p in parts)
-    return StrategyParams(_angle(theta, degrees), _angle(phi, degrees))
+    return rqpd.StrategyParams(_angle(theta, degrees), _angle(phi, degrees))
 
 
 def _reject_degrees(args: argparse.Namespace, reason: str) -> None:
@@ -168,34 +171,30 @@ def _emit_csv(header: str, rows: Iterable[tuple], path: str | None, metadata: di
 
 
 def _metadata(command: str, backend: Backend | None = None, **extra) -> dict:
-    doc: dict = {"command": command, "version": __version__}
+    doc: dict = {"command": command, "version": rqpd.__version__}
     if backend is not None:
         doc["backend"] = backend.value
     doc.update(extra)
     return doc
 
 
-def _game(args: argparse.Namespace) -> GameInstance:
-    from .relativity import GameInstance
-
+def _game(args: argparse.Namespace) -> rqpd.GameInstance:
     omega_a, omega_b = _resolve_omegas(args)
     gamma = _angle(args.gamma, args.degrees)
-    return GameInstance(gamma, omega_a, omega_b, backend=Backend(args.backend))
+    return rqpd.GameInstance(gamma, omega_a, omega_b, backend=Backend(args.backend))
 
 
-def _emit_game(args: argparse.Namespace, g: GameInstance, metadata: dict, head: dict) -> None:
+def _emit_game(args: argparse.Namespace, g: rqpd.GameInstance, metadata: dict, head: dict) -> None:
     """The game's metadata with ``metadata`` added, ``head``, then the S-profile analysis."""
-    from .analysis import PROFILES, nash_set, profile_table, sds_of
-
-    table = profile_table(g)
-    report = sds_of(table)
-    nash = nash_set(table)
+    table = rqpd.profile_table(g)
+    report = rqpd.sds_of(table)
+    nash = rqpd.nash_set(table)
     doc = {
         "metadata": _metadata(args.subcommand, g.backend, gamma=g.gamma, omega_a=g.omega_a,
                               omega_b=g.omega_b, **metadata),
         **head,
         "profiles": {
-            name: {"alice": table.alice(name), "bob": table.bob(name)} for name in PROFILES
+            name: {"alice": table.alice(name), "bob": table.bob(name)} for name in rqpd.PROFILES
         },
         "sds": {"alice": report.alice, "bob": report.bob},
         "nash": list(nash.equilibria),
@@ -204,12 +203,10 @@ def _emit_game(args: argparse.Namespace, g: GameInstance, metadata: dict, head: 
 
 
 def _cmd_payoff(args: argparse.Namespace) -> None:
-    from .relativity import payoffs
-
     g = _game(args)
     alice = _parse_strategy(args.alice, args.degrees)
     bob = _parse_strategy(args.bob, args.degrees)
-    pair = payoffs(g, alice, bob)
+    pair = rqpd.payoffs(g, alice, bob)
     strategies = {"alice": {"theta": alice.theta, "phi": alice.phi},
                   "bob": {"theta": bob.theta, "phi": bob.phi}}
     _emit_game(args, g, strategies, {"payoff": {"alice": pair.alice, "bob": pair.bob}})
@@ -220,12 +217,10 @@ def _cmd_nash(args: argparse.Namespace) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
-    from .analysis import sweep_gamma
-
     backend = Backend(args.backend)
     omega_a, omega_b = _resolve_omegas(args)
     rows = ((r.gamma, r.a_dd, r.a_qd, r.a_dq, r.a_qq, r.b_dd, r.b_qd, r.b_dq, r.b_qq)
-            for r in sweep_gamma(omega_a, omega_b, args.n, backend))
+            for r in rqpd.sweep_gamma(omega_a, omega_b, args.n, backend))
     meta = _metadata("sweep", backend, omega_a=omega_a, omega_b=omega_b, n=args.n)
     _emit_csv(_SWEEP_HEADER, rows, args.output, meta)
 
@@ -236,9 +231,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> None:
     method = "bisection" if numeric else "closed-form"
     compute = thresholds_closed_form
     if numeric:
-        from .analysis import thresholds_numeric
-
-        compute = functools.partial(thresholds_numeric, backend=backend)
+        compute = functools.partial(rqpd.thresholds_numeric, backend=backend)
 
     if args.grid_n is not None:
         axis = _grid_axis(args.grid_n, "grid_n", dims=2)
@@ -285,20 +278,21 @@ def _cmd_wigner(args: argparse.Namespace) -> None:
     _emit_json(doc, args.output)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _finish(parser: argparse.ArgumentParser, func: Callable[[argparse.Namespace], None],
+            backend: Backend | None = None) -> None:
+    """The flags every subcommand ends with, --backend first where it has one; ``func`` runs it."""
+    if backend is not None:
+        parser.add_argument(
+            "--backend",
+            choices=[b.value for b in Backend],
+            default=backend.value,
+            help="coefficient-map realization (default: %(default)s)",
+        )
     parser.add_argument(
         "--degrees", action="store_true", help="interpret angle inputs as degrees"
     )
     parser.add_argument("--output", metavar="PATH", help="write the payload to PATH")
-
-
-def _add_backend(parser: argparse.ArgumentParser, default: Backend) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=[b.value for b in Backend],
-        default=default.value,
-        help="coefficient-map realization (default: %(default)s)",
-    )
+    parser.set_defaults(func=func)
 
 
 def _add_omegas(parser: argparse.ArgumentParser) -> None:
@@ -319,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
             "in moving frames: payoffs, equilibria, thresholds, region maps."
         ),
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {rqpd.__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("payoff", help="payoffs for one strategy pair, plus the S-profile analysis")
@@ -327,23 +321,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_omegas(p)
     p.add_argument("--alice", required=True, help="C, D, Q or 'theta,phi'")
     p.add_argument("--bob", required=True, help="C, D, Q or 'theta,phi'")
-    _add_backend(p, Backend.UNITARY)
-    _add_common(p)
-    p.set_defaults(func=_cmd_payoff)
+    _finish(p, _cmd_payoff, Backend.UNITARY)
 
     p = sub.add_parser("nash", help="profile table, dominant strategies and Nash set over S")
     p.add_argument("--gamma", type=float, required=True, help="entanglement angle in [0, pi/2]")
     _add_omegas(p)
-    _add_backend(p, Backend.UNITARY)
-    _add_common(p)
-    p.set_defaults(func=_cmd_nash)
+    _finish(p, _cmd_nash, Backend.UNITARY)
 
     p = sub.add_parser("sweep", help="CSV of profile payoffs over a gamma sweep")
     _add_omegas(p)
     p.add_argument("--n", type=int, default=101, help="number of gamma samples (default 101)")
-    _add_backend(p, Backend.PAPER)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
+    _finish(p, _cmd_sweep, Backend.PAPER)
 
     p = sub.add_parser("thresholds", help="crossing gammas at one point (JSON) or on a grid (CSV)")
     _add_omegas(p)
@@ -353,23 +341,18 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the bisection oracle instead of the closed form",
     )
-    _add_backend(p, Backend.PAPER)
-    _add_common(p)
-    p.set_defaults(func=_cmd_thresholds)
+    _finish(p, _cmd_thresholds, Backend.PAPER)
 
     p = sub.add_parser("region-map", help="CSV map of dominance-everywhere flags over omegas")
     p.add_argument("--grid-n", type=int, required=True, help="grid points per omega axis")
-    _add_backend(p, Backend.PAPER)
-    _add_common(p)
-    p.set_defaults(func=_cmd_region_map)
+    _finish(p, _cmd_region_map, Backend.PAPER)
 
     p = sub.add_parser("wigner", help="Wigner angle from rapidities or speeds")
     p.add_argument("--alpha", type=float, help="arbiter rapidity")
     p.add_argument("--delta", type=float, help="particle rapidity")
     p.add_argument("--alpha-speed", type=float, help="arbiter speed (fraction of c)")
     p.add_argument("--delta-speed", type=float, help="particle speed (fraction of c)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_wigner)
+    _finish(p, _cmd_wigner)
 
     return parser
 

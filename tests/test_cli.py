@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -400,6 +401,51 @@ def test_help_names_the_default_backend(capsys, command, default):
     assert exc.value.code == 0
     # argparse wraps help text to the terminal width
     assert f"default: {default}" in " ".join(capsys.readouterr().out.split())
+
+
+# Runs the CLI in a fresh interpreter until argparse exits, as --help does,
+# then reports on stderr which rqpd modules and whether numpy were loaded.
+HELP_CHILD = """
+import sys
+from rqpd.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+sys.stdout.flush()
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "rqpd"), file=sys.stderr)
+print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+OMEGA_FLAGS = ["--omega-a", "--omega-b", "--alpha-speed", "--delta-a-speed", "--delta-b-speed"]
+
+# Per subcommand, its own flags in order and whether it takes --backend.
+SUBCOMMAND_FLAGS = {
+    "payoff": (["--gamma", *OMEGA_FLAGS, "--alice", "--bob"], True),
+    "nash": (["--gamma", *OMEGA_FLAGS], True),
+    "sweep": ([*OMEGA_FLAGS, "--n"], True),
+    "thresholds": ([*OMEGA_FLAGS, "--grid-n", "--numeric"], True),
+    "region-map": (["--grid-n"], True),
+    "wigner": (["--alpha", "--delta", "--alpha-speed", "--delta-speed"], False),
+}
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMAND_FLAGS))
+def test_help_lists_own_flags_then_backend_degrees_output(command):
+    # --help needs neither numpy nor any engine module, and every subcommand
+    # ends with the same flags in the same order
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", HELP_CHILD, command, "--help"], env=env,
+                          capture_output=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b"rqpd rqpd.cli rqpd.closed_form\nnumpy loaded: False\n"
+    own, backend = SUBCOMMAND_FLAGS[command]
+    # each option's line starts at a two-space indent; wrapped help text is indented further
+    options = re.findall(r"^  (-[-\w]+)", proc.stdout.decode(), flags=re.MULTILINE)
+    assert options == ["-h", *own, *(["--backend"] if backend else []), "--degrees", "--output"]
 
 
 def test_unknown_flag_exits_2(capsys):

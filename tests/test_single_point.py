@@ -226,6 +226,29 @@ def test_profile_table_domain_corners(gamma, omega_a, omega_b, backend):
     assert repr(profile_table(g)) == repr(reference_profile_table(g))
 
 
+@settings(max_examples=200, deadline=None)
+@given(angles, angles, angles, pay_tables)
+@example(0.0, 0.0, 0.0, PayoffParams())
+@example(HALF_PI, HALF_PI, HALF_PI, PayoffParams())
+@example(HALF_PI, 0.0, HALF_PI, PayoffParams())
+@example(0.0, HALF_PI, 0.0, PayoffParams())
+def test_payoffs_equal_the_profile_table_pair(gamma, omega_a, omega_b, pay):
+    """``payoffs`` of a {D, Q} pair is the ``profile_table`` entry, bit for bit.
+
+    The ``payoff`` command prints both.  ROADMAP item 15 leaves open
+    whether a closed-form ``profile_table`` keeps this equality, by
+    routing named {D, Q} pairs in ``payoffs`` through the table, or
+    documents the difference; this test holds the equality until then.
+    """
+    for backend in Backend:
+        g = GameInstance(gamma, omega_a, omega_b, pay, backend)
+        table = profile_table(g)
+        for name in PROFILES:
+            got = payoffs(g, NamedStrategy[name[0]], NamedStrategy[name[1]])
+            expected = table.pair(name)
+            assert (got.alice.hex(), got.bob.hex()) == (expected.alice.hex(), expected.bob.hex())
+
+
 # Gammas at the ends of the domain: s_g underflows to a subnormal or to
 # zero, or c_g and s_g meet, where the sign of a zero in the profile k
 # constants could reach a k-vector.
