@@ -180,7 +180,8 @@ def profile_table(g: GameInstance) -> ProfileTable:
     """Payoffs of all four S-profiles under the instance's backend."""
     matrix = _coefficient_matrix(g)
     states = _PROFILE_K_COS * math.cos(0.5 * g.gamma) + _PROFILE_K_SIN * math.sin(0.5 * g.gamma)
-    return ProfileTable(*_payoffs_of_amplitudes(_final_amplitudes(matrix, states), g.pay))
+    dd, qd, dq, qq = _payoffs_of_amplitudes(_final_amplitudes(matrix, states), g.pay)
+    return ProfileTable(PayoffPair(*dd), PayoffPair(*qd), PayoffPair(*dq), PayoffPair(*qq))
 
 
 def sds_of(table: ProfileTable, tie_tol: float = DEFAULT_TIE_TOL) -> SdsReport:
@@ -375,7 +376,9 @@ def best_response_scan(
     through ``_final_amplitudes`` in chunks of at most ``GRID_CHUNK``
     phis, one stacked product per chunk.  The payoff tail checks a
     chunk's products in candidate order, so the error raised is the
-    first failing candidate's, as in a loop over candidates.
+    first failing candidate's, as in a loop over candidates, and yields
+    plain ``(alice, bob)`` tuples, of which the scan reads ``alice``: no
+    record is built per candidate.
     """
     try:
         n_theta, n_phi = grid

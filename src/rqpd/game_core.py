@@ -265,29 +265,30 @@ def payoff_from_probabilities(
     _check_type(pr, JointProbabilities, "pr")
     if pr.norm_defect > max_norm_defect:
         raise NumericIntegrityError(pr.norm_defect, max_norm_defect)
-    return _payoff_pair(pay, *pr.as_tuple())
+    return PayoffPair(*_payoff_pair(pay, *pr.as_tuple()))
 
 
-def _payoff_pair(pay: PayoffParams, p_cc, p_cd, p_dc, p_dd) -> PayoffPair:
-    """The payoff sums of :func:`payoff_from_probabilities`."""
-    return PayoffPair(
+def _payoff_pair(pay: PayoffParams, p_cc, p_cd, p_dc, p_dd) -> tuple[float, float]:
+    """The payoff sums of :func:`payoff_from_probabilities`, as a plain ``(alice, bob)``."""
+    return (
         pay.r * p_cc + pay.p * p_dd + pay.t * p_dc + pay.s * p_cd,
         pay.r * p_cc + pay.p * p_dd + pay.s * p_dc + pay.t * p_cd,
     )
 
 
 def _payoffs_of_amplitudes(vectors, pay, max_norm_defect=DEFAULT_MAX_NORM_DEFECT):
-    """The payoffs of each amplitude vector in the list ``vectors``.
+    """The ``(alice, bob)`` payoffs of each amplitude vector in the list ``vectors``.
 
-    Each is ``payoff_from_probabilities`` of
+    Each has the values of ``payoff_from_probabilities`` of
     ``JointProbabilities.from_amplitudes``.  Probabilities already in
     [0, 1] with a defect within the limit pass every check of that
     pipeline unchanged (the amplitudes are then finite), so vectors that
-    pass go to the payoff sums inline, without the objects.  A vector
-    that does not pass, or whose square overflows, goes alone through
-    the object pipeline.  A vector that passes gets the same pair from
-    the objects, so the error raised is the one a loop over the objects
-    raises first.
+    pass go to the payoff sums inline, without the objects, and yield
+    plain tuples; callers build a ``PayoffPair`` only where a result
+    leaves the library.  A vector that does not pass, or whose square
+    overflows, goes alone through the object pipeline.  A vector that
+    passes gets the same values from the objects, so the error raised
+    is the one a loop over the objects raises first.
     """
     pairs = []
     for amplitudes in vectors:

@@ -177,7 +177,11 @@ def _coefficient_matrix(g: GameInstance) -> np.ndarray:
 
 
 def _final_amplitudes(matrix: np.ndarray, states) -> list[list[complex]]:
-    """Each ``matrix @ k`` of ``states`` (k-vectors, as lists or an (n, 4) array), as lists.
+    """Each ``matrix @ k`` of ``states``, as lists.
+
+    ``states`` holds the k-vectors as lists of complex or as an (n, 4)
+    complex array; they reach numpy as complex without its dtype
+    discovery, and an array is not copied.
 
     Nothing is checked here.  The k-vectors come from checked angles, so
     each has |k|^2 = 1 within a few ulps, far inside the ``KVector``
@@ -188,7 +192,7 @@ def _final_amplitudes(matrix: np.ndarray, states) -> list[list[complex]]:
     its first product that fails its inline pass.
     """
     # A stacked product runs the same matrix-vector product per k as ``M @ k``.
-    return (matrix @ np.asarray(states)[..., None])[..., 0].tolist()
+    return (matrix @ np.asarray(states, dtype=complex)[..., None])[..., 0].tolist()
 
 
 def joint_probabilities(
@@ -217,4 +221,4 @@ def payoffs(
     matrix, cg, sg = _coefficient_matrix(g), math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
     vectors = _final_amplitudes(matrix, [_k_of_pair(a, b, cg, sg)])
     (pair,) = _payoffs_of_amplitudes(vectors, g.pay, max_norm_defect)
-    return pair
+    return PayoffPair(*pair)

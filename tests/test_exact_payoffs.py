@@ -1,26 +1,31 @@
-"""Every payoff of ``profile_table`` against its exact value for the same float inputs.
+"""Every payoff of ``profile_table``, ``payoffs`` and ``best_response_scan``
+against its exact value for the same float inputs.
 
 The pipeline is a polynomial in the floats it starts from: the cosines
-and sines of gamma/2, omega_a/2 and omega_b/2, the profile k-constants
-``analysis._PROFILE_K_COS`` and ``_PROFILE_K_SIN``, and, under UNITARY,
-``game_core._DXD`` with its cos(pi/2) dust.  Each float is a rational,
-so ``fractions.Fraction`` evaluates the pipeline exactly: the PAPER map
-from its entries as ``relativity._paper_matrix`` writes them, the
-UNITARY map as conj(J)^T (R_A (x) R_B), then k = A c_g + B s_g, M k,
+and sines of gamma/2, omega_a/2 and omega_b/2, the k-vector inputs and,
+under UNITARY, ``game_core._DXD`` with its cos(pi/2) dust.  The k-vector
+inputs are the profile k-constants ``analysis._PROFILE_K_COS`` and
+``_PROFILE_K_SIN`` for ``profile_table``, and for a strategy pair the
+cosines and sines of theta_a/2 and theta_b/2 and ``cmath.exp(1j*phi)``
+of each player, which the k formula of ``game_core`` combines.  Each
+float is a rational, so ``fractions.Fraction`` evaluates the pipeline
+exactly: the PAPER map from its entries as ``relativity._paper_matrix``
+writes them, the UNITARY map as conj(J)^T (R_A (x) R_B), then k, M k,
 the squares and the payoff sums.  What the engine adds is its rounding
 alone, and each payoff must stay within 8 * 2**-52 * t of the exact
 value, t being the largest payoff.
 """
 
+import cmath
 from fractions import Fraction
 import math
 import random
 
 import pytest
 
-from rqpd.analysis import _PROFILE_K_COS, _PROFILE_K_SIN, profile_table
-from rqpd.game_core import _DXD, PayoffParams
-from rqpd.relativity import Backend, GameInstance
+from rqpd.analysis import _PROFILE_K_COS, _PROFILE_K_SIN, best_response_scan, profile_table
+from rqpd.game_core import _DXD, NamedStrategy, PayoffParams, StrategyParams
+from rqpd.relativity import Backend, GameInstance, payoffs
 
 HALF_PI = 0.5 * math.pi
 PAY = PayoffParams()
@@ -89,26 +94,61 @@ def exact_unitary_map(cg, sg, ca, sa, cb, sb):
             for m in range(4)]
 
 
+def exact_map(gamma, omega_a, omega_b, backend):
+    build = exact_paper_map if backend is Backend.PAPER else exact_unitary_map
+    return build(*half_cos_sin(gamma), *half_cos_sin(omega_a), *half_cos_sin(omega_b))
+
+
+def exact_pair(matrix, k):
+    """The exact (alice, bob) of the amplitudes ``matrix k``, as Fractions."""
+    p_cc, p_cd, p_dc, p_dd = (
+        re * re + im * im
+        for re, im in (
+            sum_of(mul(entry, amplitude) for entry, amplitude in zip(row, k)) for row in matrix
+        )
+    )
+    return (
+        PAY.r * p_cc + PAY.p * p_dd + PAY.t * p_dc + PAY.s * p_cd,
+        PAY.r * p_cc + PAY.p * p_dd + PAY.s * p_dc + PAY.t * p_cd,
+    )
+
+
 def exact_profile_payoffs(gamma, omega_a, omega_b, backend):
     """The exact (alice, bob) of each profile, in PROFILES order, as Fractions."""
     cg, sg = half_cos_sin(gamma)
-    build = exact_paper_map if backend is Backend.PAPER else exact_unitary_map
-    matrix = build(cg, sg, *half_cos_sin(omega_a), *half_cos_sin(omega_b))
-    pairs = []
-    for k_cos, k_sin in zip(_PROFILE_K_COS.tolist(), _PROFILE_K_SIN.tolist()):
-        k = [add(mul(exact(c), (cg, 0)), mul(exact(s), (sg, 0))) for c, s in zip(k_cos, k_sin)]
-        p_cc, p_cd, p_dc, p_dd = (
-            re * re + im * im
-            for re, im in (
-                sum_of(mul(entry, amplitude) for entry, amplitude in zip(row, k))
-                for row in matrix
-            )
-        )
-        pairs.append((
-            PAY.r * p_cc + PAY.p * p_dd + PAY.t * p_dc + PAY.s * p_cd,
-            PAY.r * p_cc + PAY.p * p_dd + PAY.s * p_dc + PAY.t * p_cd,
-        ))
-    return pairs
+    matrix = exact_map(gamma, omega_a, omega_b, backend)
+    return [
+        exact_pair(matrix, [add(mul(exact(c), (cg, 0)), mul(exact(s), (sg, 0)))
+                            for c, s in zip(k_cos, k_sin)])
+        for k_cos, k_sin in zip(_PROFILE_K_COS.tolist(), _PROFILE_K_SIN.tolist())
+    ]
+
+
+def real(x):
+    return x, Fraction(0)
+
+
+IMAG = (Fraction(0), Fraction(1))
+
+
+def exact_k(a, b, gamma):
+    """game_core's k formula on the engine's float inputs for the strategies ``a`` and ``b``."""
+    cg, sg = half_cos_sin(gamma)
+    ca, sa = half_cos_sin(a.theta)
+    cb, sb = half_cos_sin(b.theta)
+    ea, eb = exact(cmath.exp(1j * a.phi)), exact(cmath.exp(1j * b.phi))
+    eab = mul(ea, eb)
+    return [
+        add(mul(eab, real(ca * cb * cg)), mul(IMAG, real(sa * sb * sg))),
+        add(neg(mul(ea, real(ca * sb * cg))), mul(IMAG, mul(conj(eb), real(sa * cb * sg)))),
+        add(neg(mul(eb, real(sa * cb * cg))), mul(IMAG, mul(conj(ea), real(ca * sb * sg)))),
+        add(real(sa * sb * cg), mul(IMAG, mul(conj(eab), real(ca * cb * sg)))),
+    ]
+
+
+def exact_payoffs(gamma, omega_a, omega_b, backend, a, b):
+    """The exact (alice, bob) of the strategy pair (a, b), as Fractions."""
+    return exact_pair(exact_map(gamma, omega_a, omega_b, backend), exact_k(a, b, gamma))
 
 
 def engine_payoffs(gamma, omega_a, omega_b, backend):
@@ -121,13 +161,50 @@ def seeded_points(n, seed=14):
     return [tuple(rng.uniform(0.0, HALF_PI) for _ in range(3)) for _ in range(n)]
 
 
+def assert_within_bound(got_pair, exact_pair, where):
+    for value, reference in zip(got_pair, exact_pair):
+        assert abs(Fraction(value) - reference) <= BOUND, (where, value)
+
+
 @pytest.mark.parametrize("backend", list(Backend))
 def test_profile_table_within_bound_of_exact_payoffs(backend):
     for point in seeded_points(200):
         got = engine_payoffs(*point, backend)
-        for got_pair, exact_pair in zip(got, exact_profile_payoffs(*point, backend)):
-            for value, reference in zip(got_pair, exact_pair):
-                assert abs(Fraction(value) - reference) <= BOUND, (point, value)
+        for got_pair, reference in zip(got, exact_profile_payoffs(*point, backend)):
+            assert_within_bound(got_pair, reference, point)
+
+
+def test_unitary_payoffs_within_bound_of_exact_payoffs():
+    rng = random.Random(15)
+    for point in seeded_points(200, seed=15):
+        a, b = (StrategyParams(rng.uniform(0.0, math.pi), rng.uniform(0.0, HALF_PI))
+                for _ in range(2))
+        got = payoffs(GameInstance(*point, PAY, Backend.UNITARY), a, b)
+        assert_within_bound(got, exact_payoffs(*point, Backend.UNITARY, a, b), (point, a, b))
+
+
+# PAPER leaks norm away from {C, D, Q}, where payoffs refuses the pair, so
+# only the named pairs are checked under it.
+@pytest.mark.parametrize("backend", list(Backend))
+def test_named_payoffs_within_bound_of_exact_payoffs(backend):
+    for point in seeded_points(30, seed=16):
+        g, matrix = GameInstance(*point, PAY, backend), exact_map(*point, backend)
+        for a in NamedStrategy:
+            for b in NamedStrategy:
+                reference = exact_pair(matrix, exact_k(a.params, b.params, point[0]))
+                assert_within_bound(payoffs(g, a, b), reference, (point, a, b))
+
+
+@pytest.mark.parametrize("opponent", [*NamedStrategy, StrategyParams(2.1, 0.4)],
+                         ids=["C", "D", "Q", "explicit"])
+def test_best_response_payoff_within_bound_of_exact_payoff(opponent):
+    # the scan's k-vectors come from game_core's three-stage k formula; the
+    # payoff it returns is checked at the (theta, phi) it returns
+    for point in [(0.9, 0.3, 1.2), *seeded_points(2, seed=17)]:
+        best, value = best_response_scan(GameInstance(*point, PAY, Backend.UNITARY), opponent)
+        params = opponent.params if isinstance(opponent, NamedStrategy) else opponent
+        (reference, _) = exact_payoffs(*point, Backend.UNITARY, best, params)
+        assert abs(Fraction(value) - reference) <= BOUND, (point, best, value)
 
 
 # At gamma = pi/2 and omega_a = omega_b = 0 the QD and DQ payoffs are

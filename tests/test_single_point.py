@@ -442,6 +442,45 @@ def test_best_response_scan_equals_object_loop_at_default_grid():
     assert repr(got) == repr(reference_best_response_scan(g, opponent, (181, 91)))
 
 
+def norm_leak(defect):
+    return NumericIntegrityError, f"probability norm defect {defect:.3e} exceeds limit 1.000e-06", defect
+
+
+# The 181x91 scan of GameInstance(0.9, 0.3, 1.2) on both backends, recorded
+# from the code before the payoff tail yielded plain tuples: the repr of the
+# result, or the error of the first candidate that PAPER's norm leak fails,
+# and the PAPER scan at an unbounded limit.
+EXPLICIT = StrategyParams(2.1, 0.4)
+SCAN_PINS = [
+    (Backend.PAPER, NamedStrategy.C, 1e-6, norm_leak(0.0037649006598259316)),
+    (Backend.PAPER, NamedStrategy.D, 1e-6, norm_leak(0.0013332328221609124)),
+    (Backend.PAPER, NamedStrategy.Q, 1e-6, norm_leak(0.0037649006598261536)),
+    (Backend.PAPER, EXPLICIT, 1e-6, norm_leak(0.14382396467268954)),
+    (Backend.PAPER, NamedStrategy.C, math.inf,
+     "(StrategyParams(theta=2.8797932657906435, phi=1.5707963267948966), 3.7312795263650846)"),
+    (Backend.PAPER, NamedStrategy.D, math.inf,
+     "(StrategyParams(theta=0.0, phi=1.5707963267948966), 2.643409006321275)"),
+    (Backend.PAPER, NamedStrategy.Q, math.inf,
+     "(StrategyParams(theta=0.0, phi=1.3788101090755203), 3.1150529682170167)"),
+    (Backend.PAPER, EXPLICIT, math.inf,
+     "(StrategyParams(theta=3.07177948351002, phi=0.0), 3.2289456612783183)"),
+    (Backend.UNITARY, NamedStrategy.C, 1e-6,
+     "(StrategyParams(theta=3.141592653589793, phi=0.0), 3.6871718334206793)"),
+    (Backend.UNITARY, NamedStrategy.D, 1e-6,
+     "(StrategyParams(theta=1.4311699866353502, phi=1.5707963267948966), 3.9101863257979765)"),
+    (Backend.UNITARY, NamedStrategy.Q, 1e-6,
+     "(StrategyParams(theta=0.29670597283903605, phi=0.0), 2.185736927916259)"),
+    (Backend.UNITARY, EXPLICIT, 1e-6,
+     "(StrategyParams(theta=0.33161255787892263, phi=1.4660765716752369), 3.0133548446973424)"),
+]
+
+
+@pytest.mark.parametrize("backend, opponent, limit, pinned", SCAN_PINS)
+def test_best_response_scan_pinned_at_default_grid(backend, opponent, limit, pinned):
+    g = GameInstance(0.9, 0.3, 1.2, backend=backend)
+    assert outcome(lambda: best_response_scan(g, opponent, max_norm_defect=limit)) == pinned
+
+
 def test_best_response_scan_ties_break_toward_smallest_angles():
     # classical game against D: every phi at theta = pi earns exactly p = 1
     got = best_response_scan(GameInstance(0.0, 0.0, 0.0), NamedStrategy.D, (37, 19))
@@ -628,9 +667,12 @@ OVER_LIMIT = [0.999, 0.0, 0.0, 0.0]
                 max_size=6), limits)
 def test_payoff_tail_equals_object_loop_on_any_stack(vectors, limit):
     # payoffs, or the first error of the loop, for stacks that mix passing, clamped,
-    # over-limit, out-of-dust, overflowing and non-finite products in any order
-    got = outcome(lambda: game_core._payoffs_of_amplitudes(vectors, PayoffParams(), limit))
-    assert got == outcome(lambda: object_tail(vectors, PayoffParams(), limit))
+    # over-limit, out-of-dust, overflowing and non-finite products in any order.
+    # The tail yields plain tuples where the objects yield PayoffPairs, so both
+    # sides are compared as tuples; the repr of a float tells every bit apart
+    got = outcome(lambda: [tuple(p) for p in game_core._payoffs_of_amplitudes(
+        vectors, PayoffParams(), limit)])
+    assert got == outcome(lambda: [tuple(p) for p in object_tail(vectors, PayoffParams(), limit)])
 
 
 def record_stack_sizes(monkeypatch):
