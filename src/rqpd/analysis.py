@@ -374,7 +374,9 @@ def best_response_scan(
     gamma/2, once per theta, and ``_k_row`` per candidate, 12
     multiplications and 4 additions.  The candidates of each theta go
     through ``_final_amplitudes`` in chunks of at most ``GRID_CHUNK``
-    phis, one stacked product per chunk.  The payoff tail checks a
+    phis, one stacked product per chunk.  A chunk's amplitudes stay one
+    flat list, four per candidate in candidate order, from ``_k_row``
+    through the product to the payoff tail.  The payoff tail checks a
     chunk's products in candidate order, so the error raised is the
     first failing candidate's, as in a loop over candidates, and yields
     plain ``(alice, bob)`` tuples, of which the scan reads ``alice``: no
@@ -409,8 +411,8 @@ def best_response_scan(
         theta_terms = _k_theta_terms(math.cos(0.5 * theta), math.sin(0.5 * theta),
                                      cb, sb, eb, cg, sg)
         for chunk_phis, chunk_terms in chunks:
-            ks = _k_row(chunk_terms, theta_terms)
-            pairs = _payoffs_of_amplitudes(_final_amplitudes(matrix, ks), g.pay, max_norm_defect)
+            amplitudes = _final_amplitudes(matrix, _k_row(chunk_terms, theta_terms))
+            pairs = _payoffs_of_amplitudes(amplitudes, g.pay, max_norm_defect)
             for phi, (alice, _) in zip(chunk_phis, pairs):
                 if alice > best_payoff:
                     best, best_payoff = (theta, phi), alice

@@ -62,9 +62,9 @@ from .closed_form import (
     Backend,
     ConvergenceError,
     NumericIntegrityError,
+    _always_classical_rows,
     _grid_axis,
     _threshold_rows,
-    always_classical_scan,
     rapidity_from_speed,
     thresholds_closed_form,
     wigner_angle,
@@ -261,8 +261,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> None:
 def _cmd_region_map(args: argparse.Namespace) -> None:
     _reject_degrees(args, "the region-map omegas are radians")
     backend = Backend(args.backend)
-    rows = ((r.omega_a, r.omega_b, r.bob_always_d, r.alice_always_q)
-            for r in always_classical_scan(args.grid_n, backend))
+    rows = _always_classical_rows(args.grid_n, backend)
     meta = _metadata("region-map", backend, grid_n=args.grid_n)
     _emit_csv(_REGION_MAP_HEADER, rows, args.output, meta)
 

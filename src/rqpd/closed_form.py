@@ -376,6 +376,17 @@ def always_classical_scan(
     at gamma = pi/2 is -x(y + 7)/2 <= 0.  The classical-latter region
     thus rests on the PAPER map's two non-unitary entries.
     """
+    rows = _always_classical_rows(grid_n, backend, pay, tie_tol)
+    return tuple(RegionMapRow(*row) for row in rows)
+
+
+def _always_classical_rows(grid_n: int, backend: Backend, pay=None, tie_tol=DEFAULT_TIE_TOL):
+    """The rows of :func:`always_classical_scan` as plain tuples, in its order.
+
+    Each is ``(omega_a, omega_b, bob_always_d, alice_always_q)``, so the
+    region-map command writes the grid without a record per point.
+    Every argument is checked before the first row.
+    """
     axis = _grid_axis(grid_n, "grid_n", dims=2)
     _check_tolerance(tie_tol, "tie_tol")
     pay = pay if pay is not None else PayoffParams()
@@ -388,7 +399,6 @@ def always_classical_scan(
             f"payoff table ({pay.t}, {pay.r}, {pay.p}, {pay.s}) is too large: "
             "its margin weights overflow"
         )
-    rows = []
     for omega_a, row in zip(axis, _margin_rows(axis, axis, coefficients)):
         for omega_b, a12, a34, b13, b24, s_a, s_b in zip(axis, *row):
             bob_always_d = (
@@ -399,5 +409,4 @@ def always_classical_scan(
                 a12 <= tie_tol and a34 <= tie_tol
                 and a12 - s_a < -tie_tol and a34 - s_a < -tie_tol
             )
-            rows.append(RegionMapRow(omega_a, omega_b, bob_always_d, alice_always_q))
-    return tuple(rows)
+            yield omega_a, omega_b, bob_always_d, alice_always_q

@@ -204,8 +204,7 @@ def _k_of_pair(a, b, cg: float, sg: float) -> list[complex]:
         math.cos(0.5 * a.theta), math.sin(0.5 * a.theta),
         math.cos(0.5 * b.theta), math.sin(0.5 * b.theta), eb, cg, sg,
     )
-    (k,) = _k_row([_k_phase_terms(cmath.exp(1j * a.phi), eb)], theta_terms)
-    return k
+    return _k_row([_k_phase_terms(cmath.exp(1j * a.phi), eb)], theta_terms)
 
 
 # The k formula, with c_x = cos(theta_x/2), s_x = sin(theta_x/2), e_x = e^{i phi_x}
@@ -238,15 +237,20 @@ def _k_theta_terms(ca: float, sa: float, cb: float, sb: float, eb: complex, cg, 
             -eb * sa * cb * cg, sa * sb * cg)
 
 
-def _k_row(phase_terms, theta_terms) -> list[list[complex]]:
-    """The k-vector of each :func:`_k_phase_terms` tuple at one theta_a.
+def _k_row(phase_terms, theta_terms) -> list[complex]:
+    """The k-vectors of the :func:`_k_phase_terms` tuples at one theta_a, as one flat list.
 
-    Each costs 12 multiplications and 4 additions.
+    Four amplitudes per tuple, (k_cc, k_cd, k_dc, k_dd), in the tuples'
+    order: the layout ``relativity._final_amplitudes`` and
+    :func:`_payoffs_of_amplitudes` take.  Each k-vector costs 12
+    multiplications and 4 additions.
     """
     ca, cb, sb, cg, sg, t_cc, t_cd, t_dc, t_dd = theta_terms
-    return [[p_cc * ca * cb * cg + t_cc, p_cd * ca * sb * cg + t_cd,
-             t_dc + p_dc * ca * sb * sg, t_dd + p_dd * ca * cb * sg]
-            for p_cc, p_cd, p_dc, p_dd in phase_terms]
+    row = []
+    for p_cc, p_cd, p_dc, p_dd in phase_terms:
+        row += (p_cc * ca * cb * cg + t_cc, p_cd * ca * sb * cg + t_cd,
+                t_dc + p_dc * ca * sb * sg, t_dd + p_dd * ca * cb * sg)
+    return row
 
 
 def payoff_from_probabilities(
@@ -265,34 +269,38 @@ def payoff_from_probabilities(
     _check_type(pr, JointProbabilities, "pr")
     if pr.norm_defect > max_norm_defect:
         raise NumericIntegrityError(pr.norm_defect, max_norm_defect)
-    return PayoffPair(*_payoff_pair(pay, *pr.as_tuple()))
+    return PayoffPair(*_payoff_pair(pay.r, pay.p, pay.s, pay.t, *pr.as_tuple()))
 
 
-def _payoff_pair(pay: PayoffParams, p_cc, p_cd, p_dc, p_dd) -> tuple[float, float]:
+def _payoff_pair(r, p, s, t, p_cc, p_cd, p_dc, p_dd) -> tuple[float, float]:
     """The payoff sums of :func:`payoff_from_probabilities`, as a plain ``(alice, bob)``."""
     return (
-        pay.r * p_cc + pay.p * p_dd + pay.t * p_dc + pay.s * p_cd,
-        pay.r * p_cc + pay.p * p_dd + pay.s * p_dc + pay.t * p_cd,
+        r * p_cc + p * p_dd + t * p_dc + s * p_cd,
+        r * p_cc + p * p_dd + s * p_dc + t * p_cd,
     )
 
 
-def _payoffs_of_amplitudes(vectors, pay, max_norm_defect=DEFAULT_MAX_NORM_DEFECT):
-    """The ``(alice, bob)`` payoffs of each amplitude vector in the list ``vectors``.
+def _payoffs_of_amplitudes(amplitudes, pay, max_norm_defect=DEFAULT_MAX_NORM_DEFECT):
+    """The ``(alice, bob)`` payoffs of each amplitude vector in the flat list ``amplitudes``.
 
-    Each has the values of ``payoff_from_probabilities`` of
-    ``JointProbabilities.from_amplitudes``.  Probabilities already in
-    [0, 1] with a defect within the limit pass every check of that
-    pipeline unchanged (the amplitudes are then finite), so vectors that
-    pass go to the payoff sums inline, without the objects, and yield
-    plain tuples; callers build a ``PayoffPair`` only where a result
-    leaves the library.  A vector that does not pass, or whose square
-    overflows, goes alone through the object pipeline.  A vector that
-    passes gets the same values from the objects, so the error raised
-    is the one a loop over the objects raises first.
+    The list holds four amplitudes per vector, in vector order, as
+    ``relativity._final_amplitudes`` returns them; ``pay``'s entries are
+    read once per call.  Each vector has the values of
+    ``payoff_from_probabilities`` of ``JointProbabilities.from_amplitudes``.
+    Probabilities already in [0, 1] with a defect within the limit pass
+    every check of that pipeline unchanged (the amplitudes are then
+    finite), so vectors that pass go to the payoff sums inline, without
+    the objects, and yield plain tuples; callers build a ``PayoffPair``
+    only where a result leaves the library.  A vector that does not
+    pass, or whose square overflows, goes alone through the object
+    pipeline.  A vector that passes gets the same values from the
+    objects, so the error raised is the one a loop over the objects
+    raises first.
     """
+    r, p, s, t = pay.r, pay.p, pay.s, pay.t
     pairs = []
-    for amplitudes in vectors:
-        a0, a1, a2, a3 = amplitudes
+    four = iter(amplitudes)
+    for a0, a1, a2, a3 in zip(four, four, four, four):
         try:
             p_cc, p_cd, p_dc, p_dd = abs(a0) ** 2, abs(a1) ** 2, abs(a2) ** 2, abs(a3) ** 2
         except OverflowError:
@@ -300,9 +308,9 @@ def _payoffs_of_amplitudes(vectors, pay, max_norm_defect=DEFAULT_MAX_NORM_DEFECT
         if (abs(((p_cc + p_cd) + p_dc) + p_dd - 1.0) <= max_norm_defect
                 and 0.0 <= p_cc <= 1.0 and 0.0 <= p_cd <= 1.0
                 and 0.0 <= p_dc <= 1.0 and 0.0 <= p_dd <= 1.0):
-            pairs.append(_payoff_pair(pay, p_cc, p_cd, p_dc, p_dd))
+            pairs.append(_payoff_pair(r, p, s, t, p_cc, p_cd, p_dc, p_dd))
         else:
-            pr = JointProbabilities.from_amplitudes(amplitudes)
+            pr = JointProbabilities.from_amplitudes((a0, a1, a2, a3))
             pairs.append(payoff_from_probabilities(pr, pay, max_norm_defect))
     return pairs
 

@@ -176,12 +176,14 @@ def _coefficient_matrix(g: GameInstance) -> np.ndarray:
     return qmat._frozen(_entangler_matrix(cg, sg).conj().T @ kron)
 
 
-def _final_amplitudes(matrix: np.ndarray, states) -> list[list[complex]]:
-    """Each ``matrix @ k`` of ``states``, as lists.
+def _final_amplitudes(matrix: np.ndarray, states) -> list[complex]:
+    """Each ``matrix @ k`` of ``states``, as one flat list.
 
-    ``states`` holds the k-vectors as lists of complex or as an (n, 4)
-    complex array; they reach numpy as complex without its dtype
-    discovery, and an array is not copied.
+    ``states`` holds the k-vectors as one flat list of complex, four
+    amplitudes per vector in vector order, or as an (n, 4) complex array;
+    the products come back in the same flat layout, four per vector.  A
+    list reaches numpy as complex without its dtype discovery or nested
+    list walk, and an array is not copied.
 
     Nothing is checked here.  The k-vectors come from checked angles, so
     each has |k|^2 = 1 within a few ulps, far inside the ``KVector``
@@ -192,7 +194,7 @@ def _final_amplitudes(matrix: np.ndarray, states) -> list[list[complex]]:
     its first product that fails its inline pass.
     """
     # A stacked product runs the same matrix-vector product per k as ``M @ k``.
-    return (matrix @ np.asarray(states, dtype=complex)[..., None])[..., 0].tolist()
+    return (matrix @ np.asarray(states, dtype=complex).reshape(-1, 4, 1)).ravel().tolist()
 
 
 def joint_probabilities(
@@ -206,8 +208,7 @@ def joint_probabilities(
     strategy set) is recorded on the result, not raised here.
     """
     matrix, cg, sg = _coefficient_matrix(g), math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
-    (vector,) = _final_amplitudes(matrix, [_k_of_pair(a, b, cg, sg)])
-    return JointProbabilities.from_amplitudes(vector)
+    return JointProbabilities.from_amplitudes(_final_amplitudes(matrix, _k_of_pair(a, b, cg, sg)))
 
 
 def payoffs(
@@ -219,6 +220,6 @@ def payoffs(
     """Expected payoffs for a strategy pair under an instance."""
     _check_tolerance(max_norm_defect, "max_norm_defect")
     matrix, cg, sg = _coefficient_matrix(g), math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
-    vectors = _final_amplitudes(matrix, [_k_of_pair(a, b, cg, sg)])
-    (pair,) = _payoffs_of_amplitudes(vectors, g.pay, max_norm_defect)
+    amplitudes = _final_amplitudes(matrix, _k_of_pair(a, b, cg, sg))
+    (pair,) = _payoffs_of_amplitudes(amplitudes, g.pay, max_norm_defect)
     return PayoffPair(*pair)

@@ -3,6 +3,12 @@
 ``profile_table``, ``payoffs``, ``joint_probabilities`` and each
 candidate of ``best_response_scan`` get their final amplitudes from one
 helper, ``relativity._final_amplitudes``: one stacked ``M @ k`` product.
+Amplitudes travel as one flat list, four per k-vector in vector order,
+from the k formula (``game_core._k_row`` and ``_k_of_pair``) through
+the helper to the payoff tail; ``profile_table`` hands the helper its
+(4, 4) array instead.  The helpers ``flat`` and ``by_four`` below
+convert between that layout and a list of 4-vectors, and the helper's
+products must equal each vector's own ``M @ k`` by ``float.hex``.
 The k-vectors come from checked angles, so the helper does not check
 them.  ``joint_probabilities`` hands its one product to
 ``JointProbabilities.from_amplitudes``; the payoff tail
@@ -129,6 +135,16 @@ def hex_parts(k):
     return [(float(z.real).hex(), float(z.imag).hex()) for z in k]
 
 
+def by_four(amplitudes):
+    """A flat amplitude list, four per vector, as a list of 4-lists."""
+    return [list(amplitudes[i:i + 4]) for i in range(0, len(amplitudes), 4)]
+
+
+def flat(vectors):
+    """A list of 4-amplitude vectors as the engine's flat layout, four per vector."""
+    return [z for vector in vectors for z in vector]
+
+
 def reference_paper_map(gamma, omega_a, omega_b):
     """The PAPER map as a nested list through ``qmat.mat4``, with its checks."""
     cg, sg = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
@@ -189,6 +205,35 @@ def test_coefficient_map_equals_reference_map(gamma, omega_a, omega_b, backend):
     # the UNITARY product is frozen in place, so nothing behind it is writable either
     assert not got.flags.writeable
     assert got.base is None or not got.base.flags.writeable
+
+
+# k-vector counts for one flat product: a pair's one, a profile table's four, a
+# 181x91 scan row's 91, a full GRID_CHUNK and one past it
+FLAT_SIZES = (1, 4, 91, 256, 257)
+
+
+@settings(max_examples=50, deadline=None)
+@given(angles, angles, angles, backends, st.integers(0, 2**32 - 1))
+@example(0.0, 0.0, 0.0, Backend.PAPER, 0)
+@example(0.0, 0.0, 0.0, Backend.UNITARY, 1)
+@example(HALF_PI, HALF_PI, HALF_PI, Backend.PAPER, 2)
+@example(HALF_PI, HALF_PI, HALF_PI, Backend.UNITARY, 3)
+@example(0.0, HALF_PI, 0.0, Backend.PAPER, 4)
+@example(HALF_PI, 0.0, HALF_PI, Backend.UNITARY, 5)
+def test_final_amplitudes_of_a_flat_list_equal_each_product(
+    gamma, omega_a, omega_b, backend, seed
+):
+    # the flat layout in and out: four amplitudes per k-vector, in order, each
+    # product that of the 4x4 map and the one vector, bit for bit
+    matrix = coefficient_map(GameInstance(gamma, omega_a, omega_b, backend=backend)).matrix
+    rng = np.random.default_rng(seed)
+    for n in FLAT_SIZES:
+        ks = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+        vectors = (ks / np.linalg.norm(ks, axis=1, keepdims=True)).tolist()
+        got = relativity._final_amplitudes(matrix, flat(vectors))
+        expected = flat((matrix @ np.array(k, dtype=complex)).tolist() for k in vectors)
+        assert len(got) == 4 * n
+        assert hex_parts(got) == hex_parts(expected)
 
 
 # the PAPER map also serves as a diagnostic object off the game's omega domain
@@ -512,7 +557,7 @@ def test_best_response_scan_equals_object_loop_across_chunk_edges(grid, backend,
 
 def scaled_k_row(scale):
     row = game_core._k_row
-    return lambda *args: [[z * scale for z in k] for k in row(*args)]
+    return lambda *args: [z * scale for z in row(*args)]
 
 
 # (name to patch, replacement, the error all must raise), for values that
@@ -653,7 +698,7 @@ def test_payoff_tail_checks_every_product_first(vectors, error, message):
     # A NaN map entry reaches every product of a stack, so a stack whose only
     # non-finite product is a later one needs a product that overflows in the
     # matrix product, which warns; the tail is therefore called directly
-    got = outcome(lambda: game_core._payoffs_of_amplitudes(vectors, PayoffParams()))
+    got = outcome(lambda: game_core._payoffs_of_amplitudes(flat(vectors), PayoffParams()))
     assert got == outcome(lambda: object_tail(vectors, PayoffParams()))
     assert got[0] is error and message in got[1]
 
@@ -671,16 +716,16 @@ def test_payoff_tail_equals_object_loop_on_any_stack(vectors, limit):
     # The tail yields plain tuples where the objects yield PayoffPairs, so both
     # sides are compared as tuples; the repr of a float tells every bit apart
     got = outcome(lambda: [tuple(p) for p in game_core._payoffs_of_amplitudes(
-        vectors, PayoffParams(), limit)])
+        flat(vectors), PayoffParams(), limit)])
     assert got == outcome(lambda: [tuple(p) for p in object_tail(vectors, PayoffParams(), limit)])
 
 
 def record_stack_sizes(monkeypatch):
     """Make the scan's ``_final_amplitudes`` record how many k-vectors each call gets."""
-    return record_stacks(monkeypatch, len)
+    return record_stacks(monkeypatch, lambda states: len(states) // 4)
 
 
-def record_stacks(monkeypatch, of=list):
+def record_stacks(monkeypatch, of=by_four):
     """Make the scan's ``_final_amplitudes`` record ``of`` the k-vectors of each call."""
     stacks, final_amplitudes = [], analysis._final_amplitudes
 
@@ -762,7 +807,7 @@ def test_engine_k_vectors_are_unit_and_maps_finite(gamma, omega_a, omega_b, back
     final_amplitudes = relativity._final_amplitudes
 
     def recorded_products(matrix, states):
-        products.append((matrix, np.asarray(states)))
+        products.append((matrix, np.asarray(states).reshape(-1, 4)))
         return final_amplitudes(matrix, states)
 
     g = GameInstance(gamma, omega_a, omega_b, backend=backend)
