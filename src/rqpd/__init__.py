@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 # Public name -> the module that defines it, in the order of __all__.
 _EXPORTS = {
     "Backend": "closed_form",
-    "CoefficientMap": "relativity",
     "ConvergenceError": "closed_form",
     "GameInstance": "relativity",
     "JointProbabilities": "game_core",

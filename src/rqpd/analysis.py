@@ -28,7 +28,10 @@ instead and stays the independent oracle for both backends.
 
 Every evaluation of that pipeline here, the bisection and gamma sweeps
 included, is a :func:`profile_table` call at one point, on Python
-floats: there is one evaluation path.
+floats, except in :func:`best_response_scan`, whose candidates go
+through ``relativity._final_amplitudes`` and the payoff tail
+``game_core._payoffs_of_amplitudes`` that :func:`profile_table` runs
+too.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import qmat
 from .closed_form import (
     DEFAULT_TIE_TOL,
     MAX_GRID_POINTS,
@@ -73,10 +75,10 @@ from .game_core import (
     entangler,
 )
 from .relativity import (
-    _coefficient_matrix,
     _final_amplitudes,
     Backend,
     GameInstance,
+    coefficient_map,
 )
 
 #: Canonical profile order (Alice's move first); also the G1..G4 order.
@@ -87,8 +89,10 @@ _PROFILE_FIELDS = {p: p.lower() for p in PROFILES}  # the ProfileTable field of 
 BISECTION_TOL = 1e-11
 BISECTION_MAX_ITER = 200
 
-#: Candidates per stacked product in a best-response scan.  Fixed so the
-#: working set stays bounded whatever the grid size.
+#: Candidates per stacked product in a best-response scan.  Fixed so each
+#: stacked product stays bounded whatever the grid size; the scan's phase
+#: terms, one per phi, are built before the first product, so its memory
+#: still grows with the phi count.
 GRID_CHUNK = 256
 
 
@@ -178,7 +182,7 @@ _PROFILE_K_COS, _PROFILE_K_SIN = (
 
 def profile_table(g: GameInstance) -> ProfileTable:
     """Payoffs of all four S-profiles under the instance's backend."""
-    matrix = _coefficient_matrix(g)
+    matrix = coefficient_map(g)
     states = _PROFILE_K_COS * math.cos(0.5 * g.gamma) + _PROFILE_K_SIN * math.sin(0.5 * g.gamma)
     dd, qd, dq, qq = _payoffs_of_amplitudes(_final_amplitudes(matrix, states), g.pay)
     return ProfileTable(PayoffPair(*dd), PayoffPair(*qd), PayoffPair(*dq), PayoffPair(*qq))
@@ -398,7 +402,7 @@ def best_response_scan(
         )
     _check_tolerance(max_norm_defect, "max_norm_defect")
     b = _strategy_params(opponent, "opponent")
-    matrix = _coefficient_matrix(g)
+    matrix = coefficient_map(g)
     # both axes lie in StrategyParams' domain by construction
     thetas, phis = _linspace(math.pi, n_theta), _linspace(_HALF_PI, n_phi)
     cb, sb, eb = math.cos(0.5 * b.theta), math.sin(0.5 * b.theta), cmath.exp(1j * b.phi)
@@ -421,5 +425,5 @@ def best_response_scan(
 
 def entanglement_degree(gamma: float) -> float:
     """Concurrence of the entangled initial state; equals sin(gamma)."""
-    a = entangler(gamma) @ qmat.basis_state(0)
+    a = entangler(gamma)[:, 0]  # J|CC>
     return float(2.0 * abs(a[0] * a[3] - a[1] * a[2]))

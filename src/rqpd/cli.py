@@ -136,10 +136,24 @@ def _resolve_omegas(args: argparse.Namespace) -> tuple[float, float]:
 
 
 def _write_output(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout when it is None.
+
+    Under ``python -u`` stdout's buffer is the raw file, and the text
+    layer drops whatever a short raw write leaves, such as the rest of a
+    payload when the reader closes the pipe.  So the encoded payload is
+    written there until every byte is, and a write that fails raises.
+    """
     if path is None:
-        if sys.stdout is None:  # Python started with file descriptor 1 closed
+        stream = sys.stdout
+        if stream is None:  # Python started with file descriptor 1 closed
             raise OSError("standard output is closed")
-        sys.stdout.write(text)
+        raw = getattr(stream, "buffer", None)
+        if not isinstance(raw, io.RawIOBase):
+            stream.write(text)
+            return
+        data = memoryview(text.encode(stream.encoding, stream.errors))
+        while data:
+            data = data[raw.write(data):]
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -13,8 +13,9 @@ the gamma range.  Only :mod:`math` is needed here, so ``wigner``,
 closed-form ``thresholds``, at one point or on a grid, and
 ``region-map`` start without numpy.  ``game_core``, ``relativity`` and
 ``analysis`` re-import these names.  Every value class of the package
-derives from :class:`_Record`, a frozen dataclass without the cost of
-importing and running ``dataclasses``.
+but the ``NamedTuple`` pairs ``PayoffPair`` and ``SdsMargins`` derives
+from :class:`_Record`, a frozen dataclass without the cost of importing
+and running ``dataclasses``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Fixed-size complex linear algebra for the two-qubit game engine.
 
 Everything here works on 2x2 / 4x4 complex matrices and length-4 state
-vectors in the frozen basis order (CC, CD, DC, DD).  Index i of a state
-vector is the amplitude of ``BASIS_LABELS[i]``; no other module may
+vectors in the frozen basis order CC, CD, DC, DD: index i of a state
+vector is the amplitude of the i-th of these, and no other module may
 re-derive or reorder this basis.
 
 Arrays returned by constructors and operations are marked read-only, so
@@ -15,9 +15,6 @@ from __future__ import annotations
 import cmath
 
 import numpy as np
-
-#: Frozen two-qubit basis order used throughout the package.
-BASIS_LABELS = ("CC", "CD", "DC", "DD")
 
 #: Absolute tolerance for equality and unitarity checks.
 ATOL = 1e-12
@@ -62,15 +59,6 @@ def state4(amplitudes) -> np.ndarray:
     if v.shape != (4,):
         raise ValueError(f"state4 must have 4 amplitudes, got shape {v.shape}")
     _require_finite(v, "state4")
-    return _frozen(v)
-
-
-def basis_state(index: int) -> np.ndarray:
-    """Computational basis vector for ``BASIS_LABELS[index]``."""
-    if index not in (0, 1, 2, 3):
-        raise ValueError(f"basis index must be 0..3, got {index}")
-    v = np.zeros(4, dtype=complex)
-    v[index] = 1.0
     return _frozen(v)
 
 

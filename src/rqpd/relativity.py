@@ -28,9 +28,9 @@ On the named strategy set {D, Q}^2 both backends yield probability
 vectors that sum to 1; off that set the PAPER backend can leak norm,
 which is recorded (never hidden) in ``JointProbabilities.norm_defect``.
 
-Each map is built one point at a time from Python floats by
-``_coefficient_matrix``, behind :func:`coefficient_map` and every
-evaluation, sweeps included.  The PAPER entries are written once, in
+Each map is a read-only (4, 4) array, built one point at a time from
+Python floats by :func:`coefficient_map`, which every evaluation calls,
+sweeps included.  The PAPER entries are written once, in
 ``_paper_matrix``; the UNITARY map conjugates the entangler's own
 formula, ``game_core._entangler_matrix``, which :func:`entangler` also
 builds on.  :func:`spin_rotation_pair` keeps its own entries, so the
@@ -102,22 +102,6 @@ class GameInstance(_Record):
         _check_pay_and_backend(self.pay, self.backend)
 
 
-class CoefficientMap(_Record):
-    """The 4x4 map from k-coefficients to final amplitudes, tagged.
-
-    Compared and hashed by identity, as an ndarray field cannot be.
-    """
-
-    matrix: np.ndarray
-    backend: Backend
-    omega_a: float
-    omega_b: float
-    gamma: float
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-
 def paper_coefficient_matrix(gamma: float, omega_a: float, omega_b: float) -> np.ndarray:
     """The PAPER-backend matrix, assembled entrywise from the omegas.
 
@@ -154,17 +138,12 @@ def _paper_matrix(cg, sg, ca, sa, cb, sb) -> np.ndarray:
     return qmat._frozen(entries).reshape(4, 4)
 
 
-def coefficient_map(g: GameInstance) -> CoefficientMap:
-    """Coefficient map for a game instance under its selected backend."""
-    return CoefficientMap(_coefficient_matrix(g), g.backend, g.omega_a, g.omega_b, g.gamma)
+def coefficient_map(g: GameInstance) -> np.ndarray:
+    """The read-only 4x4 coefficient map of ``g`` under its backend.
 
-
-def _coefficient_matrix(g: GameInstance) -> np.ndarray:
-    """The read-only matrix of :func:`coefficient_map`, without the record.
-
-    The single-point functions read only the matrix, so they call this.
-    Only ``g``'s type is checked: its angles are checked, so every map
-    entry is a finite product of their cosines and sines.
+    Every evaluation builds its map here, once per call.  Only ``g``'s
+    type is checked: its angles are checked, so every map entry is a
+    finite product of their cosines and sines.
     """
     _check_type(g, GameInstance, "g")
     cg, sg, ca, sa, cb, sb = _point_cos_sin(g.gamma, g.omega_a, g.omega_b)
@@ -207,7 +186,7 @@ def joint_probabilities(
     A norm defect (possible under ``Backend.PAPER`` away from the named
     strategy set) is recorded on the result, not raised here.
     """
-    matrix, cg, sg = _coefficient_matrix(g), math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
+    matrix, cg, sg = coefficient_map(g), math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
     return JointProbabilities.from_amplitudes(_final_amplitudes(matrix, _k_of_pair(a, b, cg, sg)))
 
 
@@ -219,7 +198,7 @@ def payoffs(
 ) -> PayoffPair:
     """Expected payoffs for a strategy pair under an instance."""
     _check_tolerance(max_norm_defect, "max_norm_defect")
-    matrix, cg, sg = _coefficient_matrix(g), math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
+    matrix, cg, sg = coefficient_map(g), math.cos(0.5 * g.gamma), math.sin(0.5 * g.gamma)
     amplitudes = _final_amplitudes(matrix, _k_of_pair(a, b, cg, sg))
     (pair,) = _payoffs_of_amplitudes(amplitudes, g.pay, max_norm_defect)
     return PayoffPair(*pair)

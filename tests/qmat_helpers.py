@@ -20,6 +20,15 @@ def identity(dim: int) -> np.ndarray:
     return qmat._frozen(np.eye(dim, dtype=complex))
 
 
+def basis_state(index: int) -> np.ndarray:
+    """Computational basis vector of the index-th state in the order CC, CD, DC, DD."""
+    if index not in (0, 1, 2, 3):
+        raise ValueError(f"basis index must be 0..3, got {index}")
+    v = np.zeros(4, dtype=complex)
+    v[index] = 1.0
+    return qmat._frozen(v)
+
+
 def apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix-vector product of a 4x4 matrix with a 4-state."""
     m = qmat._as_matrix(m, 4, "apply matrix")

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from qmat_helpers import unitarity_defect
+from qmat_helpers import basis_state, unitarity_defect
 from rqpd import cli, qmat
 from rqpd.analysis import (
     always_classical_scan,
@@ -146,7 +146,7 @@ def test_criterion_06_threshold_ordering():
 
 def test_criterion_07_oracle_equivalence():
     rng = np.random.default_rng(20260810)
-    e_cc = qmat.basis_state(0)
+    e_cc = basis_state(0)
     worst = 0.0
     for _ in range(10_000):
         a = StrategyParams(rng.uniform(0, math.pi), rng.uniform(0, HALF_PI))
@@ -174,8 +174,8 @@ def test_criterion_08_normalization_and_unitarity():
         a = StrategyParams(rng.uniform(0, math.pi), rng.uniform(0, HALF_PI))
         b = StrategyParams(rng.uniform(0, math.pi), rng.uniform(0, HALF_PI))
         cmap = coefficient_map(g)
-        worst_defect = max(worst_defect, unitarity_defect(cmap.matrix))
-        amplitudes = cmap.matrix @ k_coefficients(a, b, g.gamma).as_state()
+        worst_defect = max(worst_defect, unitarity_defect(cmap))
+        amplitudes = cmap @ k_coefficients(a, b, g.gamma).as_state()
         pr = JointProbabilities.from_amplitudes(amplitudes)
         worst_sum = max(worst_sum, pr.norm_defect)
     assert worst_sum < 1e-12
@@ -214,12 +214,8 @@ def test_criterion_09_backend_divergence_ledger():
     for _ in range(100):
         gamma = rng.uniform(0, HALF_PI)
         omega_a, omega_b = rng.uniform(0, HALF_PI, 2)
-        mp = coefficient_map(
-            GameInstance(gamma, omega_a, omega_b, backend=Backend.PAPER)
-        ).matrix
-        mu = coefficient_map(
-            GameInstance(gamma, omega_a, omega_b, backend=Backend.UNITARY)
-        ).matrix
+        mp = coefficient_map(GameInstance(gamma, omega_a, omega_b, backend=Backend.PAPER))
+        mu = coefficient_map(GameInstance(gamma, omega_a, omega_b, backend=Backend.UNITARY))
         worst_elsewhere = max(worst_elsewhere, float(np.abs(mp - mu)[mask].max()))
     assert worst_elsewhere < 1e-12
 

@@ -53,8 +53,8 @@ LABELS = {("rapidity_from_speed", "v"): "speed"}
 def scalar_slots(kinds=("float", "int")):
     """(callable, parameter, annotation) for each argument in ``rqpd.__all__`` annotated as a kind.
 
-    Records without ``__post_init__`` check nothing (results and
-    ``CoefficientMap``), so only the validating ones count.
+    Records without ``__post_init__`` check nothing (the results), so
+    only the validating ones count.
     """
     for name in rqpd.__all__:
         obj = getattr(rqpd, name)

@@ -312,6 +312,30 @@ def test_closed_stdout_exits_4_in_a_process():
     assert proc.stderr == b"rqpd: i/o error: standard output is closed\n"
 
 
+@pytest.mark.skipif(os.name != "posix", reason="closes a pipe under a running child")
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_reader_closing_the_pipe_early_exits_4(flags):
+    # under -u stdout's buffer is the raw file, whose short write the text layer
+    # drops; the payload must still be written in full or fail with exit 4
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, *flags, "-m", "rqpd.cli", "region-map", "--grid-n", "64"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.read(10) == b"omega_a,om"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    finally:
+        proc.stderr.close()
+        proc.wait(timeout=60)
+    assert proc.returncode == 4
+    assert err.startswith(b"rqpd: i/o error: ")
+    assert len(err.splitlines()) == 1  # no metadata line
+
+
 # Per kind of run, its argv and exit code.
 CLOSED_STDERR_RUNS = {
     "csv": (["region-map", "--grid-n", "2"], 0),

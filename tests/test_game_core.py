@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmat_helpers import adjoint, apply, unitarity_defect
+from qmat_helpers import adjoint, apply, basis_state, unitarity_defect
 from rqpd import qmat
 from rqpd.game_core import (
     JointProbabilities,
@@ -32,7 +32,7 @@ gammas = st.floats(0.0, HALF_PI, allow_nan=False)
 def pipeline_k(a: StrategyParams, b: StrategyParams, gamma: float) -> np.ndarray:
     """Independent oracle: explicit (U_A (x) U_B) J(gamma) |CC> pipeline."""
     u_ab = qmat.tensor2(strategy_unitary(a), strategy_unitary(b))
-    return u_ab @ apply(entangler(gamma), qmat.basis_state(0))
+    return u_ab @ apply(entangler(gamma), basis_state(0))
 
 
 # ---------------------------------------------------------------- strategies
@@ -88,7 +88,7 @@ def test_entangler_at_zero_is_identity():
 
 
 def test_entangler_max_on_cc():
-    got = entangler(HALF_PI) @ qmat.basis_state(0)
+    got = entangler(HALF_PI) @ basis_state(0)
     expected = np.array([1, 0, 0, 1j]) / math.sqrt(2)
     assert np.allclose(got, expected, atol=1e-12)
 

@@ -212,8 +212,8 @@ def test_sweep_numeric_failure_is_the_first_failing_gamma_and_exits_3(monkeypatc
     # maps shrunk past the norm-defect limit from the third of five gammas on, by a
     # factor that differs per gamma: the sweep raises profile_table's error at the
     # third, and the CLI writes no partial CSV
-    build = analysis._coefficient_matrix
-    monkeypatch.setattr(analysis, "_coefficient_matrix",
+    build = analysis.coefficient_map
+    monkeypatch.setattr(analysis, "coefficient_map",
                         lambda g: build(g) * (1.0 - 0.1 * g.gamma if g.gamma > 0.5 else 1.0))
     with pytest.raises(NumericIntegrityError) as swept:
         sweep_gamma(0.0, 0.0, 5, Backend.UNITARY)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmat_helpers import adjoint, apply, identity, norm, unitarity_defect
+from qmat_helpers import adjoint, apply, basis_state, identity, norm, unitarity_defect
 from rqpd import qmat
 from rqpd.game_core import StrategyParams, entangler, strategy_unitary
 
@@ -38,7 +38,7 @@ def test_tensor2_dxd_hand_expansion():
 def test_tensor2_basis_action():
     rng = np.random.default_rng(7)
     a, b = random_unitary2(rng), random_unitary2(rng)
-    lhs = apply(qmat.tensor2(a, b), qmat.basis_state(0))
+    lhs = apply(qmat.tensor2(a, b), basis_state(0))
     rhs = np.kron(a[:, 0], b[:, 0])
     assert np.allclose(lhs, rhs, atol=1e-12)
 
@@ -69,7 +69,7 @@ def test_apply_identity_and_zero():
 
 
 def test_apply_entangler_to_cc():
-    got = apply(entangler(0.5 * math.pi), qmat.basis_state(0))
+    got = apply(entangler(0.5 * math.pi), basis_state(0))
     expected = np.array([1, 0, 0, 1j], dtype=complex) / math.sqrt(2)
     assert np.allclose(got, expected, atol=1e-12)
 
@@ -142,7 +142,7 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         qmat.state4([1, 0])
     with pytest.raises(ValueError):
-        qmat.basis_state(4)
+        basis_state(4)
 
 
 def test_outputs_are_read_only():

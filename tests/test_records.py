@@ -4,7 +4,6 @@ import copy
 import inspect
 import pickle
 
-import numpy as np
 import pytest
 
 from rqpd.analysis import (
@@ -18,9 +17,7 @@ from rqpd.analysis import (
 )
 from rqpd.closed_form import PayoffParams, RegionMapRow, ThresholdSet
 from rqpd.game_core import JointProbabilities, KVector, PayoffPair, StrategyParams
-from rqpd.relativity import Backend, CoefficientMap, GameInstance, coefficient_map
-
-CMAP = coefficient_map(GameInstance(0.1, 0.2, 0.3, backend=Backend.PAPER))
+from rqpd.relativity import Backend, GameInstance
 
 # Each class's fields in order, with the values of one instance.
 EXAMPLES = {
@@ -32,8 +29,6 @@ EXAMPLES = {
     JointProbabilities: dict(p_cc=0.25, p_cd=0.25, p_dc=0.5, p_dd=0.0, norm_defect=0.0),
     GameInstance: dict(gamma=0.1, omega_a=0.2, omega_b=0.3, pay=PayoffParams(7.0, 2.5, 0.5, -1.0),
                        backend=Backend.PAPER),
-    CoefficientMap: dict(matrix=CMAP.matrix, backend=Backend.PAPER, omega_a=0.2, omega_b=0.3,
-                         gamma=0.1),
     ProfileTable: dict(dd=PayoffPair(1.0, 1.0), qd=PayoffPair(0.0, 5.0), dq=PayoffPair(5.0, 0.0),
                        qq=PayoffPair(3.0, 3.0)),
     SdsReport: dict(alice="D", bob=None, margins=SdsMargins(1.0, 2.0, -1.0, 0.0)),
@@ -59,9 +54,7 @@ CHANGED = {
     SweepRow: ("b_qq", 2.0),
 }
 CLASSES = list(EXAMPLES)
-VALUE_CLASSES = [cls for cls in CLASSES if cls is not CoefficientMap]
 IDS = [cls.__name__ for cls in CLASSES]
-VALUE_IDS = [cls.__name__ for cls in VALUE_CLASSES]
 
 
 def example(cls):
@@ -72,18 +65,8 @@ def fields(record) -> tuple:
     return tuple(getattr(record, name) for name in EXAMPLES[type(record)])
 
 
-def same_fields(a, b) -> bool:
-    # CoefficientMap compares by identity, so its fields are compared one by one
-    if type(a) is CoefficientMap:
-        return type(b) is CoefficientMap and all(
-            np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-            for x, y in zip(fields(a), fields(b))
-        )
-    return a == b
-
-
 def test_every_value_class_is_covered():
-    assert len(CLASSES) == 13
+    assert len(CLASSES) == 12
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
@@ -124,7 +107,7 @@ def test_repr_names_each_field(cls):
     assert repr(example(cls)) == f"{cls.__qualname__}({args})"
 
 
-@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=VALUE_IDS)
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
 def test_equality_and_hash_follow_the_fields(cls):
     a, b = example(cls), cls(*EXAMPLES[cls].values())
     assert a is not b and a == b and not a != b
@@ -132,7 +115,7 @@ def test_equality_and_hash_follow_the_fields(cls):
     assert len({a, b}) == 1
     assert a != tuple(EXAMPLES[cls].values())
     assert a.__eq__(tuple(EXAMPLES[cls].values())) is NotImplemented
-    other = next(c for c in VALUE_CLASSES if c is not cls)
+    other = next(c for c in CLASSES if c is not cls)
     assert a != example(other)
 
 
@@ -141,7 +124,7 @@ def test_equal_fields_of_another_class_are_unequal():
     assert all(a != b and not a == b for a in records for b in records if a is not b)
 
 
-@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=VALUE_IDS)
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
 def test_a_different_field_value_is_unequal(cls):
     name, value = CHANGED[cls]
     assert cls(**{**EXAMPLES[cls], name: value}) != example(cls)
@@ -156,7 +139,7 @@ def test_fields_cannot_be_set_or_deleted(cls, name):
         setattr(record, attribute, 1.0)
     with pytest.raises(AttributeError, match=f"cannot assign to or delete field '{attribute}'"):
         delattr(record, attribute)
-    assert same_fields(record, example(cls))
+    assert record == example(cls)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
@@ -196,16 +179,8 @@ def test_copies_are_equal(cls, how):
     record = example(cls)
     duplicate = how(record)
     assert type(duplicate) is cls
-    assert same_fields(duplicate, record)
+    assert duplicate == record
     assert repr(duplicate) == repr(record)
-
-
-def test_coefficient_map_compares_by_identity():
-    twin = CoefficientMap(**EXAMPLES[CoefficientMap])
-    assert CMAP == CMAP and hash(CMAP) == hash(CMAP)
-    assert CMAP != twin and same_fields(CMAP, twin)
-    assert hash(CMAP) == object.__hash__(CMAP)
-    assert len({CMAP, twin}) == 2
 
 
 def test_joint_probabilities_clamp_dust_on_construction():

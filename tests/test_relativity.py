@@ -44,15 +44,11 @@ OMEGA_FROM_HIGH_SPEEDS = 0.9262024544774877
 
 
 def paper_map(gamma, omega_a, omega_b):
-    return coefficient_map(
-        GameInstance(gamma, omega_a, omega_b, backend=Backend.PAPER)
-    ).matrix
+    return coefficient_map(GameInstance(gamma, omega_a, omega_b, backend=Backend.PAPER))
 
 
 def unitary_map(gamma, omega_a, omega_b):
-    return coefficient_map(
-        GameInstance(gamma, omega_a, omega_b, backend=Backend.UNITARY)
-    ).matrix
+    return coefficient_map(GameInstance(gamma, omega_a, omega_b, backend=Backend.UNITARY))
 
 
 # ------------------------------------------------------------ kinematics
@@ -258,11 +254,15 @@ def test_paper_backend_nonunitarity_witness():
     assert row_overlap == pytest.approx(ROW24_OVERLAP_WITNESS, abs=1e-12)
 
 
-def test_coefficient_map_is_tagged():
+def test_coefficient_map_is_the_read_only_paper_matrix():
     g = GameInstance(0.4, 0.2, 0.3, backend=Backend.PAPER)
     cmap = coefficient_map(g)
-    assert cmap.backend is Backend.PAPER
-    assert (cmap.gamma, cmap.omega_a, cmap.omega_b) == (0.4, 0.2, 0.3)
+    assert type(cmap) is np.ndarray and cmap.shape == (4, 4) and cmap.dtype == complex
+    assert not cmap.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        cmap[0, 0] = 0.0
+    expected = paper_coefficient_matrix(g.gamma, g.omega_a, g.omega_b)
+    assert cmap.tobytes() == expected.tobytes()
 
 
 # ------------------------------------------------------- probabilities

@@ -38,9 +38,8 @@ UNITARY map is the product of ``tensor2``'s checked rotations and the
 conjugate of the entangler's own formula, ``game_core._entangler_matrix``,
 frozen in place; it must equal the same product of the public
 ``entangler``, ``spin_rotation_pair`` and ``tensor2`` bit for bit.  The
-four functions take that matrix from
-``relativity._coefficient_matrix``, without the ``CoefficientMap``
-record, and the tests below inject their maps there.  The
+four functions take that matrix from ``coefficient_map``, the one map
+builder, and the tests below inject their maps there.  The
 references below are the loops they replaced: the
 UNITARY map from the checking ``spin_rotation_pair``, ``np.kron`` and
 the validating ``adjoint``, the PAPER map as a nested list through
@@ -199,7 +198,7 @@ def reference_profile_table(g, matrix=None):
 @given(angles, angles, angles, backends)
 def test_coefficient_map_equals_reference_map(gamma, omega_a, omega_b, backend):
     g = GameInstance(gamma, omega_a, omega_b, backend=backend)
-    got, expected = coefficient_map(g).matrix, reference_map(g)
+    got, expected = coefficient_map(g), reference_map(g)
     assert repr(got) == repr(expected)
     assert got.tobytes() == expected.tobytes()  # every bit, -0.0 included
     # the UNITARY product is frozen in place, so nothing behind it is writable either
@@ -225,7 +224,7 @@ def test_final_amplitudes_of_a_flat_list_equal_each_product(
 ):
     # the flat layout in and out: four amplitudes per k-vector, in order, each
     # product that of the 4x4 map and the one vector, bit for bit
-    matrix = coefficient_map(GameInstance(gamma, omega_a, omega_b, backend=backend)).matrix
+    matrix = coefficient_map(GameInstance(gamma, omega_a, omega_b, backend=backend))
     rng = np.random.default_rng(seed)
     for n in FLAT_SIZES:
         ks = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
@@ -335,7 +334,7 @@ def test_unitary_map_conjugates_the_public_entangler(gamma, omega_a, omega_b):
     # for bit; reference_map writes its own J with np.kron
     got = coefficient_map(GameInstance(gamma, omega_a, omega_b, backend=Backend.UNITARY))
     kron = qmat.tensor2(*spin_rotation_pair(omega_a, omega_b))
-    assert got.matrix.tobytes() == (np.conjugate(entangler(gamma)).T @ kron).tobytes()
+    assert got.tobytes() == (np.conjugate(entangler(gamma)).T @ kron).tobytes()
 
 
 @settings(max_examples=6, deadline=None)
@@ -386,7 +385,7 @@ ERROR_MAPS = {
 def test_profile_table_errors_match_reference(monkeypatch, case, backend):
     matrix, error, message = ERROR_MAPS[case]
     g = GameInstance(0.0, 0.0, 0.0, backend=backend)
-    monkeypatch.setattr(analysis, "_coefficient_matrix", lambda g: matrix)
+    monkeypatch.setattr(analysis, "coefficient_map", lambda g: matrix)
     got = outcome(lambda: profile_table(g))
     assert got == outcome(lambda: reference_profile_table(g, matrix))
     assert isinstance(got, tuple) and got[0] is error and message in got[1]
@@ -401,8 +400,8 @@ def test_profile_table_clamps_like_reference(monkeypatch, scale, backend):
     matrix = scaled_rows(scale)
     assert abs(complex(matrix[3, 3])) ** 2 > 1.0
     g = GameInstance(0.0, 0.0, 0.0, PayoffParams(7.0, 2.5, 0.5, -1.0), backend)
-    monkeypatch.setattr(analysis, "_coefficient_matrix", lambda g: matrix)
-    monkeypatch.setattr(relativity, "_coefficient_matrix", lambda g: matrix)
+    monkeypatch.setattr(analysis, "coefficient_map", lambda g: matrix)
+    monkeypatch.setattr(relativity, "coefficient_map", lambda g: matrix)
     got = profile_table(g)
     assert repr(got) == repr(reference_profile_table(g, matrix))
     assert got.dd == (0.5, 0.5)  # p, from a probability of exactly 1
@@ -413,12 +412,12 @@ def test_profile_table_clamps_like_reference(monkeypatch, scale, backend):
 # ---------------------------------------------------- scalar pair references
 #
 # The object paths the scalar pair path replaced: the map is read through
-# ``relativity.coefficient_map``, which builds its matrix with the module
-# attribute, so a patched ``relativity._coefficient_matrix`` reaches them too.
+# the module attribute ``relativity.coefficient_map``, so a patched map
+# reaches them too.
 
 
 def reference_final_amplitudes(g, a, b):
-    return relativity.coefficient_map(g).matrix @ k_coefficients(a, b, g.gamma).as_state()
+    return relativity.coefficient_map(g) @ k_coefficients(a, b, g.gamma).as_state()
 
 
 def reference_joint_probabilities(g, a, b):
@@ -434,7 +433,7 @@ def reference_best_response_scan(g, opponent, grid, max_norm_defect=1e-6):
     n_theta, n_phi = grid
     if isinstance(opponent, NamedStrategy):
         opponent = opponent.params
-    matrix = relativity.coefficient_map(g).matrix
+    matrix = relativity.coefficient_map(g)
     best_params, best_payoff = None, -math.inf
     for theta in np.linspace(0.0, math.pi, n_theta):
         for phi in np.linspace(0.0, HALF_PI, n_phi):
@@ -564,7 +563,7 @@ def scaled_k_row(scale):
 # in-domain angles never give: a non-finite map, and k-coefficients whose
 # squares overflow, in the KVector checks and in the payoff tail alike
 PAIR_ERRORS = {
-    "nan map": ("_coefficient_matrix", lambda g: ERROR_MAPS["nan"][0],
+    "nan map": ("coefficient_map", lambda g: ERROR_MAPS["nan"][0],
                 "state4 contains non-finite entries"),
     # OverflowError's message is the platform's text for ERANGE
     "k overflows": ("_k_row", scaled_k_row(1e200), ""),
@@ -674,8 +673,8 @@ def test_moved_finiteness_check_keeps_each_first_error(
          lambda: reference_best_response_scan(g, q, (3, 3), limit)),
     ]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis, "_coefficient_matrix", lambda g: matrix)
-        patch.setattr(relativity, "_coefficient_matrix", lambda g: matrix)
+        patch.setattr(analysis, "coefficient_map", lambda g: matrix)
+        patch.setattr(relativity, "coefficient_map", lambda g: matrix)
         for new, reference in pairs:
             assert outcome(new) == outcome(reference)
 
@@ -871,7 +870,7 @@ def test_single_point_call_builds_one_map(monkeypatch, call, backend, tensor2_ca
     # for profile_table, the bisection oracle's per-table cost as the benchmark's smoke
     # pins count it; the scan builds its map once, not once per candidate.  Neither map
     # goes through mat4, which would copy it: mat4's checks run on the array built.
-    calls = {"_coefficient_matrix": 0, "tensor2": 0, "mat4": 0}
+    calls = {"coefficient_map": 0, "tensor2": 0, "mat4": 0}
 
     def count(module, name):
         inner = getattr(module, name)
@@ -882,25 +881,12 @@ def test_single_point_call_builds_one_map(monkeypatch, call, backend, tensor2_ca
 
         monkeypatch.setattr(module, name, wrapper)
 
-    count(analysis, "_coefficient_matrix")
-    count(relativity, "_coefficient_matrix")
+    count(analysis, "coefficient_map")
+    count(relativity, "coefficient_map")
     count(qmat, "tensor2")
     count(qmat, "mat4")
     SINGLE_POINT_CALLS[call](GameInstance(0.7, 0.4, 1.1, backend=backend))
-    assert calls == {"_coefficient_matrix": 1, "tensor2": tensor2_calls, "mat4": 0}
-
-
-@pytest.mark.parametrize("backend", list(Backend))
-@pytest.mark.parametrize("call", list(SINGLE_POINT_CALLS))
-def test_single_point_call_builds_no_record(monkeypatch, call, backend):
-    # only coefficient_map wraps the matrix in a CoefficientMap
-    def refuse(*args, **kwargs):
-        raise AssertionError("CoefficientMap built")
-
-    monkeypatch.setattr(relativity, "CoefficientMap", refuse)
-    SINGLE_POINT_CALLS[call](GameInstance(0.7, 0.4, 1.1, backend=backend))
-    with pytest.raises(AssertionError, match="CoefficientMap built"):
-        coefficient_map(GameInstance(0.7, 0.4, 1.1, backend=backend))
+    assert calls == {"coefficient_map": 1, "tensor2": tensor2_calls, "mat4": 0}
 
 
 @pytest.mark.parametrize("grid,calls", [((181, 91), 181), ((3, 257), 6), ((2, 300), 4)])

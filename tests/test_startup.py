@@ -131,7 +131,6 @@ def test_package_import_loads_no_engine_module():
 
 ALL = [
     "Backend",
-    "CoefficientMap",
     "ConvergenceError",
     "GameInstance",
     "JointProbabilities",
