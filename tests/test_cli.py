@@ -314,18 +314,27 @@ def test_closed_stdout_exits_4_in_a_process():
 
 @pytest.mark.skipif(os.name != "posix", reason="closes a pipe under a running child")
 @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
-def test_reader_closing_the_pipe_early_exits_4(flags):
+@pytest.mark.parametrize(
+    "argv,head",
+    [
+        (["region-map", "--grid-n", "64"], b"omega_a,om"),
+        (["sweep", "--omega-a", "0.3", "--omega-b", "0.2", "--n", "2000"], b"gamma,A_DD"),
+    ],
+    ids=["region-map", "sweep"],
+)
+def test_reader_closing_the_pipe_early_exits_4(argv, head, flags):
     # under -u stdout's buffer is the raw file, whose short write the text layer
-    # drops; the payload must still be written in full or fail with exit 4
+    # drops; the payload must still be written in full or fail with exit 4.  Each
+    # payload is larger than a pipe's buffer, so the reader closes it mid-write
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
-        [sys.executable, *flags, "-m", "rqpd.cli", "region-map", "--grid-n", "64"],
+        [sys.executable, *flags, "-m", "rqpd.cli", *argv],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     try:
-        assert proc.stdout.read(10) == b"omega_a,om"
+        assert proc.stdout.read(10) == head
         proc.stdout.close()
         err = proc.stderr.read()
     finally:

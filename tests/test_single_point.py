@@ -889,6 +889,31 @@ def test_single_point_call_builds_one_map(monkeypatch, call, backend, tensor2_ca
     assert calls == {"coefficient_map": 1, "tensor2": tensor2_calls, "mat4": 0}
 
 
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("call", list(SINGLE_POINT_CALLS))
+def test_single_point_call_takes_the_omegas_only_from_the_map(monkeypatch, call, backend):
+    # the moving frames enter the game only through coefficient_map: with the map of
+    # other omegas at the same gamma, a call gives what it gives at those omegas
+    g = GameInstance(0.7, 0.4, 1.1, backend=backend)
+    moved = GameInstance(0.7, 1.2, 0.3, backend=backend)
+    own, expected = (outcome(lambda: SINGLE_POINT_CALLS[call](h)) for h in (g, moved))
+    assert own != expected
+    matrix = coefficient_map(moved)
+    monkeypatch.setattr(analysis, "coefficient_map", lambda g: matrix)
+    monkeypatch.setattr(relativity, "coefficient_map", lambda g: matrix)
+    assert outcome(lambda: SINGLE_POINT_CALLS[call](g)) == expected
+
+
+@pytest.mark.parametrize("bad", [None, (0.7, 0.4, 1.1)], ids=["None", "tuple"])
+@pytest.mark.parametrize("call", ["coefficient_map", *SINGLE_POINT_CALLS])
+def test_map_builder_and_single_point_calls_refuse_a_non_game_instance(call, bad):
+    # the GameInstance check coefficient_map keeps, and each engine call before it
+    f = coefficient_map if call == "coefficient_map" else SINGLE_POINT_CALLS[call]
+    with pytest.raises(ValueError) as info:
+        f(bad)
+    assert str(info.value) == f"g must be a GameInstance, got {bad!r}"
+
+
 @pytest.mark.parametrize("grid,calls", [((181, 91), 181), ((3, 257), 6), ((2, 300), 4)])
 def test_best_response_scan_stacks_each_chunk_of_a_theta_row(monkeypatch, grid, calls):
     # one _final_amplitudes call per GRID_CHUNK phis of each theta, in candidate order
